@@ -3,9 +3,10 @@
 Subcommands: simulate, collapse, fit, indices, evolve, synth, modes.  Every
 command validates its configuration, writes a ``manifest.json`` echoing the
 fully resolved configuration (including the seed), and emits plot-ready CSV
-data files — never rendered graphics.  Outputs are deterministic: re-running
-a command with the configuration recorded in its manifest reproduces every
-file byte for byte.
+data files — never rendered graphics.  A command that fails leaves nothing
+in or beside ``--out-dir``.  Outputs are deterministic: re-running a command
+with the configuration recorded in its manifest reproduces every file byte
+for byte.
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numerical
 failure.
@@ -17,9 +18,11 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from . import __version__, distlib, estimate, fpsolve, poverty, simulate, survey
 from .errors import DataError, DomainError, NumericalError
@@ -53,39 +56,25 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _parse_times(text: str) -> list:
-    if not text:
-        return []
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+def cmd_simulate(args, out: Path) -> None:
     params = simulate.LangevinParams(M=args.M, labour_rate=args.C, dt=args.dt,
                                      noise_scale=args.sigma)
     dist = distlib.SteadyStateIPDF(args.M, args.C)
     init = dist if args.init == "equilibrium" else args.C / args.M
-    snap_times = _parse_times(args.snapshot_times)
     # the worker count is deliberately not part of the manifest: results are
     # identical for any parallelism degree
     config = {"M": args.M, "C": args.C, "sigma": args.sigma, "dt": args.dt,
               "agents": args.agents, "t_end": args.t_end, "init": args.init,
-              "snapshot_times": snap_times, "seed": args.seed,
+              "snapshot_times": args.snapshot_times, "seed": args.seed,
               "hill_tail_fraction": args.hill_tail_fraction,
               "histogram_bins": args.histogram_bins}
     _write_manifest(out, "simulate", config)
     snaps = simulate.run(args.agents, params, args.t_end, init, args.seed,
-                         snapshot_times=snap_times, workers=args.workers)
+                         snapshot_times=args.snapshot_times, workers=args.workers)
 
     hist_rows = []
     ks_rows = []
@@ -111,12 +100,10 @@ def cmd_simulate(args) -> int:
         "model_mean": args.C / args.M,
     }
     _write_json(out / "report.json", report)
-    _say(args, f"simulate: KS={report['final_ks']:.4g} hill={hill:.3f} -> {out}")
-    return 0
+    _say(args, f"simulate: KS={report['final_ks']:.4g} hill={hill:.3f} -> {args.out_dir}")
 
 
-def cmd_collapse(args) -> int:
-    out = _out_dir(args)
+def cmd_collapse(args, out: Path) -> None:
     rounds = survey.load_rounds(args.rounds)
     table = survey.load_deflators(args.deflators, args.reference_year,
                                   args.reference_mean)
@@ -144,9 +131,9 @@ def cmd_collapse(args) -> int:
         rows.extend((rnd.round_id, y, c) for y, c in zip(grid, cdf))
     _write_csv(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"], rows)
     dist = distlib.SteadyStateIPDF(args.M, c0, offset_abs)
-    model_cdf = np.where(grid > offset_abs,
-                         [distlib.ipdf_cdf(dist, max(y - offset_abs, 1e-300))
-                          if y > offset_abs else 0.0 for y in grid], 0.0)
+    model_cdf = np.zeros(grid.size)
+    above = grid > offset_abs
+    model_cdf[above] = distlib.ipdf_cdf(dist, grid[above] - offset_abs)
     _write_csv(out / "model_cdf.csv", ["y", "cdf"],
                list(zip(grid, model_cdf)))
     spread = float(np.max(np.max(curves, axis=0) - np.min(curves, axis=0))) \
@@ -158,8 +145,7 @@ def cmd_collapse(args) -> int:
         "model": {"M": args.M, "C0": c0, "offset": offset_abs},
         "max_cdf_spread": spread,
         "binning_tolerance": binning_tol})
-    _say(args, f"collapse: {len(collapsed)} rounds, max spread {spread:.4g} -> {out}")
-    return 0
+    _say(args, f"collapse: {len(collapsed)} rounds, max spread {spread:.4g} -> {args.out_dir}")
 
 
 def _prepare_rounds(args):
@@ -173,8 +159,7 @@ def _prepare_rounds(args):
     return rounds
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
+def cmd_fit(args, out: Path) -> None:
     config = {"rounds": str(args.rounds), "deflators": args.deflators and str(args.deflators),
               "reference_year": args.reference_year, "reference_mean": args.reference_mean,
               "collapse_to": args.collapse_to, "fix_offset": args.fix_offset,
@@ -197,12 +182,10 @@ def cmd_fit(args) -> int:
     _write_csv(out / "expected_vs_observed.csv",
                ["round_id", "band_lower", "band_upper", "observed_share",
                 "expected_share"], rows)
-    _say(args, f"fit: {len(rounds)} rounds -> {out}")
-    return 0
+    _say(args, f"fit: {len(rounds)} rounds -> {args.out_dir}")
 
 
-def cmd_indices(args) -> int:
-    out = _out_dir(args)
+def cmd_indices(args, out: Path) -> None:
     config = {"rounds": str(args.rounds), "deflators": args.deflators and str(args.deflators),
               "reference_year": args.reference_year, "reference_mean": args.reference_mean,
               "collapse_to": args.collapse_to, "line": args.line,
@@ -216,31 +199,25 @@ def cmd_indices(args) -> int:
                                   pooled_M=args.pooled_M)
     series.write_csv(out / "indices.csv")
     _write_json(out / "diagnostics.json", series.diagnostics)
-    _say(args, f"indices: {len(series.rows)} rounds -> {out}")
-    return 0
+    _say(args, f"indices: {len(series.rows)} rounds -> {args.out_dir}")
 
 
-def cmd_evolve(args) -> int:
-    out = _out_dir(args)
-    span = tuple(float(t) for t in args.span.split(","))
-    if len(span) != 2:
-        raise DataError("--span must be lo,hi")
-    snap_times = _parse_times(args.snapshot_times)
+def cmd_evolve(args, out: Path) -> None:
     bump_center = args.bump_center if args.bump_center is not None \
         else 3.0 * args.C0 / args.M
     config = {"M": args.M, "C0": args.C0, "t_end": args.t_end, "dt": args.dt,
-              "cells": args.cells, "span": list(span), "init": args.init,
+              "cells": args.cells, "span": list(args.span), "init": args.init,
               "bump_center": bump_center, "bump_width": args.bump_width,
-              "snapshot_times": snap_times, "seed": args.seed}
+              "snapshot_times": args.snapshot_times, "seed": args.seed}
     _write_manifest(out, "evolve", config)
-    grid = fpsolve.log_grid(args.M, args.C0, args.cells, span)
+    grid = fpsolve.log_grid(args.M, args.C0, args.cells, args.span)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     steady = fpsolve.density_on_grid(dist, grid)
     if args.init == "steady":
         f0 = steady
     else:
         f0 = fpsolve.bump_density(grid, bump_center, args.bump_width)
-    times = snap_times or list(np.linspace(args.t_end / 8.0, args.t_end, 8))
+    times = args.snapshot_times or list(np.linspace(args.t_end / 8.0, args.t_end, 8))
     final, snaps = fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
                                   snapshot_times=times)
     all_snaps = [f0] + snaps + ([final] if not snaps or snaps[-1].time != final.time else [])
@@ -252,20 +229,19 @@ def cmd_evolve(args) -> int:
         "final_l1_to_steady": conv_rows[-1][1],
         "mass_drift_per_unit_time": drift,
         "residual_on_grid": fpsolve.steady_state_residual(args.M, args.C0, grid)})
-    _say(args, f"evolve: final L1 {conv_rows[-1][1]:.4g} -> {out}")
-    return 0
+    _say(args, f"evolve: final L1 {conv_rows[-1][1]:.4g} -> {args.out_dir}")
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
+def cmd_synth(args, out: Path) -> None:
     dist = distlib.SteadyStateIPDF(args.M, args.C0, args.offset)
     if args.edges:
-        edges = np.asarray([float(t) for t in args.edges.split(",")])
+        edges = np.asarray(args.edges)
     else:
-        # quantile edges of the observed-income law, plus an open band
+        # quantile edges of the observed-income law, plus an open band:
+        # the CDF is Q(M+1, C0/y), so its q-quantile is C0 / Q^-1(M+1, q)
         qs = np.linspace(0.0, 1.0, args.auto_bands + 1)[1:-1]
-        pts = [args.offset + _quantile(dist, q) for q in qs]
-        edges = np.asarray([0.0] + pts + [math.inf])
+        pts = args.offset + args.C0 / gammainccinv(args.M + 1.0, qs)
+        edges = np.concatenate([[0.0], pts, [math.inf]])
     config = {"M": args.M, "C0": args.C0, "offset": args.offset,
               "edges": [(_fmt(e) if math.isfinite(e) else "inf") for e in edges],
               "n": args.n, "V": args.V, "K": args.K, "round_id": args.round_id,
@@ -274,27 +250,14 @@ def cmd_synth(args) -> int:
     rnd = survey.synth_round(dist, edges, args.n, args.seed, (args.V, args.K),
                              round_id=args.round_id, year=args.year)
     survey.save_rounds(out / "rounds.csv", [rnd])
-    _say(args, f"synth: {len(rnd.bands)} bands, n={args.n} -> {out}")
-    return 0
+    _say(args, f"synth: {len(rnd.bands)} bands, n={args.n} -> {args.out_dir}")
 
 
-def _quantile(dist: distlib.SteadyStateIPDF, q: float) -> float:
-    lo, hi = 1e-9 * dist.scale_C0, 1e9 * dist.scale_C0
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if distlib.ipdf_cdf(dist, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
-
-
-def cmd_modes(args) -> int:
-    out = _out_dir(args)
+def cmd_modes(args, out: Path) -> None:
     config = {"M": args.M, "C0": args.C0, "n_max": args.n_max, "A1": args.A1,
               "A2": args.A2, "grid_points": args.grid_points, "seed": args.seed}
     _write_manifest(out, "modes", config)
-    # grid kept where the transformed Kummer argument stays representable
+    # grid kept where the Kummer argument -C0/y stays within kummer_m's bound
     grid = np.geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     params_report = []
@@ -323,8 +286,7 @@ def cmd_modes(args) -> int:
     _write_json(out / "report.json", {
         "steady_state_max_rel_err": rel_err,
         "operator_residuals": residuals})
-    _say(args, f"modes: n<=~{args.n_max}, steady-state recovery err {rel_err:.3g} -> {out}")
-    return 0
+    _say(args, f"modes: n<=~{args.n_max}, steady-state recovery err {rel_err:.3g} -> {args.out_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +298,25 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
+def _float_list(text: str) -> list:
+    """Comma-separated numbers; argparse turns the ValueError of a bad one
+    into a usage error."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _span(text: str) -> tuple:
+    """Exactly two numbers, lo,hi."""
+    lo, hi = _float_list(text)
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=_positive_int, required=True)
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--init", choices=["mean", "equilibrium"], default="mean")
-    p.add_argument("--snapshot-times", default="")
+    p.add_argument("--snapshot-times", type=_float_list, default="")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--hill-tail-fraction", type=float, default=0.05)
-    p.add_argument("--histogram-bins", type=int, default=80)
+    p.add_argument("--histogram-bins", type=_positive_int, default=80)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("collapse", help="deflate, rescale, and overlay rounds")
@@ -375,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-mean", type=float, default=None)
     p.add_argument("--M", type=float, default=1.6)
     p.add_argument("--offset-frac", type=float, default=0.15)
-    p.add_argument("--grid-points", type=int, default=200)
+    p.add_argument("--grid-points", type=_positive_int, default=200)
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("fit", help="binned MLE of the income law per round")
@@ -410,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--cells", type=int, default=2000)
-    p.add_argument("--span", default="1e-3,1e3")
+    p.add_argument("--span", type=_span, default="1e-3,1e3")
     p.add_argument("--init", choices=["steady", "bump"], default="bump")
     p.add_argument("--bump-center", type=float, default=None)
     p.add_argument("--bump-width", type=float, default=0.1)
-    p.add_argument("--snapshot-times", default="")
+    p.add_argument("--snapshot-times", type=_float_list, default="")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("synth", help="generate a synthetic survey round")
@@ -422,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, default=1.6)
     p.add_argument("--C0", type=float, default=1.6)
     p.add_argument("--offset", type=float, default=0.15)
-    p.add_argument("--edges", default="",
+    p.add_argument("--edges", type=_float_list, default="",
                    help="comma-separated band edges (last may be inf)")
-    p.add_argument("--auto-bands", type=int, default=20)
+    p.add_argument("--auto-bands", type=_positive_int, default=20)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--V", type=float, default=1.0)
+    # V <= K keeps cereal below total expenditure at every income
+    p.add_argument("--V", type=float, default=0.4)
     p.add_argument("--K", type=float, default=0.5)
     p.add_argument("--round-id", default="synth")
     p.add_argument("--year", type=float, default=2000.0)
@@ -436,20 +418,30 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--M", type=float, default=1.6)
     p.add_argument("--C0", type=float, default=1.6)
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_nonnegative_int, default=2)
     p.add_argument("--A1", type=float, default=0.0)
     p.add_argument("--A2", type=float, default=1.0)
-    p.add_argument("--grid-points", type=int, default=1500)
+    p.add_argument("--grid-points", type=_positive_int, default=1500)
     p.set_defaults(func=cmd_modes)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command.  It writes into a temporary directory beside
+    ``--out-dir``, whose files move into ``--out-dir`` only when the command
+    succeeds, so a failed command leaves no output behind."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.out_dir)
     try:
-        return args.func(args)
-    except (DataError, DomainError) as exc:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as tmp:
+            args.func(args, Path(tmp))
+            out.mkdir(exist_ok=True)
+            for path in Path(tmp).iterdir():
+                path.replace(out / path.name)
+        return 0
+    except (DataError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

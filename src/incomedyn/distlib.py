@@ -8,9 +8,9 @@ X ~ Gamma(M + 1, 1).  Its density
 
 is exponentially suppressed at low income and has a power-law tail with
 density exponent M + 2.  The CDF is the regularized upper incomplete gamma
-function Q(M+1, C0/y), which this module implements directly (series /
-continued-fraction split) so the rest of the package does not depend on an
-external special-function library for its core law.
+function Q(M+1, C0/y).  Q is scipy's ``gammaincc``; this module wraps it
+once with the package's domain checks, and every other module evaluates the
+law through that wrapper.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaincc
 
-from .errors import DomainError, NumericalError
-
-GAMMA_TOL = 1e-12
-GAMMA_MAX_ITER = 500
-
-# Below this size a plain Python loop beats numpy's per-op dispatch overhead.
-_VECTOR_CUTOFF = 64
+from .errors import DomainError
 
 
 def lgamma(x: float) -> float:
@@ -37,117 +32,20 @@ def lgamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _reg_upper_scalar(a: float, x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    gln = math.lgamma(a)
-    if x < a + 1.0:
-        # series for the lower function P; Q = 1 - P
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(GAMMA_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * GAMMA_TOL:
-                return 1.0 - total * math.exp(-x + a * math.log(x) - gln)
-        raise NumericalError(f"incomplete gamma series stalled at a={a}, x={x}")
-    # modified Lentz continued fraction for Q
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < GAMMA_TOL:
-            return math.exp(-x + a * math.log(x) - gln) * h
-    raise NumericalError(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
-
-
-def _reg_upper_array(a: float, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    gln = math.lgamma(a)
-    inf_m = np.isinf(x)
-    zero_m = x == 0.0
-    out[inf_m] = 0.0
-    out[zero_m] = 1.0
-    ser_m = ~inf_m & ~zero_m & (x < a + 1.0)
-    cf_m = ~inf_m & ~zero_m & ~ser_m
-    if ser_m.any():
-        xs = x[ser_m]
-        term = np.full(xs.shape, 1.0 / a)
-        total = term.copy()
-        ap = a
-        for _ in range(GAMMA_MAX_ITER):
-            ap += 1.0
-            term *= xs / ap
-            total += term
-            if np.all(np.abs(term) < np.abs(total) * GAMMA_TOL):
-                break
-        else:
-            raise NumericalError(f"incomplete gamma series stalled at a={a}")
-        out[ser_m] = 1.0 - total * np.exp(-xs + a * np.log(xs) - gln)
-    if cf_m.any():
-        xc = x[cf_m]
-        tiny = 1e-300
-        b = xc + 1.0 - a
-        c = np.full(xc.shape, 1.0 / tiny)
-        d = 1.0 / b
-        h = d.copy()
-        done = np.zeros(xc.shape, dtype=bool)
-        for i in range(1, GAMMA_MAX_ITER + 1):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            np.copyto(d, tiny, where=np.abs(d) < tiny)
-            c = b + an / c
-            np.copyto(c, tiny, where=np.abs(c) < tiny)
-            d = 1.0 / d
-            delta = d * c
-            h *= np.where(done, 1.0, delta)
-            done |= np.abs(delta - 1.0) < GAMMA_TOL
-            if done.all():
-                break
-        else:
-            raise NumericalError(f"incomplete gamma continued fraction stalled at a={a}")
-        out[cf_m] = np.exp(-xc + a * np.log(xc) - gln) * h
-    return out
-
-
 def reg_upper_incomplete_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
 
-    Series representation for x < a + 1, modified Lentz continued fraction
-    otherwise; tolerance 1e-12, at most 500 iterations.  Accepts a scalar or
-    an ndarray for ``x``.  Q(a, 0) = 1 and Q(a, inf) = 0.
+    ``scipy.special.gammaincc`` behind the package's domain contract: a > 0
+    and x >= 0, else ``DomainError``.  Accepts a scalar or an ndarray for
+    ``x``; a 0-d input gives a float.  Q(a, 0) = 1 and Q(a, inf) = 0.
     """
     if not a > 0.0:
         raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
-    if np.isscalar(x) or np.ndim(x) == 0:
-        xf = float(x)
-        if math.isnan(xf) or xf < 0.0:
-            raise DomainError(f"incomplete gamma requires x >= 0, got x={x}")
-        return _reg_upper_scalar(a, xf)
     arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any() or (arr < 0.0).any():
+    if not (arr >= 0.0).all():      # also rejects NaN
         raise DomainError("incomplete gamma requires x >= 0")
-    if arr.size <= _VECTOR_CUTOFF:
-        return np.array([_reg_upper_scalar(a, v) for v in arr.ravel()]).reshape(arr.shape)
-    return _reg_upper_array(a, arr)
+    out = gammaincc(a, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

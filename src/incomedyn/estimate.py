@@ -68,18 +68,12 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     probabilities are conditioned on the range the bands cover, so expected
     shares always sum to one.
     """
-    edges = rnd.edges
-    a = M + 1.0
-    cdf = np.empty(edges.size)
-    for i, e in enumerate(edges):
-        ym = e - offset
-        if ym <= 0.0:
-            cdf[i] = 0.0
-        elif math.isinf(ym):
-            cdf[i] = 1.0
-        else:
-            cdf[i] = distlib.reg_upper_incomplete_gamma(a, C0 / ym)
-    p = np.diff(cdf)
+    ym = rnd.edges - offset
+    # x = C0 / ym, with x = inf (Q = 0) at and below the offset; an infinite
+    # edge gives x = 0 (Q = 1)
+    x = np.full(ym.size, math.inf)
+    np.divide(C0, ym, out=x, where=ym > 0.0)
+    p = np.diff(distlib.reg_upper_incomplete_gamma(M + 1.0, x))
     total = p.sum()
     if total <= 0.0:
         return -math.inf, np.full(p.size, 1.0 / p.size)

@@ -11,10 +11,10 @@ trapezoidal mass exactly, the scheme preserves positivity, and its discrete
 steady state matches the closed-form stationary law to O(h^2).
 
 The transient eigenmodes are combinations of confluent hypergeometric
-(Kummer M) functions; this module evaluates them and reports the residual
-of the spatial operator applied to a mode, but does not attempt to project
-arbitrary initial data onto the mode basis (the expansion coefficients are
-left to the caller).
+(Kummer M) functions, taken from scipy's ``hyp1f1``; this module evaluates
+them and reports the residual of the spatial operator applied to a mode, but
+does not attempt to project arbitrary initial data onto the mode basis (the
+expansion coefficients are left to the caller).
 """
 
 from __future__ import annotations
@@ -25,66 +25,34 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.special import hyp1f1
 
 from . import distlib
 from .errors import DataError, DomainError, NumericalError, TimeStepError
 
-KUMMER_TOL = 1e-12
-KUMMER_MAX_TERMS = 2000
-# exp(z) overflows near 709; cap the transformed argument below that
+# exp(|z|) overflows near |z| = 709; kummer_m refuses arguments above this bound
 KUMMER_MAX_ARG = 700.0
-
-
-def _kummer_series(a: float, b: float, x) -> np.ndarray:
-    """Power series sum_k (a)_k / (b)_k x^k / k! for x >= 0 (array)."""
-    x = np.asarray(x, dtype=float)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    small_streak = np.zeros(x.shape, dtype=int)
-    for k in range(KUMMER_MAX_TERMS):
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * x
-        total += term
-        if not np.isfinite(total).all():
-            raise NumericalError(f"Kummer series overflow at a={a}, b={b}")
-        # Pochhammer factors can pass through zero when a < 0; require two
-        # consecutive small terms before declaring convergence.
-        small = np.abs(term) <= KUMMER_TOL * np.abs(total)
-        small_streak = np.where(small, small_streak + 1, 0)
-        if (small_streak >= 2).all():
-            return total
-    raise NumericalError(f"Kummer series did not converge for a={a}, b={b}")
 
 
 def kummer_m(a: float, b: float, z):
     """Confluent hypergeometric function M(a, b, z) (Kummer's function).
 
-    Negative arguments are routed through the Kummer transformation
-    M(a, b, z) = exp(z) M(b - a, b, -z) so the series is only ever summed
-    at nonnegative argument.  ``b`` must not be a nonpositive integer, and
-    the post-transformation argument must not exceed 700 (the series partial
-    sums overflow beyond that).  Accepts scalar or ndarray ``z``.
+    ``scipy.special.hyp1f1`` behind the package's contract: ``b`` must not be
+    a nonpositive integer and ``z`` must not be NaN (``DomainError``); |z|
+    above 700, or a result that is not finite, is a ``NumericalError``.
+    Accepts scalar or ndarray ``z``; a 0-d input gives a float.
     """
     if b <= 0.0 and float(b).is_integer():
         raise DomainError(f"M(a, b, z) has a pole at nonpositive integer b={b}")
-    scalar = np.isscalar(z) or np.ndim(z) == 0
     arr = np.asarray(z, dtype=float)
     if np.isnan(arr).any():
         raise DomainError("Kummer argument must not be NaN")
     if (np.abs(arr) > KUMMER_MAX_ARG).any():
-        raise NumericalError(f"|z| > {KUMMER_MAX_ARG:g} would overflow the Kummer series")
-    out = np.empty_like(arr)
-    neg = arr < 0.0
-    if neg.any():
-        # a' = b - a analytically zero collapses the series to 1 (the
-        # exp-identity case); snap roundoff-sized a' to zero, since at large
-        # |z| a one-ulp a' would be amplified by roughly exp(|z|)
-        a2 = b - a
-        if abs(a2) < 1e-13 * max(1.0, abs(a), abs(b)):
-            a2 = 0.0
-        out[neg] = np.exp(arr[neg]) * _kummer_series(a2, b, -arr[neg])
-    if (~neg).any():
-        out[~neg] = _kummer_series(a, b, arr[~neg])
-    return float(out) if scalar else out
+        raise NumericalError(f"|z| > {KUMMER_MAX_ARG:g} would overflow M(a, b, z)")
+    out = hyp1f1(a, b, arr)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"M(a, b, z) is not finite at a={a}, b={b}")
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -429,9 +429,10 @@ def _band_probabilities(dist: distlib.SteadyStateIPDF, edges: np.ndarray) -> np.
     synthesizer conditions the multinomial on the covered range.
     """
     shifted = edges - dist.offset_ymin
-    cdf_vals = np.array([0.0 if e <= 0.0 else distlib.ipdf_cdf(dist, e)
-                         for e in shifted])
-    return np.diff(cdf_vals)
+    cdf = np.zeros(shifted.size)
+    above = shifted > 0.0
+    cdf[above] = distlib.ipdf_cdf(dist, shifted[above])
+    return np.diff(cdf)
 
 
 def _band_conditional_means(dist: distlib.SteadyStateIPDF, edges: np.ndarray,
@@ -439,24 +440,16 @@ def _band_conditional_means(dist: distlib.SteadyStateIPDF, edges: np.ndarray,
     """Exact per-band conditional means of observed income, via the identity
     integral(y f dy, l..u) = C0/M * [Q(M, C0/u) - Q(M, C0/l)]."""
     m, c0, off = dist.shape_M, dist.scale_C0, dist.offset_ymin
-    lo = np.maximum(edges[:-1] - off, 0.0)
-    hi = edges[1:] - off
-
-    def q_at(v):
-        if v <= 0.0:
-            return 0.0          # Q(M, inf) = 0 at the y -> 0 end
-        if math.isinf(v):
-            return 1.0
-        return distlib.reg_upper_incomplete_gamma(m, c0 / v)
-
-    out = np.empty(probs.size)
-    for i in range(probs.size):
-        if probs[i] <= 0.0:
-            u = hi[i] if not math.isinf(hi[i]) else lo[i] * 2.0 + 1.0
-            out[i] = off + 0.5 * (lo[i] + u)
-            continue
-        partial = (c0 / m) * (q_at(hi[i]) - q_at(lo[i]))
-        out[i] = off + partial / probs[i]
+    shifted = edges - off
+    x = np.full(shifted.size, math.inf)     # Q(M, inf) = 0 at the y -> 0 end
+    np.divide(c0, shifted, out=x, where=shifted > 0.0)
+    partial = (c0 / m) * np.diff(distlib.reg_upper_incomplete_gamma(m, x))
+    # a band without mass gets its midpoint; an open one spans lo .. 2 lo + 1
+    lo = np.maximum(shifted[:-1], 0.0)
+    hi = shifted[1:]
+    out = off + 0.5 * (lo + np.where(np.isinf(hi), 2.0 * lo + 1.0, hi))
+    has_mass = probs > 0.0
+    out[has_mass] = off + partial[has_mass] / probs[has_mass]
     return out
 
 

@@ -126,6 +126,7 @@ class TestDeterminism:
         ["synth", "--n", 50_000, "--edges", "0,0.5,1,2,4,inf", "--V", 0.3,
          "--K", 0.5],
         ["modes", "--n-max", 1, "--grid-points", 400],
+        ["synth", "--n", 1000],
     ])
     def test_rerun_is_byte_identical(self, tmp_path, argv):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -171,6 +172,33 @@ class TestExitCodes:
         rc = run_cli("evolve", "--dt", 5.0, "--cells", 200,
                      "--out-dir", tmp_path / "o", "--quiet")
         assert rc == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--span", "abc"],
+        ["evolve", "--span", "1e-3,1,1e3"],
+        ["simulate", "--agents", 10, "--snapshot-times", "x"],
+        ["synth", "--n", 10, "--edges", "0,1,x"],
+        ["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+         "--grid-points", 0],
+        ["simulate", "--agents", 10, "--histogram-bins", 0],
+        ["modes", "--n-max", -1],
+        ["modes", "--grid-points", 0],
+        ["synth", "--n", 10, "--auto-bands", 0],
+    ])
+    def test_invalid_option_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet")
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit", "--rounds", _SAMPLE_DIR / "missing.csv"], 3),
+        (["simulate", "--agents", 10, "--t-end", 1.0], 3),
+        (["evolve", "--dt", 5.0, "--cells", 200], 4),
+    ])
+    def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
+        assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_echoes_config(tmp_path):

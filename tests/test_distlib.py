@@ -2,10 +2,13 @@
 
 Independent oracles used here:
   * adaptive quadrature of the unnormalized density kernel (after the
-    substitution u = C0/y that maps it onto a gamma integrand),
-  * bisection on the quadrature CDF for the median,
-  * scipy's incomplete gamma as an external cross-check of our series /
-    continued-fraction implementation.
+    substitution u = C0/y that maps it onto a gamma integrand), which also
+    gives the frozen quadrature value of Q(2.6, 1.6),
+  * the exponential identity Q(1, x) = exp(-x),
+  * bisection on the quadrature CDF for the median.
+Q itself is scipy's ``gammaincc``, so the scipy grid comparison checks only
+the wrapper (domain checks, scalar and array returns), not the numerics;
+the quadrature value and the identity carry the numerical check.
 """
 
 import math

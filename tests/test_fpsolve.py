@@ -1,9 +1,12 @@
 """Tests for the finite-volume evolver and the Kummer-function eigenmodes.
 
-Oracles: the closed-form stationary law (distlib) for long-time limits, an
-exact-rational series summation for the Kummer function, scipy's hyp1f1 as
-an external cross-check, and a central-difference discretization of the
-spatial operator for the eigenvalue relation.
+Oracles: the closed-form stationary law (distlib) for long-time limits, the
+exact-rational Kummer series sum and the exponential identities
+M(a, a, z) = exp(z) for the Kummer function, and a central-difference
+discretization of the spatial operator for the eigenvalue relation.  The
+Kummer function itself is scipy's hyp1f1, so the scipy grid comparison
+checks only the wrapper; the exact-rational sum and the identities carry the
+numerical check.
 """
 
 import math
