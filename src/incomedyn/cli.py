@@ -1,12 +1,12 @@
 """Batch command-line frontend.
 
 Subcommands: simulate, collapse, fit, indices, evolve, synth, modes.  Every
-command validates its configuration, writes a ``manifest.json`` echoing the
-fully resolved configuration (including the seed), and emits plot-ready CSV
-data files — never rendered graphics.  A command that fails leaves nothing
-in or beside ``--out-dir``.  Outputs are deterministic: re-running a command
-with the configuration recorded in its manifest reproduces every file byte
-for byte.
+command validates its configuration, emits plot-ready CSV data files — never
+rendered graphics — and gets a ``manifest.json`` recording every option
+except ``--out-dir``, ``--quiet`` and ``--workers``, with the defaults it
+resolved (including the seed).  A command that fails leaves nothing in or
+beside ``--out-dir``.  Outputs are deterministic: re-running a command with
+the options recorded in its manifest reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numerical
 failure.
@@ -28,16 +28,6 @@ from . import __version__, distlib, estimate, fpsolve, poverty, simulate, survey
 from .errors import DataError, DomainError, NumericalError
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
-    payload = {"command": command, "config": config, "version": __version__}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -47,32 +37,20 @@ def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
+            fh.write(",".join(cell if isinstance(cell, str) else f"{cell:.12g}"
                               for cell in row) + "\n")
-
-
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, out: Path) -> None:
+def cmd_simulate(args, out: Path) -> str:
+    simulate.hill_tail_size(args.agents, args.hill_tail_fraction)
     params = simulate.LangevinParams(M=args.M, labour_rate=args.C, dt=args.dt,
                                      noise_scale=args.sigma)
     dist = distlib.SteadyStateIPDF(args.M, args.C)
     init = dist if args.init == "equilibrium" else args.C / args.M
-    # the worker count is deliberately not part of the manifest: results are
-    # identical for any parallelism degree
-    config = {"M": args.M, "C": args.C, "sigma": args.sigma, "dt": args.dt,
-              "agents": args.agents, "t_end": args.t_end, "init": args.init,
-              "snapshot_times": args.snapshot_times, "seed": args.seed,
-              "hill_tail_fraction": args.hill_tail_fraction,
-              "histogram_bins": args.histogram_bins}
-    _write_manifest(out, "simulate", config)
     snaps = simulate.run(args.agents, params, args.t_end, init, args.seed,
                          snapshot_times=args.snapshot_times, workers=args.workers)
 
@@ -100,24 +78,18 @@ def cmd_simulate(args, out: Path) -> None:
         "model_mean": args.C / args.M,
     }
     _write_json(out / "report.json", report)
-    _say(args, f"simulate: KS={report['final_ks']:.4g} hill={hill:.3f} -> {args.out_dir}")
+    return f"KS={report['final_ks']:.4g} hill={hill:.3f}"
 
 
-def cmd_collapse(args, out: Path) -> None:
+def cmd_collapse(args, out: Path) -> str:
     rounds = survey.load_rounds(args.rounds)
     table = survey.load_deflators(args.deflators, args.reference_year,
                                   args.reference_mean)
-    target = args.target_mean if args.target_mean is not None \
-        else table.reference_mean_income
+    if args.target_mean is None:
+        args.target_mean = table.reference_mean_income
+    target = args.target_mean
     offset_abs = args.offset_frac * target
     c0 = args.M * (target - offset_abs)
-    config = {"rounds": str(args.rounds), "deflators": str(args.deflators),
-              "reference_year": args.reference_year,
-              "reference_mean": args.reference_mean, "target_mean": target,
-              "M": args.M, "offset_frac": args.offset_frac,
-              "grid_points": args.grid_points, "seed": args.seed}
-    _write_manifest(out, "collapse", config)
-
     collapsed = [survey.collapse_rescale(survey.deflate(r, table), target)
                  for r in rounds]
     knot_lo = min(min(b.lower for b in r.bands if b.lower > 0.0) for r in collapsed)
@@ -145,7 +117,7 @@ def cmd_collapse(args, out: Path) -> None:
         "model": {"M": args.M, "C0": c0, "offset": offset_abs},
         "max_cdf_spread": spread,
         "binning_tolerance": binning_tol})
-    _say(args, f"collapse: {len(collapsed)} rounds, max spread {spread:.4g} -> {args.out_dir}")
+    return f"{len(collapsed)} rounds, max spread {spread:.4g}"
 
 
 def _prepare_rounds(args):
@@ -154,17 +126,12 @@ def _prepare_rounds(args):
         table = survey.load_deflators(args.deflators, args.reference_year,
                                       args.reference_mean)
         rounds = [survey.deflate(r, table) for r in rounds]
-    if getattr(args, "collapse_to", None):
+    if args.collapse_to:
         rounds = [survey.collapse_rescale(r, args.collapse_to) for r in rounds]
     return rounds
 
 
-def cmd_fit(args, out: Path) -> None:
-    config = {"rounds": str(args.rounds), "deflators": args.deflators and str(args.deflators),
-              "reference_year": args.reference_year, "reference_mean": args.reference_mean,
-              "collapse_to": args.collapse_to, "fix_offset": args.fix_offset,
-              "fit_offset": args.fit_offset, "seed": args.seed}
-    _write_manifest(out, "fit", config)
+def cmd_fit(args, out: Path) -> str:
     rounds = _prepare_rounds(args)
     fix = None if args.fit_offset else args.fix_offset
     reports = []
@@ -182,16 +149,10 @@ def cmd_fit(args, out: Path) -> None:
     _write_csv(out / "expected_vs_observed.csv",
                ["round_id", "band_lower", "band_upper", "observed_share",
                 "expected_share"], rows)
-    _say(args, f"fit: {len(rounds)} rounds -> {args.out_dir}")
+    return f"{len(rounds)} rounds"
 
 
-def cmd_indices(args, out: Path) -> None:
-    config = {"rounds": str(args.rounds), "deflators": args.deflators and str(args.deflators),
-              "reference_year": args.reference_year, "reference_mean": args.reference_mean,
-              "collapse_to": args.collapse_to, "line": args.line,
-              "fix_offset": args.fix_offset, "pooled_M": args.pooled_M,
-              "seed": args.seed}
-    _write_manifest(out, "indices", config)
+def cmd_indices(args, out: Path) -> str:
     rounds = _prepare_rounds(args)
     fits = [estimate.fit_ipdf(r, fix_offset=args.fix_offset) for r in rounds]
     monods = [estimate.fit_monod(r) for r in rounds]
@@ -199,24 +160,19 @@ def cmd_indices(args, out: Path) -> None:
                                   pooled_M=args.pooled_M)
     series.write_csv(out / "indices.csv")
     _write_json(out / "diagnostics.json", series.diagnostics)
-    _say(args, f"indices: {len(series.rows)} rounds -> {args.out_dir}")
+    return f"{len(series.rows)} rounds"
 
 
-def cmd_evolve(args, out: Path) -> None:
-    bump_center = args.bump_center if args.bump_center is not None \
-        else 3.0 * args.C0 / args.M
-    config = {"M": args.M, "C0": args.C0, "t_end": args.t_end, "dt": args.dt,
-              "cells": args.cells, "span": list(args.span), "init": args.init,
-              "bump_center": bump_center, "bump_width": args.bump_width,
-              "snapshot_times": args.snapshot_times, "seed": args.seed}
-    _write_manifest(out, "evolve", config)
+def cmd_evolve(args, out: Path) -> str:
+    if args.bump_center is None:
+        args.bump_center = 3.0 * args.C0 / args.M
     grid = fpsolve.log_grid(args.M, args.C0, args.cells, args.span)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     steady = fpsolve.density_on_grid(dist, grid)
     if args.init == "steady":
         f0 = steady
     else:
-        f0 = fpsolve.bump_density(grid, bump_center, args.bump_width)
+        f0 = fpsolve.bump_density(grid, args.bump_center, args.bump_width)
     times = args.snapshot_times or list(np.linspace(args.t_end / 8.0, args.t_end, 8))
     final, snaps = fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
                                   snapshot_times=times)
@@ -229,10 +185,10 @@ def cmd_evolve(args, out: Path) -> None:
         "final_l1_to_steady": conv_rows[-1][1],
         "mass_drift_per_unit_time": drift,
         "residual_on_grid": fpsolve.steady_state_residual(args.M, args.C0, grid)})
-    _say(args, f"evolve: final L1 {conv_rows[-1][1]:.4g} -> {args.out_dir}")
+    return f"final L1 {conv_rows[-1][1]:.4g}"
 
 
-def cmd_synth(args, out: Path) -> None:
+def cmd_synth(args, out: Path) -> str:
     dist = distlib.SteadyStateIPDF(args.M, args.C0, args.offset)
     if args.edges:
         edges = np.asarray(args.edges)
@@ -242,21 +198,15 @@ def cmd_synth(args, out: Path) -> None:
         qs = np.linspace(0.0, 1.0, args.auto_bands + 1)[1:-1]
         pts = args.offset + args.C0 / gammainccinv(args.M + 1.0, qs)
         edges = np.concatenate([[0.0], pts, [math.inf]])
-    config = {"M": args.M, "C0": args.C0, "offset": args.offset,
-              "edges": [(_fmt(e) if math.isfinite(e) else "inf") for e in edges],
-              "n": args.n, "V": args.V, "K": args.K, "round_id": args.round_id,
-              "year": args.year, "seed": args.seed}
-    _write_manifest(out, "synth", config)
+    # full precision: a rerun with the manifest's edges draws the same bands
+    args.edges = [e if math.isfinite(e) else str(e) for e in edges.tolist()]
     rnd = survey.synth_round(dist, edges, args.n, args.seed, (args.V, args.K),
                              round_id=args.round_id, year=args.year)
     survey.save_rounds(out / "rounds.csv", [rnd])
-    _say(args, f"synth: {len(rnd.bands)} bands, n={args.n} -> {args.out_dir}")
+    return f"{len(rnd.bands)} bands, n={args.n}"
 
 
-def cmd_modes(args, out: Path) -> None:
-    config = {"M": args.M, "C0": args.C0, "n_max": args.n_max, "A1": args.A1,
-              "A2": args.A2, "grid_points": args.grid_points, "seed": args.seed}
-    _write_manifest(out, "modes", config)
+def cmd_modes(args, out: Path) -> str:
     # grid kept where the Kummer argument -C0/y stays within kummer_m's bound
     grid = np.geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
@@ -286,7 +236,7 @@ def cmd_modes(args, out: Path) -> None:
     _write_json(out / "report.json", {
         "steady_state_max_rel_err": rel_err,
         "operator_residuals": residuals})
-    _say(args, f"modes: n<=~{args.n_max}, steady-state recovery err {rel_err:.3g} -> {args.out_dir}")
+    return f"n<=~{args.n_max}, steady-state recovery err {rel_err:.3g}"
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default="out")
         p.add_argument("--quiet", action="store_true")
 
+    def survey_input(p, deflators_required=False):
+        p.add_argument("--rounds", required=True)
+        p.add_argument("--deflators", required=deflators_required)
+        p.add_argument("--reference-year", type=float, default=1974.0)
+        p.add_argument("--reference-mean", type=float, default=64.84)
+
+    def round_fit(p):
+        p.add_argument("--collapse-to", type=float, default=None)
+        p.add_argument("--fix-offset", type=float, default=estimate.DEFAULT_OFFSET)
+
+    def income_law(p):
+        p.add_argument("--M", type=float, default=1.6)
+        p.add_argument("--C0", type=float, default=1.6)
+
     p = sub.add_parser("simulate", help="agent-based run vs the analytic law")
     common(p)
     p.add_argument("--M", type=float, default=1.6)
@@ -342,17 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--init", choices=["mean", "equilibrium"], default="mean")
     p.add_argument("--snapshot-times", type=_float_list, default="")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--hill-tail-fraction", type=float, default=0.05)
     p.add_argument("--histogram-bins", type=_positive_int, default=80)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("collapse", help="deflate, rescale, and overlay rounds")
     common(p)
-    p.add_argument("--rounds", required=True)
-    p.add_argument("--deflators", required=True)
-    p.add_argument("--reference-year", type=float, default=1974.0)
-    p.add_argument("--reference-mean", type=float, default=64.84)
+    survey_input(p, deflators_required=True)
     p.add_argument("--target-mean", type=float, default=None)
     p.add_argument("--M", type=float, default=1.6)
     p.add_argument("--offset-frac", type=float, default=0.15)
@@ -361,33 +322,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="binned MLE of the income law per round")
     common(p)
-    p.add_argument("--rounds", required=True)
-    p.add_argument("--deflators", default=None)
-    p.add_argument("--reference-year", type=float, default=1974.0)
-    p.add_argument("--reference-mean", type=float, default=64.84)
-    p.add_argument("--collapse-to", type=float, default=None)
-    p.add_argument("--fix-offset", type=float, default=estimate.DEFAULT_OFFSET)
+    survey_input(p)
+    round_fit(p)
     p.add_argument("--fit-offset", action="store_true",
                    help="fit the starvation offset instead of fixing it")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("indices", help="poverty index series per round")
     common(p)
-    p.add_argument("--rounds", required=True)
-    p.add_argument("--deflators", default=None)
-    p.add_argument("--reference-year", type=float, default=1974.0)
-    p.add_argument("--reference-mean", type=float, default=64.84)
-    p.add_argument("--collapse-to", type=float, default=None)
+    survey_input(p)
+    round_fit(p)
     p.add_argument("--line", type=float, default=356.0,
                    help="poverty line in the rounds' monetary frame")
-    p.add_argument("--fix-offset", type=float, default=estimate.DEFAULT_OFFSET)
     p.add_argument("--pooled-M", type=float, default=None)
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("evolve", help="finite-volume density evolution")
     common(p)
-    p.add_argument("--M", type=float, default=1.6)
-    p.add_argument("--C0", type=float, default=1.6)
+    income_law(p)
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--cells", type=int, default=2000)
@@ -400,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic survey round")
     common(p)
-    p.add_argument("--M", type=float, default=1.6)
-    p.add_argument("--C0", type=float, default=1.6)
+    income_law(p)
     p.add_argument("--offset", type=float, default=0.15)
     p.add_argument("--edges", type=_float_list, default="",
                    help="comma-separated band edges (last may be inf)")
@@ -416,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modes", help="evaluate the transient eigenmodes")
     common(p)
-    p.add_argument("--M", type=float, default=1.6)
-    p.add_argument("--C0", type=float, default=1.6)
+    income_law(p)
     p.add_argument("--n-max", type=_nonnegative_int, default=2)
     p.add_argument("--A1", type=float, default=0.0)
     p.add_argument("--A2", type=float, default=1.0)
@@ -426,27 +376,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# how a command runs, not what it computes: left out of the manifest
+# (results are identical for any worker count)
+_RUNNER_SETTINGS = frozenset({"command", "func", "out_dir", "quiet", "workers"})
+
+
 def main(argv=None) -> int:
-    """Run one command.  It writes into a temporary directory beside
-    ``--out-dir``, whose files move into ``--out-dir`` only when the command
-    succeeds, so a failed command leaves no output behind."""
+    """Run one command and write its ``manifest.json`` from the parsed
+    options, which the command may complete with the defaults it resolved.
+
+    The command writes into a temporary directory beside ``--out-dir``,
+    whose files move into ``--out-dir`` only when it succeeds, so a failed
+    command leaves no output behind.  The command returns a summary, printed
+    unless ``--quiet`` is set."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out = Path(args.out_dir)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as tmp:
-            args.func(args, Path(tmp))
+            summary = args.func(args, Path(tmp))
+            config = {k: v for k, v in vars(args).items() if k not in _RUNNER_SETTINGS}
+            _write_json(Path(tmp) / "manifest.json",
+                        {"command": args.command, "config": config,
+                         "version": __version__})
             out.mkdir(exist_ok=True)
             for path in Path(tmp).iterdir():
                 path.replace(out / path.name)
-        return 0
     except (DataError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    if not args.quiet:
+        print(f"{args.command}: {summary} -> {args.out_dir}")
+    return 0
 
 
 if __name__ == "__main__":

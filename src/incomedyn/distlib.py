@@ -54,8 +54,11 @@ class SteadyStateIPDF:
 
     ``offset_ymin`` is the starvation level subtracted from observed income
     before modeling.  It is stored here for bookkeeping but never applied by
-    this module; the survey/estimate layers own the data <-> model coordinate
-    shift so it happens in exactly one place.
+    this module; each caller that maps observed income to the model applies
+    the shift itself: the likelihood (``estimate.band_log_likelihood``), the
+    synthesizer (``survey._band_probabilities`` and
+    ``survey._band_conditional_means``), the ``collapse`` command's model CDF
+    and ``poverty.cd_index_model``.
     """
 
     shape_M: float

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -304,13 +304,6 @@ class _FluxOperator:
         return self.g * (self.b_minus * f[1:] - self.b_plus * f[:-1])
 
 
-def _resolve_rate(c_of_t) -> Callable[[float], float]:
-    if callable(c_of_t):
-        return c_of_t
-    value = float(c_of_t)
-    return lambda t: value
-
-
 def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
            snapshot_times: Sequence[float] = ()) -> tuple:
     """Evolve a density to t_end; returns (final, snapshots at requested times).
@@ -331,8 +324,6 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
         raise TimeStepError(
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
             f"for M={M:g}", suggested_dt=0.25 / (M + 2.0))
-    rate = _resolve_rate(C_of_t)
-    constant_rate = not callable(C_of_t)
     snap_times = sorted(float(t) for t in snapshot_times)
     if snap_times and (snap_times[0] < f0.time or snap_times[-1] > t_end):
         raise DomainError("snapshot times must lie within (time, t_end]")
@@ -340,27 +331,19 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     y = f0.grid
     f = f0.values.copy()
     t = f0.time
-    op = None
-    ab = None
     snapshots = []
     pending = list(snap_times)
-
-    def mk_operator(at_time):
-        c_val = rate(at_time)
-        if not c_val > 0.0:
-            raise DomainError(f"labour rate must stay positive, got C({at_time})={c_val}")
-        return _FluxOperator(y, M, c_val)
-
+    # the banded matrix depends only on (step, C): rebuilt when either changes
+    key = mat = None
     while t < t_end - 1e-12:
         target = pending[0] if pending else t_end
         step = min(dt, target - t)
-        if constant_rate and ab is not None and step == dt:
-            mat = ab
-        else:
-            op = mk_operator(t + step)
-            mat = op.implicit_matrix(step)
-            if constant_rate and step == dt:
-                ab = mat
+        c_val = C_of_t(t + step) if callable(C_of_t) else float(C_of_t)
+        if (step, c_val) != key:
+            if not c_val > 0.0:
+                raise DomainError(f"labour rate must stay positive, got C({t + step})={c_val}")
+            mat = _FluxOperator(y, M, c_val).implicit_matrix(step)
+            key = (step, c_val)
         f = solve_banded((1, 1), mat, f, overwrite_ab=False, overwrite_b=False)
         fmin = f.min()
         if fmin < -1e-12:

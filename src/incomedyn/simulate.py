@@ -256,6 +256,23 @@ def ks_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     return float(max(np.max(i / x.size - f), np.max(f - (i - 1.0) / x.size)))
 
 
+def hill_tail_size(n: int, tail_fraction: float) -> int:
+    """Number of top samples the Hill estimate of a size-``n`` sample uses.
+
+    Raises DomainError unless ``tail_fraction`` lies in (0, 1) and the tail
+    holds at least 100 samples, so a caller can refuse a request before
+    drawing the sample.
+    """
+    if not 0.0 < tail_fraction < 1.0:
+        raise DomainError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
+    k = int(n * tail_fraction)
+    if k < 100:
+        raise DomainError(
+            f"tail has only {k} samples; need at least 100 "
+            f"(n={n}, tail_fraction={tail_fraction})")
+    return k
+
+
 def hill_tail_exponent(incomes: np.ndarray, tail_fraction: float = 0.05) -> float:
     """Hill estimate of the density's tail exponent from the top of the sample.
 
@@ -266,15 +283,9 @@ def hill_tail_exponent(incomes: np.ndarray, tail_fraction: float = 0.05) -> floa
     asymptotic exponent only as the tail fraction shrinks.
     """
     x = np.asarray(incomes, dtype=float)
-    if not 0.0 < tail_fraction < 1.0:
-        raise DomainError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
+    k = hill_tail_size(x.size, tail_fraction)
     if not (x > 0.0).all():
         raise DomainError("incomes must be positive")
-    k = int(x.size * tail_fraction)
-    if k < 100:
-        raise DomainError(
-            f"tail has only {k} samples; need at least 100 "
-            f"(n={x.size}, tail_fraction={tail_fraction})")
     top = np.sort(x)[-(k + 1):]
     log_excess = np.log(top[1:]) - math.log(top[0])
     return 1.0 / float(log_excess.mean()) + 1.0

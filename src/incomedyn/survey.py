@@ -34,7 +34,6 @@ from .errors import DataError, DomainError
 SHARE_SILENT_TOL = 1e-6   # renormalize quietly
 SHARE_WARN_TOL = 1e-3     # renormalize with a warning; reject beyond
 EDGE_REL_TOL = 1e-9
-MODEL_INCOME_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -201,34 +200,40 @@ def _normalize_shares(round_id: str, bands: list) -> list:
     return bands
 
 
-def load_rounds(path) -> list:
-    """Load every round in a rounds CSV, in order of first appearance."""
-    by_id = {}
+def _csv_rows(path, header: list):
+    """Yield ``(where, row)`` for every nonblank data row of a CSV file that
+    starts with ``header``; ``where`` is ``path:line`` for error messages."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _ROUND_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_ROUND_HEADER)}")
+        if next(reader, None) != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(_ROUND_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(_ROUND_HEADER)} fields")
             where = f"{path}:{lineno}"
-            rid = row[0].strip()
-            year = _parse_float(row[1], where)
-            band = Band(
-                lower=_parse_float(row[2], where),
-                upper=_parse_float(row[3], where),
-                population_share=_parse_float(row[4], where),
-                mean_total_expenditure=(
-                    _parse_float(row[5], where) if row[5].strip() else None),
-                mean_cereal_expenditure=(
-                    _parse_float(row[6], where) if row[6].strip() else None),
-            )
-            by_id.setdefault(rid, (year, []))[1].append(band)
-            if by_id[rid][0] != year:
-                raise DataError(f"{where}: round {rid} has conflicting years")
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields")
+            yield where, row
+
+
+def load_rounds(path) -> list:
+    """Load every round in a rounds CSV, in order of first appearance."""
+    by_id = {}
+    for where, row in _csv_rows(path, _ROUND_HEADER):
+        rid = row[0].strip()
+        year = _parse_float(row[1], where)
+        band = Band(
+            lower=_parse_float(row[2], where),
+            upper=_parse_float(row[3], where),
+            population_share=_parse_float(row[4], where),
+            mean_total_expenditure=(
+                _parse_float(row[5], where) if row[5].strip() else None),
+            mean_cereal_expenditure=(
+                _parse_float(row[6], where) if row[6].strip() else None),
+        )
+        by_id.setdefault(rid, (year, []))[1].append(band)
+        if by_id[rid][0] != year:
+            raise DataError(f"{where}: round {rid} has conflicting years")
     if not by_id:
         raise DataError(f"{path}: no data rows")
     rounds = []
@@ -302,18 +307,9 @@ class DeflatorTable:
 def load_deflators(path, reference_year: float = 1974.0,
                    reference_mean_income: float = 64.84) -> DeflatorTable:
     years, cpis = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["year", "cpi"]:
-            raise DataError(f"{path}: expected header year,cpi")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
-            years.append(_parse_float(row[0], f"{path}:{lineno}"))
-            cpis.append(_parse_float(row[1], f"{path}:{lineno}"))
+    for where, row in _csv_rows(path, ["year", "cpi"]):
+        years.append(_parse_float(row[0], where))
+        cpis.append(_parse_float(row[1], where))
     order = np.argsort(years)
     return DeflatorTable(np.asarray(years)[order], np.asarray(cpis)[order],
                          reference_year, reference_mean_income)
@@ -355,17 +351,6 @@ def collapse_rescale(rnd: BandedDistribution, target_mean: float) -> BandedDistr
         raise DataError(f"round {rnd.round_id}: estimated mean income is zero")
     out = _scale_monetary(rnd, target_mean / mean)
     return replace(out, currency_note=f"rescaled to mean {target_mean:g}")
-
-
-def to_model_income(values, offset: float):
-    """Shift observed incomes to model coordinates (income above starvation).
-
-    Values at or below the offset are clamped to a small positive epsilon;
-    returns (shifted array, number clamped).
-    """
-    arr = np.asarray(values, dtype=float) - offset
-    clamped = int(np.count_nonzero(arr < MODEL_INCOME_EPS))
-    return np.maximum(arr, MODEL_INCOME_EPS), clamped
 
 
 # ---------------------------------------------------------------------------

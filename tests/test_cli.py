@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from incomedyn import simulate
 from incomedyn.cli import main
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
@@ -113,25 +114,53 @@ class TestSmoke:
             assert rec["relative_operator_residual"] < 1e-2
 
 
+# every command at small settings; synth also with its default auto bands
+COMMANDS = [
+    ["simulate", "--agents", 5_000, "--t-end", 0.5, "--dt", 5e-3,
+     "--seed", 3],
+    ["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
+    ["fit", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+     "--collapse-to", 1.0],
+    ["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+     "--line", 40.0, "--fix-offset", 8.0],
+    ["evolve", "--cells", 400, "--t-end", 5.0],
+    ["synth", "--n", 50_000, "--edges", "0,0.5,1,2,4,inf", "--V", 0.3,
+     "--K", 0.5],
+    ["modes", "--n-max", 1, "--grid-points", 400],
+    ["synth", "--n", 1000],
+]
+
+
+def argv_from_manifest(path: Path) -> list:
+    """The command line a manifest records: None, False and [] are left out,
+    True is a bare flag, a list is comma-joined."""
+    manifest = json.loads(path.read_text())
+    argv = [manifest["command"]]
+    for key, value in manifest["config"].items():
+        if value is None or value is False or value == []:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if isinstance(value, list):
+            argv.append(",".join(str(v) for v in value))
+        elif value is not True:
+            argv.append(str(value))
+    return argv
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--agents", 5_000, "--t-end", 0.5, "--dt", 5e-3,
-         "--seed", 3],
-        ["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
-        ["fit", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
-         "--collapse-to", 1.0],
-        ["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
-         "--line", 40.0, "--fix-offset", 8.0],
-        ["evolve", "--cells", 400, "--t-end", 5.0],
-        ["synth", "--n", 50_000, "--edges", "0,0.5,1,2,4,inf", "--V", 0.3,
-         "--K", 0.5],
-        ["modes", "--n-max", 1, "--grid-points", 400],
-        ["synth", "--n", 1000],
-    ])
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_rerun_is_byte_identical(self, tmp_path, argv):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(*argv, "--out-dir", a, "--quiet") == 0
         assert run_cli(*argv, "--out-dir", b, "--quiet") == 0
+        assert_identical_trees(a, b)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_manifest_alone_reproduces_the_output(self, tmp_path, argv):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(*argv, "--out-dir", a, "--quiet") == 0
+        rerun = argv_from_manifest(a / "manifest.json")
+        assert run_cli(*rerun, "--out-dir", b, "--quiet") == 0
         assert_identical_trees(a, b)
 
     def test_simulate_workers_do_not_change_bytes(self, tmp_path):
@@ -184,6 +213,8 @@ class TestExitCodes:
         ["modes", "--n-max", -1],
         ["modes", "--grid-points", 0],
         ["synth", "--n", 10, "--auto-bands", 0],
+        ["simulate", "--agents", 3000, "--t-end", 0.1, "--workers", 0],
+        ["simulate", "--agents", 3000, "--t-end", 0.1, "--workers", -1],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +229,19 @@ class TestExitCodes:
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--agents", 1000],
+        ["--agents", 10_000, "--hill-tail-fraction", 2.0],
+    ])
+    def test_impossible_hill_request_fails_before_the_ensemble(
+            self, tmp_path, monkeypatch, argv):
+        def run(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+        monkeypatch.setattr(simulate, "run", run)
+        assert run_cli("simulate", *argv, "--out-dir", tmp_path / "o",
+                       "--quiet") == 3
         assert list(tmp_path.iterdir()) == []
 
 

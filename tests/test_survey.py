@@ -265,15 +265,6 @@ class TestSynthRound:
         assert b.mean_total_expenditure == pytest.approx(num / p, rel=1e-8)
 
 
-class TestModelIncome:
-    def test_offset_shift_with_clamping(self):
-        vals = np.array([0.05, 0.2, 1.0])
-        shifted, clamped = survey.to_model_income(vals, 0.15)
-        assert clamped == 1
-        assert shifted[0] == survey.MODEL_INCOME_EPS
-        assert shifted[2] == pytest.approx(0.85)
-
-
 def test_sample_files_load_and_deflate():
     from pathlib import Path
     base = Path(__file__).resolve().parent.parent / "sample_data"
