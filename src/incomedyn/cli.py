@@ -73,6 +73,9 @@ def cmd_simulate(args, out: Path) -> str:
         "final_ks": ks_rows[-1][1],
         "hill_density_exponent": hill,
         "hill_tail_fraction": args.hill_tail_fraction,
+        "exact_law_hill_density_exponent": distlib.ipdf_hill_exponent(
+            dist, args.hill_tail_fraction),
+        "increments": simulate.INCREMENTS,
         "asymptotic_density_exponent": args.M + 2.0,
         "sample_mean": float(final.incomes.mean()),
         "model_mean": args.C / args.M,
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--init", choices=["mean", "equilibrium"], default="mean")
     p.add_argument("--snapshot-times", type=_float_list, default="")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help="accepted and ignored")
     p.add_argument("--hill-tail-fraction", type=float, default=0.05)
     p.add_argument("--histogram-bins", type=_positive_int, default=80)
     p.set_defaults(func=cmd_simulate)

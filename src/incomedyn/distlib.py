@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy import integrate
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from .errors import DomainError
 
@@ -99,6 +100,19 @@ def ipdf_cdf(dist: SteadyStateIPDF, y):
     x = dist.scale_C0 / arr
     out = reg_upper_incomplete_gamma(dist.shape_M + 1.0, x)
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+
+
+def ipdf_hill_exponent(dist: SteadyStateIPDF, tail_fraction: float) -> float:
+    """Hill density exponent of the law itself: one plus the inverse mean
+    log-excess above the exact (1 - tail_fraction) quantile.  With x = C0/y
+    that mean is the integral of P(M+1, x)/x over (0, x_q], divided by
+    tail_fraction, where P(M+1, x_q) = tail_fraction."""
+    if not 0.0 < tail_fraction < 1.0:
+        raise DomainError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
+    a = dist.shape_M + 1.0
+    area, _ = integrate.quad(lambda x: gammainc(a, x) / x, 0.0,
+                             gammaincinv(a, tail_fraction), epsabs=0.0, epsrel=1e-10)
+    return tail_fraction / area + 1.0
 
 
 def ipdf_mean(dist: SteadyStateIPDF) -> float:

@@ -1,22 +1,28 @@
 """Agent-based integration of the income Langevin dynamics.
 
 Each agent's income follows dy = (C(t) - M y) dt + sigma y dW under the Ito
-convention (the labour rate is read at the start of a step, before the
-trading shock lands).  With sigma = sqrt(2) the ensemble's stationary law is
-exactly the closed form in :mod:`incomedyn.distlib`, which the tests use as
-the equilibrium oracle.
+convention (the labour rate is read at the start of a step).  With sigma =
+sqrt(2) the stationary law is the closed form in :mod:`incomedyn.distlib`.
 
-Reproducibility model: the population is split into fixed chunks of
-``CHUNK_SIZE`` agents and every chunk owns an independent, seeded RNG
-stream.  The chunk partition depends only on the population size, never on
-the worker count, so trajectories are bit-identical for any degree of
-parallelism; chunks only ever meet again at snapshot assembly.
+Scheme: the weak Euler step y' = y (1 - M dt + sigma sqrt(dt) xi) + C dt
+with two-point increments xi = +-1, each with probability 1/2.  Only
+E xi = 0 and E xi^2 = 1 enter its O(dt) weak error, as with Gaussian xi
+(Kloeden & Platen 1992, section 14.1; Talay & Tubaro 1990), and the chain's
+mean and second moment are those of the Gaussian chain.  Its Kesten tail
+index, the root of E|1 - M dt + sigma sqrt(dt) xi|^kappa = 1, is 2.59955 at
+M = C = 1.6, dt = 1e-3 (2.59968 for Gaussian xi; M + 1 = 2.6 in the
+continuum).  Under the dt guards the multiplier exceeds
+1 - 0.1 - sqrt(0.05) > 0.67, so incomes stay above C dt with no floor.
+
+Chunk model: ceil(n / CHUNK_SIZE) chunks whose sizes differ by at most one
+agent, each with its own seeded SFC64 stream that gives one raw bit per
+agent and step.  The partition depends only on n, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -26,9 +32,12 @@ from . import distlib
 from .errors import DomainError, NumericalError
 
 DEFAULT_SIGMA = math.sqrt(2.0)
-CHUNK_SIZE = 32768
-# periodic overflow sweep; NaN is caught every step via min() propagation
+CHUNK_SIZE = 32768      # largest chunk
+INCREMENTS = "two_point"    # the law of xi, recorded in reports
+# periodic overflow sweep; incomes stay positive, so overflow is the only failure
 _FINITE_CHECK_EVERY = 256
+# row b, column i: the increment xi, +1 if bit i of byte b is set, else -1
+_SIGNS = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1, 1.0, -1.0)
 
 RateLike = Union[float, Callable[[float], float]]
 
@@ -38,16 +47,14 @@ class LangevinParams:
     """Integration parameters for the income process.
 
     ``labour_rate`` may be a positive constant or a callable of time (for a
-    slowly drifting economy).  ``ymin_floor`` is the reflection floor; the
-    stationary density vanishes like exp(-C0/y) near zero, so with the
-    default floor reflections are statistically invisible.
+    slowly drifting economy).  The guards on ``dt`` keep the step multiplier
+    1 - M dt +- sigma sqrt(dt) in (0.67, 1.23), so incomes stay positive.
     """
 
     M: float
     labour_rate: RateLike
     dt: float
     noise_scale: float = DEFAULT_SIGMA
-    ymin_floor: float = None
 
     def __post_init__(self):
         if not self.M > 0.0:
@@ -74,11 +81,6 @@ class LangevinParams:
             raise DomainError(f"labour rate must stay positive, got C({t}) = {c}")
         return c
 
-    def floor_at(self, t: float) -> float:
-        if self.ymin_floor is not None:
-            return self.ymin_floor
-        return 1e-9 * self.rate_at(t) / self.M
-
 
 @dataclass(frozen=True)
 class AgentPopulation:
@@ -104,105 +106,86 @@ class AgentPopulation:
     @property
     def stream_ids(self) -> np.ndarray:
         """RNG stream (chunk) identifier of every agent."""
-        return np.arange(self.n_agents) // CHUNK_SIZE
+        bounds = _chunk_bounds(self.n_agents)
+        return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
 
-def _n_chunks(n_agents: int) -> int:
-    return (n_agents + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-
-def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
-    # entropy tag 1 namespaces chunk streams away from the init stream
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, 1, chunk))))
+def _chunk_bounds(n_agents: int) -> list:
+    """Edges of the ceil(n / CHUNK_SIZE) chunks, whose sizes differ by at most one."""
+    k = max(1, -(-n_agents // CHUNK_SIZE))
+    return [c * n_agents // k for c in range(k + 1)]
 
 
 def _fresh_states(seed: int, n_agents: int) -> tuple:
-    return tuple(_chunk_generator(seed, c).bit_generator.state
-                 for c in range(_n_chunks(n_agents)))
+    # entropy tag 1 namespaces chunk streams away from the init stream
+    return tuple(np.random.SFC64(np.random.SeedSequence((seed, 1, c))).state
+                 for c in range(len(_chunk_bounds(n_agents)) - 1))
 
 
-def _advance_chunk(y: np.ndarray, gen: np.random.Generator,
-                   params: LangevinParams, t0: float, n_steps: int,
-                   snap_steps, collect) -> None:
-    """March one chunk forward n_steps in place; collect() is called at snapshots."""
+def _check_finite(y: np.ndarray, t: float) -> None:
+    bad = np.count_nonzero(~np.isfinite(y))
+    if bad:
+        raise NumericalError(f"non-finite income at t={t:g} ({bad} agents)")
+
+
+def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
+                   t0: float, n_steps: int, snap_steps: set) -> list:
+    """March one chunk forward n_steps in place from its SFC64 state; returns
+    (incomes, RNG state) at each step index in ``snap_steps``, in step order."""
+    bitgen = np.random.SFC64()
+    bitgen.state = rng_state
     dt = params.dt
-    sig_sqdt = params.noise_scale * math.sqrt(dt)
-    floor = params.floor_at(t0)
-    const_rate = not callable(params.labour_rate)
-    c_dt = params.rate_at(t0) * dt
-    decay = 1.0 - params.M * dt
-    snap_iter = iter(snap_steps)
-    next_snap = next(snap_iter, None)
-    draw = gen.standard_normal
-    n_c = y.size
+    table = (1.0 - params.M * dt) + params.noise_scale * math.sqrt(dt) * _SIGNS
+    n_words = -(-y.size // 64)
+    mult = np.empty((8 * n_words, 8))
+    mult_y = mult.reshape(-1)[:y.size]
+    taken = []
     for k in range(n_steps):
-        if not const_rate:
-            c_dt = params.rate_at(t0 + k * dt) * dt
-        xi = draw(n_c)
-        xi *= sig_sqdt
-        xi += decay
-        y *= xi
-        y += c_dt
-        m = y.min()
-        if not m > floor:
-            if math.isnan(m) or not np.isfinite(m):
-                raise NumericalError(
-                    f"non-finite income at t={t0 + (k + 1) * dt:g} "
-                    f"({np.count_nonzero(~np.isfinite(y))} agents)")
-            # reflect at the floor; 2*floor - y' >= floor whenever y' <= floor,
-            # so one pass leaves every income at or above the floor
-            np.copyto(y, 2.0 * floor - y, where=(y <= floor))
-        elif (k + 1) % _FINITE_CHECK_EVERY == 0 and not np.isfinite(y.max()):
-            raise NumericalError(
-                f"non-finite income at t={t0 + (k + 1) * dt:g} "
-                f"({np.count_nonzero(~np.isfinite(y))} agents)")
-        if next_snap is not None and k + 1 == next_snap:
-            collect(k + 1, y, gen)
-            next_snap = next(snap_iter, None)
+        # byte j of the little-endian words holds the signs of agents 8j..8j+7
+        signs = bitgen.random_raw(n_words).astype("<u8", copy=False).view(np.uint8)
+        np.take(table, signs, axis=0, out=mult, mode="clip")
+        y *= mult_y
+        y += params.rate_at(t0 + k * dt) * dt
+        if k + 1 in snap_steps or (k + 1) % _FINITE_CHECK_EVERY == 0:
+            _check_finite(y, t0 + (k + 1) * dt)
+            if k + 1 in snap_steps:
+                taken.append((y.copy(), bitgen.state))
+    return taken
 
 
 def step(pop: AgentPopulation, params: LangevinParams, workers: int = 1) -> AgentPopulation:
-    """Advance every agent one Euler-Maruyama step; returns a new population."""
-    if pop.n_agents == 0:
-        raise DomainError("cannot step an empty population")
-    pols = run_steps(pop, params, n_steps=1, snapshot_steps=(), workers=workers)
-    return pols[0]
+    """Advance every agent one weak Euler step; returns a new population."""
+    return run_steps(pop, params, n_steps=1, snapshot_steps=(), workers=workers)[0]
 
 
 def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
               snapshot_steps: Sequence[int] = (), workers: int = 1) -> list:
     """March ``n_steps`` from ``pop``; returns populations at the requested
-    step indices plus the final state (deduplicated, in time order)."""
+    step indices plus the final state (deduplicated, in time order).
+
+    The starting incomes must be finite (else ``NumericalError``) and
+    positive (else ``DomainError``); the scheme keeps them so.  The chunks
+    run one after another: ``workers`` is accepted and ignored, because
+    threads did not beat one thread on a step this short.
+    """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    n = pop.n_agents
-    n_chunks = _n_chunks(n)
+    if pop.n_agents == 0:
+        raise DomainError("cannot step an empty population")
+    _check_finite(pop.incomes, pop.time)
+    if not (pop.incomes > 0.0).all():
+        raise DomainError("incomes must be positive")
+    bounds = _chunk_bounds(pop.n_agents)
     snap_steps = sorted(set(int(s) for s in snapshot_steps if 0 < int(s) <= n_steps))
     if not snap_steps or snap_steps[-1] != n_steps:
         snap_steps.append(n_steps)
-    per_chunk = []
-
-    def run_one(c):
-        lo = c * CHUNK_SIZE
-        hi = min(lo + CHUNK_SIZE, n)
-        y = pop.incomes[lo:hi].copy()
-        gen = np.random.Generator(np.random.SFC64())
-        gen.bit_generator.state = pop.rng_states[c]
-        taken = []
-        _advance_chunk(y, gen, params, pop.time, n_steps, snap_steps,
-                       lambda k, yy, g: taken.append((k, yy.copy(), g.bit_generator.state)))
-        return taken
-
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            per_chunk = list(ex.map(run_one, range(n_chunks)))
-    else:
-        per_chunk = [run_one(c) for c in range(n_chunks)]
-
+    per_chunk = [_advance_chunk(pop.incomes[lo:hi].copy(), state, params, pop.time,
+                                n_steps, set(snap_steps))
+                 for lo, hi, state in zip(bounds[:-1], bounds[1:], pop.rng_states, strict=True)]
     out = []
     for i, k in enumerate(snap_steps):
-        incomes = np.concatenate([chunk[i][1] for chunk in per_chunk])
-        states = tuple(chunk[i][2] for chunk in per_chunk)
+        incomes = np.concatenate([chunk[i][0] for chunk in per_chunk])
+        states = tuple(chunk[i][1] for chunk in per_chunk)
         out.append(AgentPopulation(
             incomes=incomes, time=pop.time + k * params.dt, seed=pop.seed,
             step_index=pop.step_index + k, rng_states=states))

@@ -42,6 +42,8 @@ class TestSmoke:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["final_ks"] < 0.02
+        assert report["increments"] == "two_point"
+        assert report["exact_law_hill_density_exponent"] == pytest.approx(3.2949, abs=1e-4)
         assert (out / "histograms.csv").exists()
         assert (out / "manifest.json").exists()
 

@@ -5,7 +5,8 @@ Independent oracles used here:
     substitution u = C0/y that maps it onto a gamma integrand), which also
     gives the frozen quadrature value of Q(2.6, 1.6),
   * the exponential identity Q(1, x) = exp(-x),
-  * bisection on the quadrature CDF for the median.
+  * bisection on the quadrature CDF for the median,
+  * root-finding and quadrature of the log-excess for the exact Hill value.
 Q itself is scipy's ``gammaincc``, so the scipy grid comparison checks only
 the wrapper (domain checks, scalar and array returns), not the numerics;
 the quadrature value and the identity carry the numerical check.
@@ -161,6 +162,32 @@ class TestMoments:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             distlib.ipdf_moment(DIST, 0)
+
+
+class TestHillTarget:
+    def test_against_direct_quadrature(self):
+        # oracle: the tail quantile by root-finding on the quadrature CDF, then
+        # the mean of log(y / y_q) over the tail against the density, in u = C0/y
+        from scipy.optimize import brentq
+
+        kernel = lambda u: u**1.6 * math.exp(-u) / math.gamma(2.6)
+        for frac in (0.05, 0.005):
+            u_q = brentq(lambda u: integrate.quad(kernel, 0.0, u)[0] - frac, 1e-3, 5.0,
+                         xtol=1e-14)
+            excess, _ = integrate.quad(lambda u: math.log(u_q / u) * kernel(u), 0.0, u_q)
+            oracle = frac / excess + 1.0
+            assert distlib.ipdf_hill_exponent(DIST, frac) == pytest.approx(oracle, rel=1e-8)
+
+    def test_frozen_values_and_errors(self):
+        # M = C0 = 1.6; the value does not depend on C0
+        for frac, want in ((0.05, 3.2949), (0.005, 3.4825), (0.001, 3.5380)):
+            assert distlib.ipdf_hill_exponent(DIST, frac) == pytest.approx(want, abs=5e-5)
+        wide = distlib.SteadyStateIPDF(1.6, 7.0)
+        assert distlib.ipdf_hill_exponent(wide, 0.05) == pytest.approx(
+            distlib.ipdf_hill_exponent(DIST, 0.05), rel=1e-12)
+        for frac in (0.0, 1.0, -0.1):
+            with pytest.raises(DomainError):
+                distlib.ipdf_hill_exponent(DIST, frac)
 
 
 class TestSampling:

@@ -2,9 +2,10 @@
 
 Oracles: the deterministic ODE limit (sigma = 0), one-step moment
 conditions checked by Monte Carlo against the drift/diffusion coefficients,
-the closed-form stationary law for equilibrium, the finite-volume solver
-for the transient mean, and inverse-CDF Pareto samples for the Hill
-estimator.
+the exact mean and second moment of the discrete Euler chain (they depend
+only on E xi = 0 and E xi^2 = 1, so they hold for any increment law), the
+closed-form stationary law for equilibrium, the finite-volume solver for the
+transient mean, and inverse-CDF Pareto samples for the Hill estimator.
 """
 
 import math
@@ -99,10 +100,30 @@ class TestDeterminism:
         assert via_step.step_index == 2
 
     def test_stream_ids_follow_chunks(self):
-        pop = simulate.init_population(simulate.CHUNK_SIZE + 10, 1.0, seed=0)
-        ids = pop.stream_ids
-        assert ids[0] == 0 and ids[-1] == 1
+        n = simulate.CHUNK_SIZE + 10
+        pop = simulate.init_population(n, 1.0, seed=0)
+        assert pop.stream_ids.tolist() == [0] * (n // 2) + [1] * (n - n // 2)
         assert len(pop.rng_states) == 2
+
+    def test_chunks_are_balanced(self):
+        # ceil(n / CHUNK_SIZE) streams whose sizes depend only on n and
+        # differ by at most one agent
+        for n in (1, 1000, simulate.CHUNK_SIZE, simulate.CHUNK_SIZE + 1, 100_000, 300_001):
+            ids = simulate.init_population(n, 1.0, seed=0).stream_ids
+            assert np.array_equal(ids, simulate.init_population(n, DIST, seed=8).stream_ids)
+            sizes = np.bincount(ids)
+            assert sizes.size == math.ceil(n / simulate.CHUNK_SIZE), n
+            assert sizes.max() - sizes.min() <= 1, n
+        # 100,000 agents: four streams of 25,000; the first stream alone
+        # carries the first 25,000 agents along the same paths
+        pop = simulate.init_population(100_000, DIST, seed=3)
+        assert np.bincount(pop.stream_ids).tolist() == [25_000] * 4
+        params = make_params()
+        full = simulate.run_steps(pop, params, 5)[-1]
+        head = simulate.AgentPopulation(incomes=pop.incomes[:25_000], time=0.0, seed=3,
+                                        rng_states=pop.rng_states[:1])
+        assert np.array_equal(simulate.run_steps(head, params, 5)[-1].incomes,
+                              full.incomes[:25_000])
 
 
 class TestStepMoments:
@@ -121,12 +142,63 @@ class TestStepMoments:
             assert abs(dy.mean() - drift_exact) < 4 * se_mean
             assert dy.var() == pytest.approx(var_exact, rel=0.01)
 
+    def test_one_step_lands_on_two_points(self):
+        # two-point increments: y0 (1 - M dt +- sigma sqrt(dt)) + C dt, each
+        # with probability 1/2
+        params = make_params(dt=1e-3)
+        n, y0 = 10**5, 2.0
+        nxt = simulate.step(simulate.init_population(n, y0, seed=4), params)
+        decay, kick = 1.0 - 1.6 * params.dt, math.sqrt(2.0) * math.sqrt(params.dt)
+        values, counts = np.unique(nxt.incomes, return_counts=True)
+        assert values.tolist() == pytest.approx(
+            [y0 * (decay - kick) + 1.6 * params.dt, y0 * (decay + kick) + 1.6 * params.dt],
+            rel=1e-14)
+        assert abs(counts[1] / n - 0.5) < 4 * 0.5 / math.sqrt(n)
+
     def test_positivity_preserved(self):
         params = make_params()
         pops = simulate.run(20_000, params, 1.0, 0.01, seed=2,
                             snapshot_times=[0.25, 0.5, 1.0])
         for pop in pops:
             assert pop.incomes.min() > 0.0
+
+
+class TestEulerChainMoments:
+    """Exact moments of y' = y (1 - M dt + sigma sqrt(dt) xi) + C dt from a
+    constant start.  M = C = 4 puts the chain's tail index near M + 1 = 5, so
+    the fourth moment exists and the sample second moment has a finite
+    standard error."""
+
+    M = C = 4.0
+    DT = 1e-3
+    Y0 = 3.0
+    N = 100_000
+    SNAPS = (1, 10, 100, 500, 2000)
+
+    def exact_moments(self):
+        d, c_dt, s2_dt = 1.0 - self.M * self.DT, self.C * self.DT, 2.0 * self.DT
+        m1, m2, out = self.Y0, self.Y0**2, {}
+        for k in range(1, max(self.SNAPS) + 1):
+            m1, m2 = d * m1 + c_dt, (d * d + s2_dt) * m2 + 2.0 * d * c_dt * m1 + c_dt**2
+            out[k] = (m1, m2)
+        return out
+
+    def test_mean_and_second_moment(self):
+        params = simulate.LangevinParams(M=self.M, labour_rate=self.C, dt=self.DT)
+        pop0 = simulate.init_population(self.N, self.Y0, seed=41)
+        pops = simulate.run_steps(pop0, params, max(self.SNAPS), snapshot_steps=self.SNAPS)
+        exact = self.exact_moments()
+        d = 1.0 - self.M * self.DT
+        for pop in pops:
+            k = pop.step_index
+            y = pop.incomes
+            m1, m2 = exact[k]
+            # closed form of the mean recursion
+            assert m1 == pytest.approx(1.0 + (self.Y0 - 1.0) * d**k, rel=1e-12)
+            se1 = y.std() / math.sqrt(self.N)
+            se2 = (y * y).std() / math.sqrt(self.N)
+            assert abs(y.mean() - m1) < 4 * se1, (k, y.mean(), m1)
+            assert abs((y * y).mean() - m2) < 4 * se2, (k, (y * y).mean(), m2)
 
 
 class TestEquilibrium:
@@ -180,6 +252,20 @@ class TestNanDetection:
             incomes=np.array([1.0, math.nan, 2.0]), time=0.0, seed=0)
         with pytest.raises(NumericalError):
             simulate.step(bad, params)
+
+    def test_overflow_aborts_before_a_snapshot_is_returned(self):
+        # 1.79e308 times the upper multiplier 1 - M dt + sigma sqrt(dt) > 1.005
+        # overflows; every returned population has passed the finite check
+        big = simulate.AgentPopulation(incomes=np.full(64, 1.79e308), time=0.0, seed=0)
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            simulate.step(big, make_params())
+
+    def test_nonpositive_income_is_a_domain_error(self):
+        for value in (0.0, -1.0):
+            bad = simulate.AgentPopulation(
+                incomes=np.array([1.0, value, 2.0]), time=0.0, seed=0)
+            with pytest.raises(DomainError):
+                simulate.step(bad, make_params())
 
 
 class TestHill:
