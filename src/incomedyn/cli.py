@@ -145,7 +145,10 @@ def cmd_fit(args, out: Path) -> str:
                         "M": fit.M, "C0": fit.C0, "offset": fit.offset,
                         "log_likelihood": fit.log_likelihood,
                         "converged": fit.converged,
-                        "n_evaluations": fit.n_evaluations})
+                        "iterations": fit.iterations,
+                        "n_evaluations": fit.n_evaluations,
+                        "unit_standard_errors": list(fit.unit_standard_errors),
+                        "pearson_chi2": fit.pearson_chi2})
         for b, obs, exp in zip(rnd.bands, rnd.shares, fit.per_band_expected_shares):
             rows.append((rnd.round_id, b.lower, b.upper, obs, exp))
     _write_json(out / "fit_report.json", {"fits": reports})
@@ -260,6 +263,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _float_list(text: str) -> list:
     """Comma-separated numbers; argparse turns the ValueError of a bad one
     into a usage error."""
@@ -293,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def round_fit(p):
         p.add_argument("--collapse-to", type=float, default=None)
-        p.add_argument("--fix-offset", type=float, default=estimate.DEFAULT_OFFSET)
+        p.add_argument("--fix-offset", type=_nonnegative_float,
+                       default=estimate.DEFAULT_OFFSET)
 
     def income_law(p):
         p.add_argument("--M", type=float, default=1.6)

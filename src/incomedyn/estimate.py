@@ -5,6 +5,17 @@ offset) by binned maximum likelihood, and the saturating consumption curve
 s(y) = V y / (K + y) by least squares with the half-saturation K found by
 golden-section search (V is linear given K and solved in closed form).
 
+The binned likelihood is maximised by Fisher scoring (Rao 1948; McDonald &
+Ransom 1979 for grouped income data): Newton steps on the multinomial
+likelihood with the expected information J^T diag(1/p) J in place of the
+Hessian, where J = dp/dtheta holds the derivatives of the band
+probabilities.  They are closed-form in C0 and the offset; only the shape
+derivative is a central difference of Q in its first argument.  Iterations
+stop once the Newton decrement g^T I^-1 g falls below 1e-15, which takes at
+most 4 of them on the criterion-6 and sample rounds; ``max_evaluations``
+bounds the iterations and ``n_evaluations`` counts likelihood evaluations.
+The same information gives the fit's standard errors.
+
 The labour-rate series ties fitted rounds together: under the quasi-static
 assumption the rate at a round's date is M times its mean model income,
 interpolated linearly between rounds.
@@ -18,14 +29,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import distlib
 from .errors import DataError, DomainError
 from .survey import BandedDistribution
 
 DEFAULT_OFFSET = 0.15          # starvation level in collapsed (mean = 1) units
-MAX_EVALUATIONS = 10_000
+MAX_EVALUATIONS = 10_000       # scoring iterations allowed per fit
+DECREMENT_TOL = 1e-15          # Newton decrement g^T I^-1 g that counts as converged
+_MIN_STEP = 2.0 ** -40         # step halvings stop below this fraction of a full step
+_SHAPE_STEP = 1e-5             # relative step of the central difference in M
 _P_FLOOR = 1e-300
 
 
@@ -35,6 +48,12 @@ class FitResult:
 
     ``log_likelihood`` is the per-observation multinomial log likelihood
     sum_b share_b log p_b; multiply by the sample count to get the total.
+    ``unit_standard_errors`` are the square roots of the diagonal of the
+    inverse Fisher information per household, in the order (M, C0) or
+    (M, C0, offset): with n households the standard errors are these over
+    sqrt(n).  ``pearson_chi2`` is sum_b (share_b - p_b)^2 / p_b; n times it
+    is asymptotically chi-square with (bands - 1 - fitted parameters)
+    degrees of freedom.
     """
 
     M: float
@@ -44,6 +63,9 @@ class FitResult:
     converged: bool
     n_evaluations: int
     per_band_expected_shares: np.ndarray
+    iterations: int = 0
+    unit_standard_errors: tuple = ()
+    pearson_chi2: float = math.nan
 
     def dist(self) -> distlib.SteadyStateIPDF:
         return distlib.SteadyStateIPDF(self.M, self.C0, self.offset)
@@ -59,6 +81,15 @@ class MonodFit:
     k_at_boundary: bool = False
 
 
+def _edge_x(rnd: BandedDistribution, C0: float, offset: float) -> np.ndarray:
+    """x = C0 / (edge - offset) per band edge, with x = inf (Q = 0) at and
+    below the offset; an infinite edge gives x = 0 (Q = 1)."""
+    ym = rnd.edges - offset
+    x = np.full(ym.size, math.inf)
+    np.divide(C0, ym, out=x, where=ym > 0.0)
+    return x
+
+
 def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
                         offset: float) -> tuple:
     """Per-observation log likelihood and expected band shares for given params.
@@ -68,11 +99,7 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     probabilities are conditioned on the range the bands cover, so expected
     shares always sum to one.
     """
-    ym = rnd.edges - offset
-    # x = C0 / ym, with x = inf (Q = 0) at and below the offset; an infinite
-    # edge gives x = 0 (Q = 1)
-    x = np.full(ym.size, math.inf)
-    np.divide(C0, ym, out=x, where=ym > 0.0)
+    x = _edge_x(rnd, C0, offset)
     p = np.diff(distlib.reg_upper_incomplete_gamma(M + 1.0, x))
     total = p.sum()
     if total <= 0.0:
@@ -82,15 +109,65 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     return ll, p
 
 
+def _scoring_terms(rnd: BandedDistribution, theta: np.ndarray, offset: float,
+                   p: np.ndarray) -> tuple:
+    """Jacobian J = dp/dtheta of the band probabilities p at theta, the score
+    J^T (s / p) and the Fisher information J^T diag(1 / p) J per household.
+
+    theta is (M, C0) with ``offset`` fixed, or (M, C0, offset).  With
+    x = C0 / (edge - offset) and a = M + 1, the CDF Q(a, x) at an edge has
+    x dQ/dx = -x^a e^-x / Gamma(a), which gives its C0 and offset
+    derivatives exactly; dQ/da is a central difference.  J differentiates
+    the normalised p = diff(Q) / T, T = Q at the last edge minus Q at the
+    first, so the conditioning on the covered range is exact.  Bands with
+    p = 0 add nothing to the score or the information.
+    """
+    a, c0 = theta[0] + 1.0, theta[1]
+    if theta.size == 3:
+        offset = theta[2]
+    x = _edge_x(rnd, c0, offset)
+    inner = np.isfinite(x) & (x > 0.0)
+    xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
+    xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
+    h = _SHAPE_STEP * a
+    d_cdf = [(distlib.reg_upper_incomplete_gamma(a + h, x)
+              - distlib.reg_upper_incomplete_gamma(a - h, x)) / (2.0 * h),
+             -xg / c0]
+    if theta.size == 3:
+        d_cdf.append(-xg * np.where(inner, x, 0.0) / c0)
+    d_cdf = np.array(d_cdf)
+    total = float(np.diff(distlib.reg_upper_incomplete_gamma(a, x[[0, -1]]))[0])
+    jac = (np.diff(d_cdf, axis=1)
+           - np.outer(d_cdf[:, -1] - d_cdf[:, 0], p)) / total
+    w = np.divide(1.0, p, out=np.zeros(p.size), where=p > 0.0)
+    score = jac @ (rnd.shares * w)
+    info = (jac * w) @ jac.T
+    return jac, score, info
+
+
 def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFSET,
              max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
     """Fit (M, C0) — and the offset when ``fix_offset`` is None — to a round.
 
-    Multinomial likelihood maximized by Nelder-Mead in log-parameter space
-    from five starts (shape guesses 0.8 / 1.6 / 3.0 with the scale anchored
-    to the round's mean, plus two scale perturbations).  Returns the best
-    start; ties break toward the lowest M.  ``converged=False`` with the best
-    point so far if the evaluation budget runs out.
+    Fisher scoring on the multinomial likelihood from the moment-anchored
+    start M = 1.6, C0 = 1.6 x (mean income - offset), with the offset at
+    0.15 x mean income when it is fitted.  Each iteration solves
+    (J^T diag(1/p) J) delta = J^T (s/p) and halves the step until the log
+    likelihood does not drop and M and C0 stay positive.  A fitted offset
+    that a step takes below zero is set to zero, and held there while its
+    score points below zero.  The fit has converged when the Newton
+    decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
+
+    ``max_evaluations`` is the budget of scoring iterations;
+    ``n_evaluations`` counts likelihood evaluations (``band_log_likelihood``
+    calls), step halvings included, and ``iterations`` the steps taken.
+    ``converged=False`` with the best point so far if the budget runs out,
+    the information matrix is singular, or no halved step keeps the
+    likelihood from dropping.
+
+    Raises ``DataError`` for fewer than 4 bands or when the fixed or
+    starting offset lies at or above the upper edge of a band with a
+    positive share, and ``DomainError`` for a negative or non-finite offset.
     """
     if len(rnd.bands) < 4:
         raise DataError(
@@ -99,46 +176,65 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     mean = rnd.mean_income()
     fit_offset = fix_offset is None
     offset0 = 0.15 * mean if fit_offset else float(fix_offset)
-    if offset0 < 0.0:
-        raise DomainError(f"offset must be >= 0, got {offset0}")
+    if not (math.isfinite(offset0) and offset0 >= 0.0):
+        raise DomainError(f"offset must be finite and >= 0, got {offset0}")
+    empty = [b for b in rnd.bands if b.upper <= offset0 and b.population_share > 0.0]
+    if empty:
+        raise DataError(
+            f"round {rnd.round_id}: offset {offset0:.6g} leaves the populated band "
+            f"[{empty[0].lower:.6g}, {empty[0].upper:.6g}] with no model mass")
     mean_model = max(mean - offset0, 0.05 * mean)
+    theta = np.array([1.6, 1.6 * mean_model] + ([offset0] if fit_offset else []))
 
-    def objective(theta):
-        m = math.exp(theta[0])
-        c0 = math.exp(theta[1])
-        off = math.exp(theta[2]) if fit_offset else offset0
-        ll, _ = band_log_likelihood(rnd, m, c0, off)
-        return -ll
+    def evaluate(t):
+        return band_log_likelihood(rnd, t[0], t[1], t[2] if fit_offset else offset0)
 
-    starts = []
-    for m0 in (0.8, 1.6, 3.0):
-        starts.append((m0, m0 * mean_model))
-    starts.append((1.6, 0.5 * 1.6 * mean_model))
-    starts.append((1.6, 2.0 * 1.6 * mean_model))
-
-    budget = max_evaluations
-    results = []
-    total_evals = 0
-    for m0, c00 in starts:
-        if budget <= 0:
+    ll, p = evaluate(theta)
+    n_eval, iterations, converged = 1, 0, False
+    while True:
+        _, score, info = _scoring_terms(rnd, theta, offset0, p)
+        # a fitted offset at its bound 0 is held there while its score points below
+        free = np.ones(theta.size, dtype=bool)
+        if fit_offset and theta[2] == 0.0 and score[2] <= 0.0:
+            free[2] = False
+        step = np.zeros(theta.size)
+        try:
+            step[free] = np.linalg.solve(info[np.ix_(free, free)], score[free])
+        except np.linalg.LinAlgError:
             break
-        theta0 = [math.log(m0), math.log(c00)]
-        if fit_offset:
-            theta0.append(math.log(max(offset0, 1e-6 * mean)))
-        res = minimize(objective, np.asarray(theta0), method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-11,
-                                "maxfev": min(budget, max_evaluations // 5)})
-        total_evals += res.nfev
-        budget -= res.nfev
-        results.append(res)
-    best = min(results, key=lambda r: (r.fun, math.exp(r.x[0])))
-    m_hat = math.exp(best.x[0])
-    c0_hat = math.exp(best.x[1])
-    off_hat = math.exp(best.x[2]) if fit_offset else offset0
-    ll, shares = band_log_likelihood(rnd, m_hat, c0_hat, off_hat)
-    return FitResult(M=m_hat, C0=c0_hat, offset=off_hat, log_likelihood=ll,
-                     converged=bool(best.success), n_evaluations=total_evals,
-                     per_band_expected_shares=shares)
+        if not np.isfinite(step).all():
+            break
+        if float(score @ step) < DECREMENT_TOL:
+            converged = True
+            break
+        if iterations == max_evaluations:
+            break
+        t = 1.0
+        while t >= _MIN_STEP:
+            trial = theta + t * step
+            if fit_offset:
+                trial[2] = max(trial[2], 0.0)
+            if trial[0] > 0.0 and trial[1] > 0.0:
+                ll_trial, p_trial = evaluate(trial)
+                n_eval += 1
+                if ll_trial >= ll:
+                    break
+            t *= 0.5
+        else:
+            break
+        theta, ll, p = trial, ll_trial, p_trial
+        iterations += 1
+    try:
+        unit_se = tuple(float(v) for v in np.sqrt(np.diag(np.linalg.inv(info))))
+    except np.linalg.LinAlgError:
+        unit_se = (math.nan,) * theta.size
+    chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
+                                  where=p > 0.0)))
+    return FitResult(M=float(theta[0]), C0=float(theta[1]),
+                     offset=float(theta[2]) if fit_offset else offset0,
+                     log_likelihood=ll, converged=converged, n_evaluations=n_eval,
+                     per_band_expected_shares=p, iterations=iterations,
+                     unit_standard_errors=unit_se, pearson_chi2=chi2)
 
 
 def _monod_rss(x: np.ndarray, s: np.ndarray, k: float) -> tuple:

@@ -212,7 +212,9 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
             "round_id": rnd.round_id, "year": rnd.year,
             "fit": {"M": fit.M, "C0": fit.C0, "offset": fit.offset,
                     "log_likelihood": fit.log_likelihood,
-                    "converged": fit.converged},
+                    "converged": fit.converged, "iterations": fit.iterations,
+                    "unit_standard_errors": list(fit.unit_standard_errors),
+                    "pearson_chi2": fit.pearson_chi2},
             "monod": {"V": mono.V, "K": mono.K, "rss": mono.rss,
                       "k_at_boundary": mono.k_at_boundary},
             "labour_rate": c_t,

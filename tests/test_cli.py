@@ -68,6 +68,9 @@ class TestSmoke:
         assert len(report["fits"]) == 3
         for fit in report["fits"]:
             assert fit["M"] == pytest.approx(1.6, abs=0.1)
+            assert fit["converged"] and fit["iterations"] <= 6
+            assert len(fit["unit_standard_errors"]) == 2
+            assert fit["pearson_chi2"] >= 0.0
 
     def test_indices_on_sample_files(self, tmp_path):
         out = tmp_path / "idx"
@@ -80,6 +83,8 @@ class TestSmoke:
         assert len(lines) == 4
         diag = json.loads((out / "diagnostics.json").read_text())
         assert len(diag["rounds"]) == 3
+        for rnd in diag["rounds"]:
+            assert {"iterations", "unit_standard_errors", "pearson_chi2"} <= set(rnd["fit"])
 
     def test_evolve(self, tmp_path):
         out = tmp_path / "ev"
@@ -217,6 +222,9 @@ class TestExitCodes:
         ["synth", "--n", 10, "--auto-bands", 0],
         ["simulate", "--agents", 3000, "--t-end", 0.1, "--workers", 0],
         ["simulate", "--agents", 3000, "--t-end", 0.1, "--workers", -1],
+        ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", "nan"],
+        ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", "inf"],
+        ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", -1],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +236,8 @@ class TestExitCodes:
         (["fit", "--rounds", _SAMPLE_DIR / "missing.csv"], 3),
         (["simulate", "--agents", 10, "--t-end", 1.0], 3),
         (["evolve", "--dt", 5.0, "--cells", 200], 4),
+        # band [0, 8] of NSS-15 holds 12% of households and no model mass
+        (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code

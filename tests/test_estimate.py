@@ -1,10 +1,13 @@
 """Tests for parameter estimation.
 
 Oracles: synthetic rounds generated from known parameters (round-trip
-recovery), a grid scan of the Monod objective around the returned optimum,
-and the chi-square calibration of the likelihood-ratio statistic.
+recovery), central differences of ``band_log_likelihood`` for the scoring
+Jacobian and score, grid scans of both objectives around the returned
+optimum, the chi-square calibration of the likelihood-ratio statistic, and
+the spread of fits over replicate rounds for the standard errors.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -81,10 +84,128 @@ class TestFitIPDF:
 
     def test_budget_exhaustion_flags_non_convergence(self):
         rnd = make_round(seed=46)
-        fit = estimate.fit_ipdf(rnd, fix_offset=0.15, max_evaluations=50)
+        ll_start, _ = estimate.band_log_likelihood(
+            rnd, 1.6, 1.6 * (rnd.mean_income() - 0.15), 0.15)
+        fit = estimate.fit_ipdf(rnd, fix_offset=0.15, max_evaluations=1)
         assert not fit.converged
-        assert fit.n_evaluations <= 50 + 5   # simplex may finish an iteration
+        assert fit.iterations == 1
         assert fit.M > 0.0 and fit.C0 > 0.0  # best-so-far still returned
+        assert fit.log_likelihood >= ll_start
+
+    def test_few_iterations_at_the_reference_parameters(self):
+        rnd = make_round(seed=47)
+        fixed = estimate.fit_ipdf(rnd, fix_offset=0.15)
+        free = estimate.fit_ipdf(rnd, fix_offset=None)
+        assert fixed.converged and free.converged
+        assert fixed.n_evaluations <= 5 and free.n_evaluations <= 8
+        assert len(fixed.unit_standard_errors) == 2
+        assert len(free.unit_standard_errors) == 3
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -0.1])
+    def test_offset_outside_the_domain_rejected(self, offset):
+        with pytest.raises(DomainError, match="offset"):
+            estimate.fit_ipdf(make_round(n=10**4, seed=48), fix_offset=offset)
+
+    def test_offset_above_a_populated_band_rejected(self):
+        # band [0, 0.25] holds households; an offset of 0.3 gives it no mass
+        rnd = make_round(n=10**5, seed=49, offset=0.0)
+        with pytest.raises(DataError, match="populated band"):
+            estimate.fit_ipdf(rnd, fix_offset=0.3)
+
+    def test_starting_offset_above_a_populated_band_rejected(self):
+        # the free fit starts at 0.15 x mean income, above the band [0, 0.14]
+        edges = np.concatenate([[0.0, 0.14], np.geomspace(0.25, 8.0, 10), [np.inf]])
+        rnd = make_round(seed=50, offset=0.0, edges=edges)
+        assert rnd.shares[0] > 0.0
+        with pytest.raises(DataError, match="populated band"):
+            estimate.fit_ipdf(rnd, fix_offset=None)
+
+    def test_offset_at_its_bound_is_a_constrained_maximum(self):
+        # truth offset 0: this replicate's free-offset maximum lies on the
+        # bound, where the likelihood may only fall as the offset rises and
+        # (M, C0) are stationary
+        rnd = make_round(offset=0.0, seed=700)
+        fit = estimate.fit_ipdf(rnd, fix_offset=None)
+        assert fit.converged and fit.offset == 0.0
+
+        def ll(m, c0, off):
+            return estimate.band_log_likelihood(rnd, m, c0, off)[0]
+
+        h = 1e-6
+        assert ll(fit.M, fit.C0, h) < fit.log_likelihood
+        for dm, dc in ((h, 0.0), (0.0, h)):
+            up = ll(fit.M * (1 + dm), fit.C0 * (1 + dc), 0.0)
+            down = ll(fit.M * (1 - dm), fit.C0 * (1 - dc), 0.0)
+            assert abs(up - down) / (2 * h) < 1e-8
+
+
+def _theta_args(theta, offset):
+    return (theta[0], theta[1], theta[2] if theta.size == 3 else offset)
+
+
+class TestScoring:
+    """The closed-form Jacobian, the score and the optimum against central
+    differences and grid scans of ``band_log_likelihood``."""
+
+    ROUNDS = {
+        # open top band; the first edge lies above the offset, so the bands
+        # cover only part of the range
+        "open": np.concatenate([np.geomspace(0.3, 8.0, 16), [np.inf]]),
+        # first edge below the offset; closed top band
+        "closed": np.concatenate([[0.0], np.geomspace(0.25, 8.0, 16)]),
+    }
+
+    @pytest.mark.parametrize("fit_offset", [False, True])
+    @pytest.mark.parametrize("edges", ["open", "closed"])
+    def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
+        rnd = make_round(n=10**5, seed=51, edges=self.ROUNDS[edges])
+        theta = np.array([1.9, 1.4, 0.1] if fit_offset else [1.9, 1.4])
+        _, p = estimate.band_log_likelihood(rnd, *_theta_args(theta, 0.15))
+        jac, score, info = estimate._scoring_terms(rnd, theta, 0.15, p)
+        for i in range(theta.size):
+            h = 1e-5 * theta[i]
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            ll_up, p_up = estimate.band_log_likelihood(rnd, *_theta_args(up, 0.15))
+            ll_down, p_down = estimate.band_log_likelihood(rnd, *_theta_args(down, 0.15))
+            numeric = (p_up - p_down) / (2 * h)
+            assert np.max(np.abs(jac[i] - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+            assert score[i] == pytest.approx((ll_up - ll_down) / (2 * h), rel=1e-6)
+        assert np.allclose(info, info.T)
+        assert (np.linalg.eigvalsh(info) > 0.0).all()
+
+    @pytest.mark.parametrize("fix_offset", [0.15, None])
+    def test_fit_is_a_maximum_on_a_grid(self, fix_offset):
+        rnd = make_round(seed=52)
+        fit = estimate.fit_ipdf(rnd, fix_offset=fix_offset)
+        theta = np.array([fit.M, fit.C0] + ([fit.offset] if fix_offset is None else []))
+
+        def ll(t):
+            return estimate.band_log_likelihood(rnd, *_theta_args(t, 0.15))[0]
+
+        assert ll(theta) == fit.log_likelihood
+        for i in range(theta.size):
+            h = 1e-6 * theta[i]
+            step = np.zeros(theta.size)
+            step[i] = h
+            assert abs(ll(theta + step) - ll(theta - step)) / (2 * h) * theta[i] < 1e-8
+        for factors in itertools.product((-1e-4, 0.0, 1e-4), repeat=theta.size):
+            assert fit.log_likelihood >= ll(theta * (1.0 + np.array(factors)))
+
+    def test_standard_errors_and_chi2_match_replicate_spread(self):
+        # 200 criterion-6 rounds: the spread of the fitted parameters over
+        # replicates against the reported standard errors, and n times the
+        # Pearson statistic against its chi-square(20 - 1 - 2) mean
+        n = 10**6
+        fits = [estimate.fit_ipdf(make_round(n=n, seed=600 + i), fix_offset=0.15)
+                for i in range(200)]
+        se = np.mean([f.unit_standard_errors for f in fits], axis=0) / math.sqrt(n)
+        for i, name in enumerate(("M", "C0")):
+            spread = np.std([getattr(f, name) for f in fits], ddof=1)
+            assert 0.85 <= spread / se[i] <= 1.15, name
+        chi2 = n * np.array([f.pearson_chi2 for f in fits])
+        assert abs(chi2.mean() - 17.0) <= 3.0 * math.sqrt(2.0 * 17.0 / chi2.size)
 
 
 class TestFitMonod:
