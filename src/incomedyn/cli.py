@@ -22,7 +22,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from . import __version__, distlib, estimate, fpsolve, poverty, simulate, survey
 from .errors import DataError, DomainError, NumericalError
@@ -106,11 +105,7 @@ def cmd_collapse(args, out: Path) -> str:
         rows.extend((rnd.round_id, y, c) for y, c in zip(grid, cdf))
     _write_csv(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"], rows)
     dist = distlib.SteadyStateIPDF(args.M, c0, offset_abs)
-    model_cdf = np.zeros(grid.size)
-    above = grid > offset_abs
-    model_cdf[above] = distlib.ipdf_cdf(dist, grid[above] - offset_abs)
-    _write_csv(out / "model_cdf.csv", ["y", "cdf"],
-               list(zip(grid, model_cdf)))
+    _write_csv(out / "model_cdf.csv", ["y", "cdf"], zip(grid, distlib.observed_cdf(dist, grid)))
     spread = float(np.max(np.max(curves, axis=0) - np.min(curves, axis=0))) \
         if len(curves) > 1 else 0.0
     # irregular band grids put a binning floor under any collapse comparison
@@ -142,13 +137,7 @@ def cmd_fit(args, out: Path) -> str:
     for rnd in rounds:
         fit = estimate.fit_ipdf(rnd, fix_offset=fix)
         reports.append({"round_id": rnd.round_id, "year": rnd.year,
-                        "M": fit.M, "C0": fit.C0, "offset": fit.offset,
-                        "log_likelihood": fit.log_likelihood,
-                        "converged": fit.converged,
-                        "iterations": fit.iterations,
-                        "n_evaluations": fit.n_evaluations,
-                        "unit_standard_errors": list(fit.unit_standard_errors),
-                        "pearson_chi2": fit.pearson_chi2})
+                        "n_evaluations": fit.n_evaluations, **fit.report()})
         for b, obs, exp in zip(rnd.bands, rnd.shares, fit.per_band_expected_shares):
             rows.append((rnd.round_id, b.lower, b.upper, obs, exp))
     _write_json(out / "fit_report.json", {"fits": reports})
@@ -199,11 +188,9 @@ def cmd_synth(args, out: Path) -> str:
     if args.edges:
         edges = np.asarray(args.edges)
     else:
-        # quantile edges of the observed-income law, plus an open band:
-        # the CDF is Q(M+1, C0/y), so its q-quantile is C0 / Q^-1(M+1, q)
+        # quantile edges of the observed-income law, plus an open band
         qs = np.linspace(0.0, 1.0, args.auto_bands + 1)[1:-1]
-        pts = args.offset + args.C0 / gammainccinv(args.M + 1.0, qs)
-        edges = np.concatenate([[0.0], pts, [math.inf]])
+        edges = np.concatenate([[0.0], distlib.observed_quantile(dist, qs), [math.inf]])
     # full precision: a rerun with the manifest's edges draws the same bands
     args.edges = [e if math.isfinite(e) else str(e) for e in edges.tolist()]
     rnd = survey.synth_round(dist, edges, args.n, args.seed, (args.V, args.K),

@@ -11,6 +11,10 @@ density exponent M + 2.  The CDF is the regularized upper incomplete gamma
 function Q(M+1, C0/y).  Q is scipy's ``gammaincc``; this module wraps it
 once with the package's domain checks, and every other module evaluates the
 law through that wrapper.
+
+Observed income is the starvation offset plus model income.  The ``ipdf_*``
+functions take model income; the ``observed_*`` functions take observed
+income, and they alone apply the offset.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammaincinv
+from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 
 from .errors import DomainError
 
@@ -53,13 +57,9 @@ def reg_upper_incomplete_gamma(a: float, x):
 class SteadyStateIPDF:
     """Stationary income law: inverse gamma with shape M + 1 and scale C0.
 
-    ``offset_ymin`` is the starvation level subtracted from observed income
-    before modeling.  It is stored here for bookkeeping but never applied by
-    this module; each caller that maps observed income to the model applies
-    the shift itself: the likelihood (``estimate.band_log_likelihood``), the
-    synthesizer (``survey._band_probabilities`` and
-    ``survey._band_conditional_means``), the ``collapse`` command's model CDF
-    and ``poverty.cd_index_model``.
+    ``offset_ymin`` is the starvation level.  The ``ipdf_*`` functions
+    ignore it and take model income; the ``observed_*`` functions take
+    observed income, the offset plus model income.
     """
 
     shape_M: float
@@ -100,6 +100,52 @@ def ipdf_cdf(dist: SteadyStateIPDF, y):
     x = dist.scale_C0 / arr
     out = reg_upper_incomplete_gamma(dist.shape_M + 1.0, x)
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+
+
+def observed_argument(dist: SteadyStateIPDF, y) -> np.ndarray:
+    """x = C0 / (y - offset) at observed income y, the argument of Q(M+1, x):
+    inf (Q = 0) at and below the offset, 0 (Q = 1) at y = inf; NaN is a DomainError."""
+    arr = np.asarray(y, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("observed income must not be NaN")
+    ym = arr - dist.offset_ymin
+    x = np.full(ym.shape, math.inf)
+    np.divide(dist.scale_C0, ym, out=x, where=ym > 0.0)
+    return x
+
+
+def observed_cdf(dist: SteadyStateIPDF, y):
+    """CDF of observed income y: Q(M+1, C0/(y - offset)), exactly 0 at and
+    below the offset.  Vectorized over ``y``."""
+    return reg_upper_incomplete_gamma(dist.shape_M + 1.0, observed_argument(dist, y))
+
+
+def observed_quantile(dist: SteadyStateIPDF, q):
+    """Observed income at CDF level q in [0, 1]: offset + C0 / Q^-1(M+1, q),
+    the offset at q = 0 and inf at q = 1.  Vectorized over ``q``."""
+    arr = np.asarray(q, dtype=float)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():      # also rejects NaN
+        raise DomainError("quantile levels must lie in [0, 1]")
+    with np.errstate(divide="ignore"):
+        out = dist.offset_ymin + dist.scale_C0 / gammainccinv(dist.shape_M + 1.0, arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def observed_band_means(dist: SteadyStateIPDF, edges) -> np.ndarray:
+    """Mean observed income within each band [edges[i], edges[i+1]], by the
+    identity integral(y f dy, l..u) = C0/M [Q(M, C0/u) - Q(M, C0/l)] in model
+    income.  A band without mass gets its midpoint; an open one spans
+    lo .. 2 lo + 1 in model income."""
+    m, c0, off = dist.shape_M, dist.scale_C0, dist.offset_ymin
+    x = observed_argument(dist, edges)
+    probs = np.diff(reg_upper_incomplete_gamma(m + 1.0, x))
+    partial = (c0 / m) * np.diff(reg_upper_incomplete_gamma(m, x))
+    shifted = np.asarray(edges, dtype=float) - off
+    lo, hi = np.maximum(shifted[:-1], 0.0), shifted[1:]
+    out = off + 0.5 * (lo + np.where(np.isinf(hi), 2.0 * lo + 1.0, hi))
+    has_mass = probs > 0.0
+    out[has_mass] = off + partial[has_mass] / probs[has_mass]
+    return out
 
 
 def ipdf_hill_exponent(dist: SteadyStateIPDF, tail_fraction: float) -> float:

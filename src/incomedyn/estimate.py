@@ -70,6 +70,13 @@ class FitResult:
     def dist(self) -> distlib.SteadyStateIPDF:
         return distlib.SteadyStateIPDF(self.M, self.C0, self.offset)
 
+    def report(self) -> dict:
+        """The fit's JSON fields: parameters, likelihood and convergence."""
+        return {"M": self.M, "C0": self.C0, "offset": self.offset,
+                "log_likelihood": self.log_likelihood, "converged": self.converged,
+                "iterations": self.iterations, "pearson_chi2": self.pearson_chi2,
+                "unit_standard_errors": list(self.unit_standard_errors)}
+
 
 @dataclass(frozen=True)
 class MonodFit:
@@ -81,26 +88,16 @@ class MonodFit:
     k_at_boundary: bool = False
 
 
-def _edge_x(rnd: BandedDistribution, C0: float, offset: float) -> np.ndarray:
-    """x = C0 / (edge - offset) per band edge, with x = inf (Q = 0) at and
-    below the offset; an infinite edge gives x = 0 (Q = 1)."""
-    ym = rnd.edges - offset
-    x = np.full(ym.size, math.inf)
-    np.divide(C0, ym, out=x, where=ym > 0.0)
-    return x
-
-
 def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
                         offset: float) -> tuple:
     """Per-observation log likelihood and expected band shares for given params.
 
-    Band probabilities come from CDF differences at the band edges shifted to
-    model coordinates; edges at or below the offset carry zero mass.  The
-    probabilities are conditioned on the range the bands cover, so expected
-    shares always sum to one.
+    Band probabilities are differences of the observed-income CDF at the band
+    edges; bands at or below the offset carry zero mass.  The probabilities
+    are conditioned on the range the bands cover, so expected shares always
+    sum to one.  Parameters outside the law's domain are a ``DomainError``.
     """
-    x = _edge_x(rnd, C0, offset)
-    p = np.diff(distlib.reg_upper_incomplete_gamma(M + 1.0, x))
+    p = np.diff(distlib.observed_cdf(distlib.SteadyStateIPDF(M, C0, offset), rnd.edges))
     total = p.sum()
     if total <= 0.0:
         return -math.inf, np.full(p.size, 1.0 / p.size)
@@ -123,9 +120,8 @@ def _scoring_terms(rnd: BandedDistribution, theta: np.ndarray, offset: float,
     p = 0 add nothing to the score or the information.
     """
     a, c0 = theta[0] + 1.0, theta[1]
-    if theta.size == 3:
-        offset = theta[2]
-    x = _edge_x(rnd, c0, offset)
+    dist = distlib.SteadyStateIPDF(theta[0], c0, theta[2] if theta.size == 3 else offset)
+    x = distlib.observed_argument(dist, rnd.edges)
     inner = np.isfinite(x) & (x > 0.0)
     xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
     xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
@@ -151,7 +147,8 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
 
     Fisher scoring on the multinomial likelihood from the moment-anchored
     start M = 1.6, C0 = 1.6 x (mean income - offset), with the offset at
-    0.15 x mean income when it is fitted.  Each iteration solves
+    0.15 x mean income when it is fitted, or at half the lowest upper edge
+    of a populated band when that is lower.  Each iteration solves
     (J^T diag(1/p) J) delta = J^T (s/p) and halves the step until the log
     likelihood does not drop and M and C0 stay positive.  A fitted offset
     that a step takes below zero is set to zero, and held there while its
@@ -165,9 +162,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     the information matrix is singular, or no halved step keeps the
     likelihood from dropping.
 
-    Raises ``DataError`` for fewer than 4 bands or when the fixed or
-    starting offset lies at or above the upper edge of a band with a
-    positive share, and ``DomainError`` for a negative or non-finite offset.
+    Raises ``DataError`` for fewer than 4 bands or when the fixed offset
+    lies at or above the upper edge of a band with a positive share, and
+    ``DomainError`` for a negative or non-finite offset.
     """
     if len(rnd.bands) < 4:
         raise DataError(
@@ -175,14 +172,18 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             "need at least 4")
     mean = rnd.mean_income()
     fit_offset = fix_offset is None
-    offset0 = 0.15 * mean if fit_offset else float(fix_offset)
+    # an offset at or above this band's upper edge leaves it no model mass
+    first = next(b for b in rnd.bands if b.population_share > 0.0)
+    if fit_offset:
+        offset0 = 0.15 * mean if 0.15 * mean < first.upper else 0.5 * first.upper
+    else:
+        offset0 = float(fix_offset)
     if not (math.isfinite(offset0) and offset0 >= 0.0):
         raise DomainError(f"offset must be finite and >= 0, got {offset0}")
-    empty = [b for b in rnd.bands if b.upper <= offset0 and b.population_share > 0.0]
-    if empty:
+    if offset0 >= first.upper:
         raise DataError(
             f"round {rnd.round_id}: offset {offset0:.6g} leaves the populated band "
-            f"[{empty[0].lower:.6g}, {empty[0].upper:.6g}] with no model mass")
+            f"[{first.lower:.6g}, {first.upper:.6g}] with no model mass")
     mean_model = max(mean - offset0, 0.05 * mean)
     theta = np.array([1.6, 1.6 * mean_model] + ([offset0] if fit_offset else []))
 

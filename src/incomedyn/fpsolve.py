@@ -221,12 +221,10 @@ def log_grid(M: float, C0: float, n_cells: int = 2000,
     return np.geomspace(span[0] * scale, span[1] * scale, n_cells)
 
 
-def density_on_grid(dist: distlib.SteadyStateIPDF, grid: np.ndarray,
-                    normalize: bool = True) -> GridDensity:
-    """Sample the closed-form stationary density onto a grid."""
+def density_on_grid(dist: distlib.SteadyStateIPDF, grid: np.ndarray) -> GridDensity:
+    """Sample the closed-form stationary density onto a grid, at unit mass."""
     f = distlib.ipdf_density(dist, grid)
-    gd = GridDensity(np.asarray(grid, dtype=float), f, 0.0)
-    return gd.normalized() if normalize else gd
+    return GridDensity(np.asarray(grid, dtype=float), f, 0.0).normalized()
 
 
 def bump_density(grid: np.ndarray, center: float, rel_width: float = 0.1) -> GridDensity:

@@ -118,19 +118,18 @@ def cd_index_banded(rnd: BandedDistribution, V: float, K: float) -> float:
 
 
 def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
-                   V: float, K: float, offset: Optional[float] = None) -> float:
-    """Population-average deprivation integral(V K / (K + offset + y) f(y) dy).
+                   V: float, K: float) -> float:
+    """Population-average deprivation V K / (K + y) over observed income y.
 
-    For the closed-form law the integral is evaluated by adaptive quadrature
-    after the substitution u = C0 / y (absolute tolerance well below 1e-9);
-    the offset defaults to the law's own starvation offset.  A grid density
+    For the closed-form law, y is its offset plus model income; the integral
+    is evaluated by adaptive quadrature after u = C0 / (y - offset)
+    (absolute tolerance well below 1e-9).  A grid density, of model income,
     must carry unit mass to 1e-6 and is integrated by the trapezoidal rule.
     """
     if not (V > 0.0 and K > 0.0):
         raise DomainError("V and K must be positive")
     if isinstance(density, distlib.SteadyStateIPDF):
-        off = density.offset_ymin if offset is None else float(offset)
-        m, c0 = density.shape_M, density.scale_C0
+        m, c0, off = density.shape_M, density.scale_C0, density.offset_ymin
         lognorm = math.lgamma(m + 1.0)
 
         def integrand(u):
@@ -142,11 +141,10 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
             raise DataError(f"CD quadrature error {err:g} above tolerance")
         return float(val)
     grid = density
-    off = 0.0 if offset is None else float(offset)
     mass = grid.mass()
     if abs(mass - 1.0) > 1e-6:
         raise DataError(f"grid density mass {mass:.8g} is off unity by more than 1e-6")
-    cd = V * K / (K + off + grid.grid)
+    cd = V * K / (K + grid.grid)
     return float(np.trapezoid(cd * grid.values, grid.grid))
 
 
@@ -210,11 +208,7 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
         rows.append(IndexRow(rnd.round_id, rnd.year, hci, pg, spg, pcd_d, pcd_m))
         diag_rounds.append({
             "round_id": rnd.round_id, "year": rnd.year,
-            "fit": {"M": fit.M, "C0": fit.C0, "offset": fit.offset,
-                    "log_likelihood": fit.log_likelihood,
-                    "converged": fit.converged, "iterations": fit.iterations,
-                    "unit_standard_errors": list(fit.unit_standard_errors),
-                    "pearson_chi2": fit.pearson_chi2},
+            "fit": fit.report(),
             "monod": {"V": mono.V, "K": mono.K, "rss": mono.rss,
                       "k_at_boundary": mono.k_at_boundary},
             "labour_rate": c_t,
@@ -255,27 +249,20 @@ class SenCheckResult:
     perturbation: object
 
 
-def _index_value(y: np.ndarray, index: str, z: Optional[float],
-                 vk: Optional[tuple]) -> float:
+def _index_rule(index: str, line, monod: Optional[tuple]) -> tuple:
+    """The index as a function of the incomes, and the line a perturbed agent
+    must be below; the CD index has no line, and its K plays that role."""
     if index in ("hci", "pg", "spg"):
-        if z is None:
+        if line is None:
             raise DomainError(f"index {index} needs a poverty line")
-        return getattr(_fgt_sample(y, z), index)
+        z = _line_value(line)
+        return (lambda y: getattr(_fgt_sample(y, z), index)), z
     if index == "pcd":
-        if vk is None:
+        if monod is None:
             raise DomainError("index pcd needs (V, K)")
-        v, k = vk
-        return float(np.mean(v * k / (k + y)))
+        v, k = monod
+        return (lambda y: float(np.mean(v * k / (k + y)))), float(k)
     raise DomainError(f"unknown index {index!r}")
-
-
-def _eligibility_line(index: str, z, vk) -> float:
-    # the CD index has no explicit line; its half-saturation K plays the role
-    if index == "pcd":
-        if vk is None:
-            raise DomainError("index pcd needs (V, K)")
-        return float(vk[1])
-    return _line_value(z)
 
 
 def sen_axiom_check(incomes, index: str, perturbation, line=None,
@@ -294,8 +281,8 @@ def sen_axiom_check(incomes, index: str, perturbation, line=None,
         raise DataError("need at least two agents")
     if (y < 0.0).any():
         raise DomainError("incomes must be nonnegative")
-    z = _eligibility_line(index, line, monod)
-    before = _index_value(y, index, None if line is None else _line_value(line), monod)
+    index_of, z = _index_rule(index, line, monod)
+    before = index_of(y)
     if isinstance(perturbation, Reduce):
         i, d = perturbation.i, perturbation.delta
         if not 0.0 < d <= y[i]:
@@ -315,7 +302,7 @@ def sen_axiom_check(incomes, index: str, perturbation, line=None,
         y[j] += d
     else:
         raise DomainError(f"unknown perturbation {perturbation!r}")
-    after = _index_value(y, index, None if line is None else _line_value(line), monod)
+    after = index_of(y)
     return SenCheckResult(passed=after > before + STRICT_TOL, index_name=index,
                           before=before, after=after, perturbation=perturbation)
 

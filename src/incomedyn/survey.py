@@ -24,6 +24,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,13 @@ from .errors import DataError, DomainError
 SHARE_SILENT_TOL = 1e-6   # renormalize quietly
 SHARE_WARN_TOL = 1e-3     # renormalize with a warning; reject beyond
 EDGE_REL_TOL = 1e-9
+
+
+def _frozen(values: list) -> np.ndarray:
+    """A read-only float array: a round's band arrays are built once."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -97,13 +105,13 @@ class BandedDistribution:
         if problems:
             raise DataError(f"round {self.round_id}: " + "; ".join(problems))
 
-    @property
+    @cached_property
     def shares(self) -> np.ndarray:
-        return np.array([b.population_share for b in self.bands])
+        return _frozen([b.population_share for b in self.bands])
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.array([self.bands[0].lower] + [b.upper for b in self.bands])
+        return _frozen([self.bands[0].lower] + [b.upper for b in self.bands])
 
     @property
     def has_open_band(self) -> bool:
@@ -407,37 +415,6 @@ def empirical_ipdf(rnd: BandedDistribution) -> EmpiricalIPDF:
 # synthetic rounds
 # ---------------------------------------------------------------------------
 
-def _band_probabilities(dist: distlib.SteadyStateIPDF, edges: np.ndarray) -> np.ndarray:
-    """Exact raw band probabilities of observed income dist.offset + Y.
-
-    Do not sum to one when the edges cover only part of the range; the
-    synthesizer conditions the multinomial on the covered range.
-    """
-    shifted = edges - dist.offset_ymin
-    cdf = np.zeros(shifted.size)
-    above = shifted > 0.0
-    cdf[above] = distlib.ipdf_cdf(dist, shifted[above])
-    return np.diff(cdf)
-
-
-def _band_conditional_means(dist: distlib.SteadyStateIPDF, edges: np.ndarray,
-                            probs: np.ndarray) -> np.ndarray:
-    """Exact per-band conditional means of observed income, via the identity
-    integral(y f dy, l..u) = C0/M * [Q(M, C0/u) - Q(M, C0/l)]."""
-    m, c0, off = dist.shape_M, dist.scale_C0, dist.offset_ymin
-    shifted = edges - off
-    x = np.full(shifted.size, math.inf)     # Q(M, inf) = 0 at the y -> 0 end
-    np.divide(c0, shifted, out=x, where=shifted > 0.0)
-    partial = (c0 / m) * np.diff(distlib.reg_upper_incomplete_gamma(m, x))
-    # a band without mass gets its midpoint; an open one spans lo .. 2 lo + 1
-    lo = np.maximum(shifted[:-1], 0.0)
-    hi = shifted[1:]
-    out = off + 0.5 * (lo + np.where(np.isinf(hi), 2.0 * lo + 1.0, hi))
-    has_mass = probs > 0.0
-    out[has_mass] = off + partial[has_mass] / probs[has_mass]
-    return out
-
-
 def synth_round(dist: distlib.SteadyStateIPDF, band_edges, n_population: int,
                 seed: int, monod: tuple, round_id: str = "synth",
                 year: float = 2000.0) -> BandedDistribution:
@@ -458,11 +435,12 @@ def synth_round(dist: distlib.SteadyStateIPDF, band_edges, n_population: int,
     v_sat, k_half = float(monod[0]), float(monod[1])
     if not (v_sat > 0.0 and k_half > 0.0):
         raise DomainError("Monod parameters must be positive")
-    raw = _band_probabilities(dist, edges)
+    # the multinomial is conditioned on the range the edges cover
+    raw = np.diff(distlib.observed_cdf(dist, edges))
     total = raw.sum()
     if total <= 0.0:
         raise DataError("band edges carry no probability mass")
-    means = _band_conditional_means(dist, edges, raw)
+    means = distlib.observed_band_means(dist, edges)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_population, raw / total)
     shares = counts / n_population

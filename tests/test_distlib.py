@@ -6,7 +6,9 @@ Independent oracles used here:
     gives the frozen quadrature value of Q(2.6, 1.6),
   * the exponential identity Q(1, x) = exp(-x),
   * bisection on the quadrature CDF for the median,
-  * root-finding and quadrature of the log-excess for the exact Hill value.
+  * root-finding and quadrature of the log-excess for the exact Hill value,
+  * quadrature of the model density shifted by the offset for the
+    observed-income CDF and band means.
 Q itself is scipy's ``gammaincc``, so the scipy grid comparison checks only
 the wrapper (domain checks, scalar and array returns), not the numerics;
 the quadrature value and the identity carry the numerical check.
@@ -276,6 +278,63 @@ class TestSpecialFunctions:
         idx = np.searchsorted(x_big, x_small[7])
         assert big[idx] == pytest.approx(
             distlib.reg_upper_incomplete_gamma(a, float(x_big[idx])), rel=1e-14)
+
+
+class TestObservedLaw:
+    """Observed income is the offset plus model income."""
+
+    LAWS = [distlib.SteadyStateIPDF(1.6, 1.6, 0.15), distlib.SteadyStateIPDF(3.0, 2.0, 0.4)]
+
+    @staticmethod
+    def observed_density(d, y):
+        return distlib.ipdf_density(d, y - d.offset_ymin) if y > d.offset_ymin else 0.0
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_cdf_matches_quadrature_of_the_shifted_density(self, d):
+        ys = d.offset_ymin + np.array([0.05, 0.3, 1.0, 3.0, 20.0])
+        got = distlib.observed_cdf(d, ys)
+        for y, g in zip(ys, got):
+            val, _ = integrate.quad(lambda s: self.observed_density(d, s), d.offset_ymin, y,
+                                    epsabs=1e-13, epsrel=1e-12, limit=200)
+            assert g == pytest.approx(val, abs=1e-10)
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_cdf_ends(self, d):
+        off = d.offset_ymin
+        below = distlib.observed_cdf(d, np.array([-1.0, 0.0, 0.5 * off, off]))
+        assert (below == 0.0).all()
+        assert distlib.observed_cdf(d, off) == 0.0
+        assert distlib.observed_cdf(d, math.inf) == 1.0
+        assert distlib.observed_argument(d, math.inf) == 0.0
+        assert distlib.observed_argument(d, off) == math.inf
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_quantile_inverts_the_cdf(self, d):
+        qs = np.linspace(0.0, 1.0, 41)[1:-1]
+        assert np.max(np.abs(distlib.observed_cdf(d, distlib.observed_quantile(d, qs)) - qs)) < 1e-12
+        assert distlib.observed_quantile(d, 0.0) == d.offset_ymin
+        assert distlib.observed_quantile(d, 1.0) == math.inf
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_band_means_match_quadrature(self, d):
+        edges = np.array([0.0, 0.5, 0.9, 1.5, 3.0, 6.0])
+        got = distlib.observed_band_means(d, edges)
+        for lo, hi, g in zip(edges[:-1], edges[1:], got):
+            lo = max(lo, d.offset_ymin)
+            mass, _ = integrate.quad(lambda s: self.observed_density(d, s), lo, hi,
+                                     epsabs=1e-14, epsrel=1e-12)
+            first, _ = integrate.quad(lambda s: s * self.observed_density(d, s), lo, hi,
+                                      epsabs=1e-14, epsrel=1e-12)
+            assert lo <= g <= hi
+            assert g == pytest.approx(first / mass, rel=1e-9)
+
+    def test_nan_income_rejected(self):
+        d = self.LAWS[0]
+        for fn in (distlib.observed_argument, distlib.observed_cdf, distlib.observed_band_means):
+            with pytest.raises(DomainError):
+                fn(d, np.array([0.0, math.nan, 1.0]))
+        with pytest.raises(DomainError):
+            distlib.observed_quantile(d, math.nan)
 
 
 class TestValidation:

@@ -301,6 +301,16 @@ class TestSenAxioms:
         with pytest.raises(DomainError):
             poverty.sen_axiom_check(y, "pg", poverty.Transfer(1, 0, 0.1), line=1.0)
 
+    @pytest.mark.parametrize("index", ["hci", "pg", "spg", "pcd"])
+    def test_missing_line_or_curve_is_a_domain_error(self, index):
+        y = np.array([0.5, 2.0])
+        with pytest.raises(DomainError, match=f"index {index} needs"):
+            poverty.sen_axiom_check(y, index, poverty.Reduce(0, 0.1), line=None, monod=None)
+
+    def test_unknown_index_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown index"):
+            poverty.sen_axiom_check([0.5, 2.0], "gini", poverty.Reduce(0, 0.1), line=1.0)
+
     def test_randomized_suite_zero_violations(self):
         report = poverty.sen_axiom_suite(n_instances=200, seed=1)
         for ix in ("pg", "spg", "pcd"):

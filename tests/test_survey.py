@@ -213,6 +213,15 @@ class TestEmpiricalDistributions:
         assert np.isfinite(widths).all()
 
 
+def test_band_arrays_are_built_once_and_read_only():
+    rnd = survey.synth_round(DIST, EDGES, 10**4, seed=10, monod=(0.4, 0.5))
+    assert rnd.edges is rnd.edges and rnd.shares is rnd.shares
+    np.testing.assert_array_equal(rnd.edges, EDGES)
+    for arr in (rnd.edges, rnd.shares):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 class TestSynthRound:
     def test_shares_match_exact_probabilities(self):
         # multinomial at n = 1e7: observed shares within 4 standard errors
