@@ -33,11 +33,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(cell if isinstance(cell, str) else f"{float(cell):.12g}"
+                          for cell in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else f"{cell:.12g}"
-                              for cell in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

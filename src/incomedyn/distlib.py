@@ -134,15 +134,19 @@ def observed_quantile(dist: SteadyStateIPDF, q):
 def observed_band_means(dist: SteadyStateIPDF, edges) -> np.ndarray:
     """Mean observed income within each band [edges[i], edges[i+1]], by the
     identity integral(y f dy, l..u) = C0/M [Q(M, C0/u) - Q(M, C0/l)] in model
-    income.  A band without mass gets its midpoint; an open one spans
-    lo .. 2 lo + 1 in model income."""
+    income.  A band without mass gets the midpoint of its part above the
+    offset (an open one spans lo .. 2 lo + 1 in model income), or of the
+    whole band when it lies wholly below the offset."""
     m, c0, off = dist.shape_M, dist.scale_C0, dist.offset_ymin
     x = observed_argument(dist, edges)
     probs = np.diff(reg_upper_incomplete_gamma(m + 1.0, x))
     partial = (c0 / m) * np.diff(reg_upper_incomplete_gamma(m, x))
-    shifted = np.asarray(edges, dtype=float) - off
+    edges = np.asarray(edges, dtype=float)
+    shifted = edges - off
     lo, hi = np.maximum(shifted[:-1], 0.0), shifted[1:]
     out = off + 0.5 * (lo + np.where(np.isinf(hi), 2.0 * lo + 1.0, hi))
+    below = hi <= 0.0
+    out[below] = 0.5 * (edges[:-1][below] + edges[1:][below])
     has_mass = probs > 0.0
     out[has_mass] = off + partial[has_mass] / probs[has_mass]
     return out

@@ -2,8 +2,10 @@
 
 Two fits per round: the income law (shape M, scale C0, optional starvation
 offset) by binned maximum likelihood, and the saturating consumption curve
-s(y) = V y / (K + y) by least squares with the half-saturation K found by
-golden-section search (V is linear given K and solved in closed form).
+s(y) = V y / (K + y) by least squares.  V is linear given K and solved in
+closed form, which leaves a profile RSS in u = log K (variable projection:
+Golub & Pereyra 1973); K is the root of its exact slope, found by Brent's
+method (Brent 1973, ch. 4).
 
 The binned likelihood is maximised by Fisher scoring (Rao 1948; McDonald &
 Ransom 1979 for grouped income data): Newton steps on the multinomial
@@ -23,12 +25,14 @@ interpolated linearly between rounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import distlib
 from .errors import DataError, DomainError
@@ -86,6 +90,7 @@ class MonodFit:
     K: float
     rss: float
     k_at_boundary: bool = False
+    evaluations: int = 0
 
 
 def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
@@ -245,11 +250,26 @@ def _monod_rss(x: np.ndarray, s: np.ndarray, k: float) -> tuple:
     return float(np.dot(resid, resid)), v
 
 
+def _monod_slope(x: np.ndarray, s: np.ndarray, k: float) -> float:
+    """Derivative of the profile RSS in u = log K at K = ``k``.
+
+    With r = x / (K + x) and V = s.r / r.r, dr/du = -r (1 - r) and V is
+    stationary (envelope theorem), so dRSS/du = 2 V sum (s - V r) r (1 - r).
+    """
+    r = x / (k + x)
+    v = float(np.dot(s, r) / np.dot(r, r))
+    return 2.0 * v * float(np.dot(s - v * r, r * (1.0 - r)))
+
+
 def fit_monod(rnd: BandedDistribution) -> MonodFit:
     """Fit the consumption curve to per-band cereal expenditures.
 
-    Golden-section search on log K over [min income / 10, max income * 10];
-    a K pinned to either end of that interval is flagged.
+    K minimises the profile RSS over u = log K in [log(min income / 10),
+    log(max income * 10)].  When the profile slope ``_monod_slope`` is
+    negative at the lower end and positive at the upper end, K is its root
+    by Brent's method (xtol 1e-12 in log K); otherwise K is whichever end
+    has the smaller RSS.  A log K within 1e-6 of either end is flagged as
+    ``k_at_boundary``.  ``evaluations`` counts slope and RSS evaluations.
     """
     if len(rnd.bands) < 3:
         raise DataError(f"round {rnd.round_id}: Monod fit needs at least 3 bands")
@@ -262,27 +282,25 @@ def fit_monod(rnd: BandedDistribution) -> MonodFit:
         raise DataError(f"round {rnd.round_id}: cereal expenditures all zero")
     lo = math.log(x.min() / 10.0)
     hi = math.log(x.max() * 10.0)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, _ = _monod_rss(x, s, math.exp(c))
-    fd, _ = _monod_rss(x, s, math.exp(d))
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc, _ = _monod_rss(x, s, math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd, _ = _monod_rss(x, s, math.exp(d))
-    k_hat = math.exp(0.5 * (a + b))
-    rss, v_hat = _monod_rss(x, s, k_hat)
+
+    # brentq re-evaluates the ends; the cache keeps that from costing twice
+    @functools.lru_cache(maxsize=None)
+    def slope(u):
+        return _monod_slope(x, s, math.exp(u))
+
+    if slope(lo) < 0.0 < slope(hi):
+        u = brentq(slope, lo, hi, xtol=1e-12)
+        rss, v_hat = _monod_rss(x, s, math.exp(u))
+        n_rss = 1
+    else:
+        rss_lo, rss_hi = _monod_rss(x, s, math.exp(lo)), _monod_rss(x, s, math.exp(hi))
+        (rss, v_hat), u = (rss_lo, lo) if rss_lo[0] <= rss_hi[0] else (rss_hi, hi)
+        n_rss = 2
     if not v_hat > 0.0:
         raise DataError(f"round {rnd.round_id}: saturation level fit is nonpositive")
-    at_boundary = (0.5 * (a + b) - lo) < 1e-6 or (hi - 0.5 * (a + b)) < 1e-6
-    return MonodFit(V=v_hat, K=k_hat, rss=rss, k_at_boundary=at_boundary)
+    return MonodFit(V=v_hat, K=math.exp(u), rss=rss,
+                    k_at_boundary=(u - lo) < 1e-6 or (hi - u) < 1e-6,
+                    evaluations=slope.cache_info().misses + n_rss)
 
 
 class PiecewiseLinear:

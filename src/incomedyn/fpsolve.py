@@ -197,6 +197,8 @@ class GridDensity:
             raise DataError("grid must be strictly increasing and positive")
         if self.values.shape != self.grid.shape:
             raise DataError("values and grid shapes differ")
+        if not (np.isfinite(self.grid).all() and np.isfinite(self.values).all()):
+            raise DataError("grid and density values must be finite")
         if (self.values < -1e-12).any():
             raise DataError("density values must be nonnegative")
         self.values = np.maximum(self.values, 0.0)
@@ -373,9 +375,15 @@ def steady_state_residual(M: float, C0: float, grid: np.ndarray = None) -> float
 
 
 def write_snapshots_csv(path, snapshots: Sequence[GridDensity]) -> None:
-    """Dump snapshots as CSV with columns t, y, f."""
+    """Dump snapshots as CSV with columns t, y, f; a grid shared by several
+    snapshots is formatted once."""
+    grid_text = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,y,f\n")
         for snap in snapshots:
-            for yi, fi in zip(snap.grid, snap.values):
-                fh.write(f"{snap.time:.12g},{yi:.12g},{fi:.12g}\n")
+            key = snap.grid.tobytes()
+            if key not in grid_text:
+                grid_text[key] = [f"{yi:.12g}" for yi in snap.grid.tolist()]
+            t = f"{snap.time:.12g}"
+            fh.write("".join([f"{t},{yi},{fi:.12g}\n"
+                              for yi, fi in zip(grid_text[key], snap.values.tolist())]))

@@ -210,7 +210,8 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
             "round_id": rnd.round_id, "year": rnd.year,
             "fit": fit.report(),
             "monod": {"V": mono.V, "K": mono.K, "rss": mono.rss,
-                      "k_at_boundary": mono.k_at_boundary},
+                      "k_at_boundary": mono.k_at_boundary,
+                      "evaluations": mono.evaluations},
             "labour_rate": c_t,
             # saturation-normalized variants: deprivation as a fraction of V
             "pcd_direct_normalized": pcd_d / mono.V,

@@ -85,6 +85,7 @@ class TestSmoke:
         assert len(diag["rounds"]) == 3
         for rnd in diag["rounds"]:
             assert {"iterations", "unit_standard_errors", "pearson_chi2"} <= set(rnd["fit"])
+            assert 0 < rnd["monod"]["evaluations"] <= 16
 
     def test_evolve(self, tmp_path):
         out = tmp_path / "ev"

@@ -328,6 +328,15 @@ class TestObservedLaw:
             assert lo <= g <= hi
             assert g == pytest.approx(first / mass, rel=1e-9)
 
+    @pytest.mark.parametrize("offset", [0.0, 0.1, 0.2, 0.3, 5.0])
+    def test_band_means_lie_inside_their_bands(self, offset):
+        # bands wholly below the offset carry no mass and get their midpoint
+        edges = np.array([0.0, 0.1, 0.3, 0.7, 1.5, 3.0, np.inf])
+        got = distlib.observed_band_means(distlib.SteadyStateIPDF(1.6, 1.6, offset), edges)
+        assert ((edges[:-1] <= got) & (got <= edges[1:])).all()
+        if offset == 0.2:
+            assert got[0] == 0.05
+
     def test_nan_income_rejected(self):
         d = self.LAWS[0]
         for fn in (distlib.observed_argument, distlib.observed_cdf, distlib.observed_band_means):

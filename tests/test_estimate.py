@@ -280,6 +280,57 @@ class TestFitMonod:
                 r = s - v * x / (k + x)
                 assert best <= np.dot(r, r) + 1e-12
 
+    @staticmethod
+    def noisy_round(seed, rel=0.01):
+        rnd = make_round(seed=600 + seed)
+        rng = np.random.default_rng(900 + seed)
+        bands = tuple(survey.Band(
+            b.lower, b.upper, b.population_share, b.mean_total_expenditure,
+            min(b.mean_cereal_expenditure * (1 + rel * rng.standard_normal()),
+                b.mean_total_expenditure)) for b in rnd.bands)
+        return survey.BandedDistribution(round_id="n", year=2000.0, bands=bands)
+
+    @staticmethod
+    def curve_data(rnd):
+        return (rnd.representative_incomes(),
+                np.array([b.mean_cereal_expenditure for b in rnd.bands]))
+
+    def test_slope_matches_central_difference_of_rss(self):
+        x, s = self.curve_data(self.noisy_round(0))
+        h = 1e-5
+        for k in (0.05, 0.2, 0.45, 1.3, 20.0):
+            u = math.log(k)
+            diff = (estimate._monod_rss(x, s, math.exp(u + h))[0]
+                    - estimate._monod_rss(x, s, math.exp(u - h))[0]) / (2.0 * h)
+            assert estimate._monod_slope(x, s, k) == pytest.approx(diff, rel=1e-7, abs=1e-14)
+
+    def test_proportional_consumption_pins_K_to_upper_boundary(self):
+        # s = 0.3 y is the K -> inf limit of the curve: the RSS falls all the way up
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        bands = tuple(survey.Band(lo, hi, 0.2, 0.5 * (lo + hi), 0.15 * (lo + hi))
+                      for lo, hi in zip(edges[:-1], edges[1:]))
+        rnd = survey.BandedDistribution(round_id="linear", year=2000.0, bands=bands)
+        fit = estimate.fit_monod(rnd)
+        assert fit.k_at_boundary
+        assert fit.K == pytest.approx(10.0 * rnd.representative_incomes().max(), rel=1e-12)
+        assert fit.V / fit.K == pytest.approx(0.3, rel=0.1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_fit_is_a_stationary_minimum(self, seed):
+        rnd = self.noisy_round(seed)
+        fit = estimate.fit_monod(rnd)
+        x, s = self.curve_data(rnd)
+        r = x / (fit.K + x)
+        roundoff = 1e-14 * 2.0 * fit.V * np.dot(np.abs(s), r * (1.0 - r))
+        assert abs(estimate._monod_slope(x, s, fit.K)) <= roundoff
+        for k in (fit.K * (1.0 - 1e-6), fit.K * (1.0 + 1e-6)):
+            assert fit.rss <= estimate._monod_rss(x, s, k)[0]
+
+    def test_evaluation_count_on_the_criterion_6_round(self):
+        fit = estimate.fit_monod(make_round(seed=500))
+        assert fit.K == pytest.approx(0.5, rel=1e-12)
+        assert 3 <= fit.evaluations <= 16
+
     def test_missing_cereal_rejected(self):
         bands = tuple(survey.Band(float(i), float(i + 1), 0.25, i + 0.5, None)
                       for i in range(4))

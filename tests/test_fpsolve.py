@@ -157,6 +157,16 @@ class TestGridDensity:
         with pytest.raises(DataError):
             fpsolve.GridDensity(grid[::-1], np.ones_like(grid))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_and_grid_rejected(self, bad):
+        grid = fpsolve.log_grid(1.6, 1.6, 200)
+        values = np.ones_like(grid)
+        values[7] = bad
+        with pytest.raises(DataError, match="finite"):
+            fpsolve.GridDensity(grid, values)
+        with pytest.raises(DataError):
+            fpsolve.GridDensity(np.append(grid[:-1], bad), np.ones_like(grid))
+
 
 class TestEvolve:
     def test_stationary_input_stays(self):
