@@ -264,8 +264,10 @@ def _float_list(text: str) -> list:
 
 
 def _span(text: str) -> tuple:
-    """Exactly two numbers, lo,hi."""
+    """Exactly two finite numbers lo,hi with 0 < lo < hi."""
     lo, hi = _float_list(text)
+    if not 0.0 < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite 0 < lo < hi, got {text}")
     return lo, hi
 
 
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     income_law(p)
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--cells", type=int, default=2000)
+    p.add_argument("--cells", type=_positive_int, default=2000)
     p.add_argument("--span", type=_span, default="1e-3,1e3")
     p.add_argument("--init", choices=["steady", "bump"], default="bump")
     p.add_argument("--bump-center", type=float, default=None)

@@ -85,6 +85,8 @@ def eigenmode_params(n: int, M: float, A1: float = 0.0, A2: float = 1.0,
         raise DomainError(f"M must be > 0, got {M}")
     if not c > 0.0:
         raise DomainError(f"scale c must be > 0, got {c}")
+    if not (math.isfinite(A1) and math.isfinite(A2)):
+        raise DomainError(f"mode coefficients must be finite, got A1={A1}, A2={A2}")
     omega = 2.0 * math.pi * n
     if n == 0:
         # s = 1 + M exactly; use the algebraic simplifications so that
@@ -275,7 +277,6 @@ class _FluxOperator:
         b_minus = _bernoulli(-w)         # weight on the right node
         # flux at interior edge j (between nodes j-1, j):
         #   J_j = g_j * (b_minus_j * f_j - b_plus_j * f_{j-1})
-        self.widths = widths
         self.g = g
         self.b_plus = b_plus
         self.b_minus = b_minus
@@ -315,8 +316,8 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
-    if not t_end > f0.time:
-        raise DomainError("t_end must exceed the initial time")
+    if not f0.time < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and exceed the initial time, got {t_end}")
     dt_max = 0.5 / (M + 2.0)
     if dt is None:
         dt = 0.1 / (M + 2.0)
@@ -325,7 +326,7 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
             f"for M={M:g}", suggested_dt=0.25 / (M + 2.0))
     snap_times = sorted(float(t) for t in snapshot_times)
-    if snap_times and (snap_times[0] < f0.time or snap_times[-1] > t_end):
+    if not all(f0.time <= t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")
 
     y = f0.grid

@@ -1,9 +1,9 @@
 """Poverty indices: the line-based FGT family and the consumption-deprivation index.
 
 FGT indices (headcount, poverty gap, squared poverty gap) need a poverty
-line z; banded inputs are evaluated under the same uniform-density-per-band
-interpolation the survey module uses, so banded and sample-based results
-share one convention.
+line z; a banded round is read as uniform density between its
+``BandedDistribution.knots``, the one uniform-density reading the survey
+module's empirical CDF and density share.
 
 The consumption-deprivation (CD) index needs no line: deprivation at income
 y is V K / (K + y), the shortfall of cereal consumption from its saturation
@@ -27,7 +27,7 @@ from scipy import integrate
 from . import distlib, fpsolve
 from .errors import DataError, DomainError
 from .estimate import FitResult, MonodFit, labour_rate_series
-from .survey import BandedDistribution, band_widths
+from .survey import BandedDistribution
 
 STRICT_TOL = 1e-12
 
@@ -61,20 +61,15 @@ def _fgt_sample(y: np.ndarray, z: float) -> FGTIndices:
 
 
 def _fgt_banded(rnd: BandedDistribution, z: float) -> FGTIndices:
-    lowers = np.array([b.lower for b in rnd.bands])
-    uppers = lowers + band_widths(rnd)
-    shares = rnd.shares
-    hci = pg = spg = 0.0
-    for lo, up, s in zip(lowers, uppers, shares):
-        if z <= lo:
-            continue
-        top = min(up, z)
-        frac = (top - lo) / (up - lo)
-        hci += s * frac
-        # uniform density within the band: exact integrals of the gap powers
-        pg += s * ((z - lo) ** 2 - (z - top) ** 2) / (2.0 * z * (up - lo))
-        spg += s * ((z - lo) ** 3 - (z - top) ** 3) / (3.0 * z ** 2 * (up - lo))
-    return FGTIndices(hci, pg, spg)
+    knots = rnd.knots
+    lo, up = knots[:-1], knots[1:]
+    top = np.clip(z, lo, up)
+    below = rnd.shares / (up - lo) * (top - lo)     # each band's share below z
+    # mean gap (a + b) / 2z and squared gap (a^2 + ab + b^2) / 3z^2 of a uniform
+    # on [lo, top]: positive terms, exact also for a line far above a band
+    a, b = z - lo, z - top
+    return FGTIndices(float(below.sum()), float(below @ (a + b)) / (2.0 * z),
+                      float(below @ (a * a + a * b + b * b)) / (3.0 * z * z))
 
 
 def fgt_indices(data: Union[np.ndarray, BandedDistribution], line) -> FGTIndices:

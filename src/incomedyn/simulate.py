@@ -218,10 +218,10 @@ def run(n_agents: int, params: LangevinParams, t_end: float, init, seed: int,
     Snapshot times are rounded up to the next step boundary.  With an empty
     snapshot list only the final population is returned.
     """
-    if not t_end > 0.0:
-        raise DomainError(f"t_end must be > 0, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and > 0, got {t_end}")
     times = sorted(float(t) for t in snapshot_times)
-    if times and (times[0] <= 0.0 or times[-1] > t_end + 1e-9):
+    if not all(0.0 < t <= t_end + 1e-9 for t in times):
         raise DomainError("snapshot times must lie in (0, t_end]")
     n_steps = max(1, math.ceil(t_end / params.dt - 1e-9))
     snap_steps = [min(n_steps, math.ceil(t / params.dt - 1e-9)) for t in times]

@@ -4,10 +4,11 @@ A survey round is an ordered list of expenditure classes (bands), each with
 a population share and per-band mean total / cereal expenditure.  The last
 band may be open-ended.  Monetary values are handled by two linear maps:
 CPI deflation to a reference year and rescaling to a common mean (the data
-collapse).  Empirical CDFs/densities interpolate linearly inside bands
-(uniform density per band); the open band gets an effective width from a
-power-law fit to the last two closed bands.  The same conventions are used
-by the poverty module so banded indices stay self-consistent.
+collapse).  A round is read as uniform density within each band, the open
+band at an effective width from a power-law fit to the last two closed
+bands; ``BandedDistribution.knots`` is the one implementation of that
+reading.  The empirical CDF and density here and the banded poverty indices
+all read ``knots``, so they stay self-consistent.
 
 CSV schemas
 -----------
@@ -68,8 +69,6 @@ class BandedDistribution:
     round_id: str
     year: float
     bands: tuple
-    currency_note: str = ""
-    population_count: Optional[int] = None
 
     def __post_init__(self):
         bands = tuple(self.bands)
@@ -117,6 +116,15 @@ class BandedDistribution:
     def has_open_band(self) -> bool:
         return self.bands[-1].is_open
 
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """Band edges under the uniform-density reading: ``edges``, with an
+        open band's top at its lower edge plus ``open_band_width``."""
+        if not self.has_open_band:
+            return self.edges
+        top = self.bands[-1].lower + open_band_width(self)
+        return _frozen(np.append(self.edges[:-1], top))
+
     def representative_incomes(self) -> np.ndarray:
         """Per-band representative income: recorded mean when present, else the
         midpoint (closed bands) or the tail fit's conditional mean (open band)."""
@@ -129,7 +137,7 @@ class BandedDistribution:
             else:
                 a, lo = _pareto_tail_fit(self)
                 # conditional mean of a Pareto density exponent a above lo
-                out[i] = lo * (a - 1.0) / (a - 2.0) if a > 2.0 else lo + open_band_width(self)
+                out[i] = lo * (a - 1.0) / (a - 2.0) if a > 2.0 else self.knots[-1]
         return out
 
     def mean_income(self) -> float:
@@ -170,14 +178,6 @@ def open_band_width(rnd: BandedDistribution) -> float:
             "falling back to the last closed band's width")
         return rnd.bands[-2].width
     return lo / (a - 1.0)
-
-
-def band_widths(rnd: BandedDistribution) -> np.ndarray:
-    """Band widths with the open band resolved to its effective width."""
-    w = np.array([b.width for b in rnd.bands])
-    if rnd.has_open_band:
-        w[-1] = open_band_width(rnd)
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def _scale_monetary(rnd: BandedDistribution, factor: float) -> BandedDistributio
         raise DomainError(f"scale factor must be positive, got {factor}")
     bands = tuple(
         replace(b, lower=b.lower * factor,
-                upper=b.upper * factor if not b.is_open else math.inf,
+                upper=b.upper * factor,
                 mean_total_expenditure=(
                     None if b.mean_total_expenditure is None
                     else b.mean_total_expenditure * factor),
@@ -346,8 +346,7 @@ def _scale_monetary(rnd: BandedDistribution, factor: float) -> BandedDistributio
 def deflate(rnd: BandedDistribution, table: DeflatorTable) -> BandedDistribution:
     """Convert nominal values to the reference year's prices; shares untouched."""
     ratio = table.cpi(table.reference_year) / table.cpi(rnd.year)
-    out = _scale_monetary(rnd, ratio)
-    return replace(out, currency_note=f"deflated to {table.reference_year:g}")
+    return _scale_monetary(rnd, ratio)
 
 
 def collapse_rescale(rnd: BandedDistribution, target_mean: float) -> BandedDistribution:
@@ -357,58 +356,35 @@ def collapse_rescale(rnd: BandedDistribution, target_mean: float) -> BandedDistr
     mean = rnd.mean_income()
     if not mean > 0.0:
         raise DataError(f"round {rnd.round_id}: estimated mean income is zero")
-    out = _scale_monetary(rnd, target_mean / mean)
-    return replace(out, currency_note=f"rescaled to mean {target_mean:g}")
+    return _scale_monetary(rnd, target_mean / mean)
 
 
 # ---------------------------------------------------------------------------
 # empirical distributions
 # ---------------------------------------------------------------------------
 
-class EmpiricalCDF:
-    """Piecewise-linear CDF through the cumulative shares at band edges."""
-
-    def __init__(self, rnd: BandedDistribution):
-        if len(rnd.bands) < 2:
-            raise DataError(f"round {rnd.round_id}: need at least 2 bands for a CDF")
-        widths = band_widths(rnd)
-        knots = [rnd.bands[0].lower]
-        for b, w in zip(rnd.bands, widths):
-            knots.append(b.lower + w)
-        self.knots = np.asarray(knots)
-        self.cum = np.concatenate([[0.0], np.cumsum(rnd.shares)])
-        self.cum[-1] = 1.0
-
-    def __call__(self, y):
-        return np.interp(y, self.knots, self.cum, left=0.0, right=1.0)
+def empirical_cdf(rnd: BandedDistribution):
+    """Piecewise-linear CDF through the cumulative shares at ``rnd.knots``."""
+    if len(rnd.bands) < 2:
+        raise DataError(f"round {rnd.round_id}: need at least 2 bands for a CDF")
+    knots = rnd.knots
+    cum = np.concatenate([[0.0], np.cumsum(rnd.shares)])
+    cum[-1] = 1.0
+    return lambda y: np.interp(y, knots, cum, left=0.0, right=1.0)
 
 
-class EmpiricalIPDF:
-    """Piecewise-constant density: share / width per band."""
+def empirical_ipdf(rnd: BandedDistribution):
+    """Piecewise-constant density, share / width on each band between
+    ``rnd.knots`` and zero outside them; a 0-d input gives a float."""
+    if len(rnd.bands) < 2:
+        raise DataError(f"round {rnd.round_id}: need at least 2 bands for a density")
+    knots = rnd.knots
+    dens = np.append(rnd.shares / np.diff(knots), 0.0)
 
-    def __init__(self, rnd: BandedDistribution):
-        if len(rnd.bands) < 2:
-            raise DataError(f"round {rnd.round_id}: need at least 2 bands for a density")
-        widths = band_widths(rnd)
-        self.lowers = np.array([b.lower for b in rnd.bands])
-        self.uppers = self.lowers + widths
-        self.densities = rnd.shares / widths
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        idx = np.searchsorted(self.lowers, y, side="right") - 1
-        idx = np.clip(idx, 0, len(self.densities) - 1)
-        out = np.where((y >= self.lowers[idx]) & (y < self.uppers[idx]),
-                       self.densities[idx], 0.0)
+    def ipdf(y):
+        out = dens[np.searchsorted(knots, y, "right") - 1]
         return out if out.ndim else float(out)
-
-
-def empirical_cdf(rnd: BandedDistribution) -> EmpiricalCDF:
-    return EmpiricalCDF(rnd)
-
-
-def empirical_ipdf(rnd: BandedDistribution) -> EmpiricalIPDF:
-    return EmpiricalIPDF(rnd)
+    return ipdf
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +425,4 @@ def synth_round(dist: distlib.SteadyStateIPDF, band_edges, n_population: int,
              mean_total_expenditure=means[i],
              mean_cereal_expenditure=v_sat * means[i] / (k_half + means[i]))
         for i in range(len(raw)))
-    return BandedDistribution(round_id=round_id, year=year, bands=bands,
-                              currency_note="synthetic",
-                              population_count=n_population)
+    return BandedDistribution(round_id=round_id, year=year, bands=bands)

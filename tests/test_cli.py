@@ -226,6 +226,8 @@ class TestExitCodes:
         ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", "nan"],
         ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", "inf"],
         ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", -1],
+        ["evolve", "--cells", -1],
+        ["evolve", "--span", "0,1"],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +241,13 @@ class TestExitCodes:
         (["evolve", "--dt", 5.0, "--cells", 200], 4),
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
+        # non-finite times and mode coefficients are refused before any step
+        (["evolve", "--t-end", "inf", "--cells", 100], 3),
+        (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", "nan"], 3),
+        (["simulate", "--agents", 5000, "--t-end", "inf"], 3),
+        (["simulate", "--agents", 5000, "--t-end", 0.01, "--snapshot-times", "nan"], 3),
+        (["modes", "--A1", "nan", "--grid-points", 50], 3),
+        (["modes", "--A2", "inf", "--grid-points", 50], 3),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code

@@ -73,6 +73,25 @@ class TestFGT:
         assert banded.pg == pytest.approx(sampled.pg, abs=2e-3)
         assert banded.spg == pytest.approx(sampled.spg, abs=2e-3)
 
+    def test_banded_line_below_the_first_knot(self):
+        rnd = make_round(seed=3, n=10**4, edges=EDGES[1:])
+        assert poverty.fgt_indices(rnd, 0.5 * rnd.knots[0]) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("factor", [2.0, 1e4])
+    def test_banded_line_above_the_top_knot(self, factor):
+        # everyone is poor; uniform on [lo, up] has E(1 - y/z) = 1 - mid/z and
+        # E(1 - y/z)^2 = (1 - mid/z)^2 + (up - lo)^2 / (12 z^2), which stay
+        # exact to rounding however far the line lies above the bands
+        rnd = make_round(seed=3, n=10**4)
+        lo, up = rnd.knots[:-1], rnd.knots[1:]
+        z = factor * up[-1]
+        mid = 0.5 * (lo + up)
+        got = poverty.fgt_indices(rnd, z)
+        assert got.hci == pytest.approx(1.0, abs=1e-14)
+        assert got.pg == pytest.approx(1.0 - np.dot(rnd.shares, mid) / z, rel=1e-14)
+        spg = np.dot(rnd.shares, (1.0 - mid / z) ** 2 + (up - lo) ** 2 / (12.0 * z ** 2))
+        assert got.spg == pytest.approx(spg, rel=1e-14)
+
     def test_bad_line(self):
         with pytest.raises(DomainError):
             poverty.fgt_indices(np.array([1.0, 2.0]), 0.0)

@@ -7,12 +7,13 @@ errors for the large-n share check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from incomedyn import distlib, survey
+from incomedyn import distlib, poverty, survey
 from incomedyn.errors import DataError, DomainError
 
 DIST = distlib.SteadyStateIPDF(1.6, 1.6, 0.15)
@@ -183,7 +184,8 @@ class TestEmpiricalDistributions:
     def test_ipdf_integrates_to_one(self):
         rnd = survey.synth_round(DIST, EDGES, 10**5, seed=8, monod=(0.4, 0.5))
         ipdf = survey.empirical_ipdf(rnd)
-        total = np.sum(ipdf.densities * (ipdf.uppers - ipdf.lowers))
+        knots = rnd.knots
+        total = np.sum(ipdf(0.5 * (knots[:-1] + knots[1:])) * np.diff(knots))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_interpolated_cdf_close_to_model(self):
@@ -208,16 +210,34 @@ class TestEmpiricalDistributions:
         rnd = survey.synth_round(DIST, EDGES, 10**6, seed=10, monod=(0.4, 0.5))
         w = survey.open_band_width(rnd)
         assert 0.0 < w < 100.0
-        widths = survey.band_widths(rnd)
-        assert widths[-1] == w
-        assert np.isfinite(widths).all()
+        assert rnd.knots[-1] == rnd.bands[-1].lower + w
+        np.testing.assert_array_equal(rnd.knots[:-1], rnd.edges[:-1])
+        assert np.isfinite(rnd.knots).all()
+
+    def test_knots_of_a_closed_round_are_its_edges(self):
+        rnd = survey.synth_round(DIST, EDGES[:-1], 10**4, seed=10, monod=(0.4, 0.5))
+        assert rnd.knots is rnd.edges
+
+    def test_shallow_tail_warns_once_per_round(self):
+        bands = tuple(survey.Band(lo, up, s, None, None) for lo, up, s in
+                      zip([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, math.inf],
+                          [0.1, 0.2, 0.6, 0.1]))
+        rnd = survey.BandedDistribution(round_id="shallow", year=2000.0, bands=bands)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            survey.empirical_cdf(rnd)
+            survey.empirical_ipdf(rnd)
+            poverty.fgt_indices(rnd, 2.5)
+        assert sum("too shallow" in str(w.message) for w in caught) == 1
+        assert rnd.knots[-1] == 3.0 + rnd.bands[-2].width
 
 
 def test_band_arrays_are_built_once_and_read_only():
     rnd = survey.synth_round(DIST, EDGES, 10**4, seed=10, monod=(0.4, 0.5))
     assert rnd.edges is rnd.edges and rnd.shares is rnd.shares
+    assert rnd.knots is rnd.knots
     np.testing.assert_array_equal(rnd.edges, EDGES)
-    for arr in (rnd.edges, rnd.shares):
+    for arr in (rnd.edges, rnd.shares, rnd.knots):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
