@@ -9,7 +9,9 @@ beside ``--out-dir``.  Outputs are deterministic: re-running a command with
 the options recorded in its manifest reproduces every file byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numerical
-failure.
+failure.  A value wrong on its own is refused by its option's type (exit 2);
+a combination of values the model cannot honour, by the library (exit 3).
+Reports are strict JSON: a non-finite number in one is a numerical failure.
 """
 
 from __future__ import annotations
@@ -28,8 +30,12 @@ from .errors import DataError, DomainError, NumericalError
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    """Strict JSON: a NaN or infinity in ``payload`` is a NumericalError."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -124,7 +130,7 @@ def _prepare_rounds(args):
         table = survey.load_deflators(args.deflators, args.reference_year,
                                       args.reference_mean)
         rounds = [survey.deflate(r, table) for r in rounds]
-    if args.collapse_to:
+    if args.collapse_to is not None:
         rounds = [survey.collapse_rescale(r, args.collapse_to) for r in rounds]
     return rounds
 
@@ -236,39 +242,41 @@ def cmd_modes(args, out: Path) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _inside(value, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < value or interval[0] == "[" and value == lo)
+            and (value < hi or interval[-1] == "]" and value == hi))
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
+def _numbers(interval: str, kind=float, many=False, last=None, pair=False):
+    """argparse type: a ``kind`` number in ``interval``, written "(0, inf)" or
+    "[0, 1)", so NaN is always refused and inf unless the interval is closed
+    there.  With ``many``, comma-separated numbers (empty items skipped), each
+    in ``interval`` but the last, which may lie in ``last`` instead; with
+    ``pair``, exactly two, lo < hi.  A refused value is a usage error."""
+    rule = ((f"comma-separated {kind.__name__}s" if many else kind.__name__)
+            + f" in {interval}" + (f", the last in {last}" if last else "")
+            + (", two of them, lo < hi" if pair else ""))
+
+    def convert(text: str):
+        refused = argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        try:
+            values = [kind(t) for t in text.split(",") if t.strip()] if many else [kind(text)]
+        except ValueError:
+            raise refused from None
+        ends = [interval] * (len(values) - 1) + [last or interval]
+        if not all(map(_inside, values, ends)) or pair and not (
+                len(values) == 2 and values[0] < values[1]):
+            raise refused
+        return values if many else values[0]
+    return convert
 
 
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
-
-
-def _float_list(text: str) -> list:
-    """Comma-separated numbers; argparse turns the ValueError of a bad one
-    into a usage error."""
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _span(text: str) -> tuple:
-    """Exactly two finite numbers lo,hi with 0 < lo < hi."""
-    lo, hi = _float_list(text)
-    if not 0.0 < lo < hi < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite 0 < lo < hi, got {text}")
-    return lo, hi
+_POSITIVE = _numbers("(0, inf)")
+_NONNEGATIVE = _numbers("[0, inf)")
+_FINITE = _numbers("(-inf, inf)")
+_COUNT = _numbers("(0, inf)", int)
+_TIMES = _numbers("[0, inf)", many=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,102 +288,92 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_numbers("[0, inf)", int), default=0)
         p.add_argument("--out-dir", default="out")
         p.add_argument("--quiet", action="store_true")
 
     def survey_input(p, deflators_required=False):
         p.add_argument("--rounds", required=True)
         p.add_argument("--deflators", required=deflators_required)
-        p.add_argument("--reference-year", type=float, default=1974.0)
-        p.add_argument("--reference-mean", type=float, default=64.84)
+        p.add_argument("--reference-year", type=_FINITE, default=1974.0)
+        p.add_argument("--reference-mean", type=_POSITIVE, default=64.84)
 
     def round_fit(p):
-        p.add_argument("--collapse-to", type=float, default=None)
-        p.add_argument("--fix-offset", type=_nonnegative_float,
-                       default=estimate.DEFAULT_OFFSET)
+        survey_input(p)
+        p.add_argument("--collapse-to", type=_POSITIVE, default=None)
+        p.add_argument("--fix-offset", type=_NONNEGATIVE, default=estimate.DEFAULT_OFFSET)
 
-    def income_law(p):
-        p.add_argument("--M", type=float, default=1.6)
-        p.add_argument("--C0", type=float, default=1.6)
+    def income_law(p, rate="--C0"):
+        p.add_argument("--M", type=_POSITIVE, default=1.6)
+        p.add_argument(rate, type=_POSITIVE, default=1.6)
 
-    p = sub.add_parser("simulate", help="agent-based run vs the analytic law")
-    common(p)
-    p.add_argument("--M", type=float, default=1.6)
-    p.add_argument("--C", type=float, default=1.6)
-    p.add_argument("--sigma", type=float, default=simulate.DEFAULT_SIGMA)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--agents", type=_positive_int, required=True)
-    p.add_argument("--t-end", type=float, default=50.0)
+    def command(func, summary, *groups):
+        """The subcommand named after ``func`` (cmd_<name>), with the common
+        options and then each option group."""
+        p = sub.add_parser(func.__name__[len("cmd_"):], help=summary)
+        p.set_defaults(func=func)
+        for group in (common,) + groups:
+            group(p)
+        return p
+
+    p = command(cmd_simulate, "agent-based run vs the analytic law")
+    income_law(p, "--C")
+    p.add_argument("--sigma", type=_POSITIVE, default=simulate.DEFAULT_SIGMA)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
+    p.add_argument("--agents", type=_COUNT, required=True)
+    p.add_argument("--t-end", type=_POSITIVE, default=50.0)
     p.add_argument("--init", choices=["mean", "equilibrium"], default="mean")
-    p.add_argument("--snapshot-times", type=_float_list, default="")
-    p.add_argument("--workers", type=_positive_int, default=1, help="accepted and ignored")
-    p.add_argument("--hill-tail-fraction", type=float, default=0.05)
-    p.add_argument("--histogram-bins", type=_positive_int, default=80)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--snapshot-times", type=_TIMES, default="")
+    p.add_argument("--workers", type=_COUNT, default=1, help="accepted and ignored")
+    p.add_argument("--hill-tail-fraction", type=_numbers("(0, 1)"), default=0.05)
+    p.add_argument("--histogram-bins", type=_COUNT, default=80)
 
-    p = sub.add_parser("collapse", help="deflate, rescale, and overlay rounds")
-    common(p)
+    p = command(cmd_collapse, "deflate, rescale, and overlay rounds")
     survey_input(p, deflators_required=True)
-    p.add_argument("--target-mean", type=float, default=None)
-    p.add_argument("--M", type=float, default=1.6)
-    p.add_argument("--offset-frac", type=float, default=0.15)
-    p.add_argument("--grid-points", type=_positive_int, default=200)
-    p.set_defaults(func=cmd_collapse)
+    p.add_argument("--target-mean", type=_POSITIVE, default=None)
+    p.add_argument("--M", type=_POSITIVE, default=1.6)
+    p.add_argument("--offset-frac", type=_numbers("[0, 1)"), default=0.15)
+    p.add_argument("--grid-points", type=_COUNT, default=200)
 
-    p = sub.add_parser("fit", help="binned MLE of the income law per round")
-    common(p)
-    survey_input(p)
-    round_fit(p)
+    p = command(cmd_fit, "binned MLE of the income law per round", round_fit)
     p.add_argument("--fit-offset", action="store_true",
                    help="fit the starvation offset instead of fixing it")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("indices", help="poverty index series per round")
-    common(p)
-    survey_input(p)
-    round_fit(p)
-    p.add_argument("--line", type=float, default=356.0,
+    p = command(cmd_indices, "poverty index series per round", round_fit)
+    p.add_argument("--line", type=_POSITIVE, default=356.0,
                    help="poverty line in the rounds' monetary frame")
-    p.add_argument("--pooled-M", type=float, default=None)
-    p.set_defaults(func=cmd_indices)
+    p.add_argument("--pooled-M", type=_POSITIVE, default=None)
 
-    p = sub.add_parser("evolve", help="finite-volume density evolution")
-    common(p)
-    income_law(p)
-    p.add_argument("--t-end", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--cells", type=_positive_int, default=2000)
-    p.add_argument("--span", type=_span, default="1e-3,1e3")
+    p = command(cmd_evolve, "finite-volume density evolution", income_law)
+    p.add_argument("--t-end", type=_POSITIVE, default=20.0)
+    p.add_argument("--dt", type=_POSITIVE, default=None)
+    p.add_argument("--cells", type=_COUNT, default=2000)
+    p.add_argument("--span", type=_numbers("(0, inf)", many=True, pair=True),
+                   default="1e-3,1e3")
     p.add_argument("--init", choices=["steady", "bump"], default="bump")
-    p.add_argument("--bump-center", type=float, default=None)
-    p.add_argument("--bump-width", type=float, default=0.1)
-    p.add_argument("--snapshot-times", type=_float_list, default="")
-    p.set_defaults(func=cmd_evolve)
+    p.add_argument("--bump-center", type=_POSITIVE, default=None)
+    p.add_argument("--bump-width", type=_POSITIVE, default=0.1)
+    p.add_argument("--snapshot-times", type=_TIMES, default="")
 
-    p = sub.add_parser("synth", help="generate a synthetic survey round")
-    common(p)
-    income_law(p)
-    p.add_argument("--offset", type=float, default=0.15)
-    p.add_argument("--edges", type=_float_list, default="",
-                   help="comma-separated band edges (last may be inf)")
-    p.add_argument("--auto-bands", type=_positive_int, default=20)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p = command(cmd_synth, "generate a synthetic survey round", income_law)
+    p.add_argument("--offset", type=_NONNEGATIVE, default=0.15)
+    p.add_argument("--edges", type=_numbers("[0, inf)", many=True, last="[0, inf]"),
+                   default="", help="comma-separated band edges (last may be inf)")
+    p.add_argument("--auto-bands", type=_COUNT, default=20)
+    p.add_argument("--n", type=_COUNT, required=True)
     # V <= K keeps cereal below total expenditure at every income
-    p.add_argument("--V", type=float, default=0.4)
-    p.add_argument("--K", type=float, default=0.5)
+    p.add_argument("--V", type=_POSITIVE, default=0.4)
+    p.add_argument("--K", type=_POSITIVE, default=0.5)
     p.add_argument("--round-id", default="synth")
-    p.add_argument("--year", type=float, default=2000.0)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--year", type=_FINITE, default=2000.0)
 
-    p = sub.add_parser("modes", help="evaluate the transient eigenmodes")
-    common(p)
-    income_law(p)
-    p.add_argument("--n-max", type=_nonnegative_int, default=2)
-    p.add_argument("--A1", type=float, default=0.0)
-    p.add_argument("--A2", type=float, default=1.0)
-    p.add_argument("--grid-points", type=_positive_int, default=1500)
-    p.set_defaults(func=cmd_modes)
+    p = command(cmd_modes, "evaluate the omega_n = 2 pi n Kummer modes: L g = +omega_n g, "
+                "so they grow as exp(2 pi n t) with nonzero mass; the decaying "
+                "modes are f_ss times a polynomial", income_law)
+    p.add_argument("--n-max", type=_numbers("[0, inf)", int), default=2)
+    p.add_argument("--A1", type=_FINITE, default=0.0)
+    p.add_argument("--A2", type=_FINITE, default=1.0)
+    p.add_argument("--grid-points", type=_COUNT, default=1500)
     return parser
 
 
@@ -409,7 +407,7 @@ def main(argv=None) -> int:
     except (DataError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except ArithmeticError as exc:      # NumericalError, or an overflow or division by zero
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     if not args.quiet:

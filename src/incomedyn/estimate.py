@@ -75,11 +75,13 @@ class FitResult:
         return distlib.SteadyStateIPDF(self.M, self.C0, self.offset)
 
     def report(self) -> dict:
-        """The fit's JSON fields: parameters, likelihood and convergence."""
+        """The fit's JSON fields: parameters, likelihood and convergence; a
+        standard error that is not finite (singular information) is None."""
         return {"M": self.M, "C0": self.C0, "offset": self.offset,
                 "log_likelihood": self.log_likelihood, "converged": self.converged,
                 "iterations": self.iterations, "pearson_chi2": self.pearson_chi2,
-                "unit_standard_errors": list(self.unit_standard_errors)}
+                "unit_standard_errors": [se if math.isfinite(se) else None
+                                         for se in self.unit_standard_errors]}
 
 
 @dataclass(frozen=True)

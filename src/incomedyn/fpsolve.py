@@ -10,11 +10,13 @@ grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit
 trapezoidal mass exactly, the scheme preserves positivity, and its discrete
 steady state matches the closed-form stationary law to O(h^2).
 
-The transient eigenmodes are combinations of confluent hypergeometric
-(Kummer M) functions, taken from scipy's ``hyp1f1``; this module evaluates
-them and reports the residual of the spatial operator applied to a mode, but
-does not attempt to project arbitrary initial data onto the mode basis (the
-expansion coefficients are left to the caller).
+The ``modes`` family, omega_n = 2 pi n, combines confluent hypergeometric
+(Kummer M) functions from scipy's ``hyp1f1``.  Each mode satisfies
+L g = +omega_n g, so under df/dt = L f it grows as exp(2 pi n t), and its
+mass is not zero (3.8e3 at n = 1, M = C0 = 4, A2 = 1): it is not a
+relaxation mode.  The decaying modes are f_ss times a degree-n polynomial,
+with rates lambda_n = n (M + 1 - n).  This module evaluates the family and
+the residual of the spatial operator on it; it projects no initial data.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def kummer_m(a: float, b: float, z):
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One transient mode: two Kummer branches with decay rate omega_n = 2*pi*n.
+    """One mode of the omega_n = 2*pi*n family: two Kummer branches with
+    L g = +omega_n g, growing as exp(omega_n t) with nonzero mass; the
+    decaying modes are f_ss times a polynomial (module docstring).
 
     alpha_pm = (3 + M +/- s) / 2 and beta_pm = 1 +/- s with
     s = sqrt((1 + M)^2 + 4 omega_n).  ``beta_minus_pole`` flags parameter

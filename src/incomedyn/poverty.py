@@ -37,8 +37,7 @@ class PovertyLine:
     z: float
 
     def __post_init__(self):
-        if not self.z > 0.0:
-            raise DomainError(f"poverty line must be positive, got {self.z}")
+        _line_value(self)
 
 
 def _line_value(line) -> float:
@@ -279,25 +278,20 @@ def sen_axiom_check(incomes, index: str, perturbation, line=None,
         raise DomainError("incomes must be nonnegative")
     index_of, z = _index_rule(index, line, monod)
     before = index_of(y)
-    if isinstance(perturbation, Reduce):
-        i, d = perturbation.i, perturbation.delta
-        if not 0.0 < d <= y[i]:
-            raise DomainError(f"reduction delta {d} outside (0, income]")
-        if not y[i] < z:
-            raise DomainError(f"agent {i} has income {y[i]} not below the line {z}")
-        y[i] -= d
-    elif isinstance(perturbation, Transfer):
-        i, j, d = perturbation.i, perturbation.j, perturbation.delta
-        if not 0.0 < d <= y[i]:
-            raise DomainError(f"transfer delta {d} outside (0, income]")
-        if not y[i] < z:
-            raise DomainError(f"agent {i} has income {y[i]} not below the line {z}")
+    if not isinstance(perturbation, (Reduce, Transfer)):
+        raise DomainError(f"unknown perturbation {perturbation!r}")
+    i, d = perturbation.i, perturbation.delta
+    kind = "transfer" if isinstance(perturbation, Transfer) else "reduction"
+    if not 0.0 < d <= y[i]:
+        raise DomainError(f"{kind} delta {d} outside (0, income]")
+    if not y[i] < z:
+        raise DomainError(f"agent {i} has income {y[i]} not below the line {z}")
+    if isinstance(perturbation, Transfer):
+        j = perturbation.j
         if not y[j] > y[i]:
             raise DomainError(f"recipient {j} is not richer than donor {i}")
-        y[i] -= d
         y[j] += d
-    else:
-        raise DomainError(f"unknown perturbation {perturbation!r}")
+    y[i] -= d
     after = index_of(y)
     return SenCheckResult(passed=after > before + STRICT_TOL, index_name=index,
                           before=before, after=after, perturbation=perturbation)

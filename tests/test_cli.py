@@ -1,6 +1,7 @@
 """CLI tests: end-to-end smoke runs on the shipped sample files, byte-level
 determinism of every command, and the exit-code contract."""
 
+import argparse
 import filecmp
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from incomedyn import simulate
-from incomedyn.cli import main
+from incomedyn.cli import build_parser, main
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
 SAMPLE_ROUNDS = str(_SAMPLE_DIR / "rounds.csv")
@@ -17,6 +18,14 @@ SAMPLE_DEFLATORS = str(_SAMPLE_DIR / "deflators.csv")
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv) -> int:
+    """``main``'s return value, or the code of the SystemExit it raised."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def assert_identical_trees(a: Path, b: Path):
@@ -228,6 +237,19 @@ class TestExitCodes:
         ["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", -1],
         ["evolve", "--cells", -1],
         ["evolve", "--span", "0,1"],
+        # non-finite times, mode coefficients and an impossible tail fraction
+        # are refused by their option's own type
+        ["evolve", "--t-end", "inf", "--cells", 100],
+        ["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", "nan"],
+        ["simulate", "--agents", 5000, "--t-end", "inf"],
+        ["simulate", "--agents", 5000, "--t-end", 0.01, "--snapshot-times", "nan"],
+        ["modes", "--A1", "nan", "--grid-points", 50],
+        ["modes", "--A2", "inf", "--grid-points", 50],
+        ["simulate", "--agents", 10_000, "--hill-tail-fraction", 2.0],
+        # a collapse to mean 0 is refused, not read as "no collapse"
+        ["fit", "--rounds", SAMPLE_ROUNDS, "--collapse-to", 0],
+        ["synth", "--n", 10, "--edges", "0,1,2,inf,inf"],
+        ["evolve", "--span", "2,1"],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -241,21 +263,23 @@ class TestExitCodes:
         (["evolve", "--dt", 5.0, "--cells", 200], 4),
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
-        # non-finite times and mode coefficients are refused before any step
-        (["evolve", "--t-end", "inf", "--cells", 100], 3),
-        (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", "nan"], 3),
-        (["simulate", "--agents", 5000, "--t-end", "inf"], 3),
-        (["simulate", "--agents", 5000, "--t-end", 0.01, "--snapshot-times", "nan"], 3),
-        (["modes", "--A1", "nan", "--grid-points", 50], 3),
-        (["modes", "--A2", "inf", "--grid-points", 50], 3),
+        # a population with no spread leaves the Hill estimate a division by zero
+        (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
+          "--sigma", 1e-300], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_report_value_is_a_numerical_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "hill_tail_exponent", lambda *args: float("nan"))
+        assert run_cli("simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
+                       "--out-dir", tmp_path / "o", "--quiet") == 4
+        assert list(tmp_path.iterdir()) == []
+
+    # 5% of 1000 agents is below the 100 tail samples the estimate needs
     @pytest.mark.parametrize("argv", [
         ["--agents", 1000],
-        ["--agents", 10_000, "--hill-tail-fraction", 2.0],
     ])
     def test_impossible_hill_request_fails_before_the_ensemble(
             self, tmp_path, monkeypatch, argv):
@@ -274,3 +298,57 @@ def test_manifest_echoes_config(tmp_path):
     assert manifest["command"] == "synth"
     assert manifest["config"]["seed"] == 5
     assert manifest["config"]["n"] == 200_000
+
+
+# each command at a size that runs in milliseconds; a swept option is
+# appended after these, so its value is the one argparse keeps
+CONTRACT_BASE = {
+    "simulate": ["--agents", 4000, "--t-end", 0.05, "--dt", 5e-3],
+    "collapse": ["--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+                 "--grid-points", 50],
+    "fit": ["--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
+    "indices": ["--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+                "--line", 40.0, "--fix-offset", 8.0],
+    "evolve": ["--t-end", 0.5, "--cells", 200],
+    "synth": ["--n", 1000],
+    "modes": ["--grid-points", 100],
+}
+
+
+def numeric_options(command: str) -> list:
+    """Every option of ``command`` whose value argparse converts."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [a.option_strings[-1] for a in sub._actions
+            if a.option_strings and a.type is not None]
+
+
+CONTRACT_CASES = [(command, option, value)
+                  for command in CONTRACT_BASE
+                  for option in numeric_options(command)
+                  for value in ("nan", "inf", "-inf", "-1", "0")]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command, option, value", CONTRACT_CASES,
+                         ids=[f"{c}{o}={v}" for c, o, v in CONTRACT_CASES])
+def test_every_numeric_option_keeps_the_exit_code_contract(
+        tmp_path, recwarn, command, option, value):
+    """nan, inf, -inf, -1 or 0 for any numeric option exits 0, 2, 3 or 4 with
+    no Python warning; a failure leaves nothing behind, and a success writes
+    strict JSON and CSV without NaN."""
+    out = tmp_path / "o"
+    rc = exit_code(command, *CONTRACT_BASE[command], f"{option}={value}",
+                   "--out-dir", out, "--quiet")
+    assert rc in (0, 2, 3, 4)
+    if rc != 0:
+        assert list(tmp_path.iterdir()) == []
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    for path in tmp_path.rglob("*.csv"):
+        for line in path.read_text().splitlines():
+            assert "nan" not in line.lower().split(","), (path.name, line)
+    assert [str(w.message) for w in recwarn] == []

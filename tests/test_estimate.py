@@ -9,6 +9,7 @@ the spread of fits over replicate rounds for the standard errors.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,11 @@ class TestFitIPDF:
         assert fixed.n_evaluations <= 5 and free.n_evaluations <= 8
         assert len(fixed.unit_standard_errors) == 2
         assert len(free.unit_standard_errors) == 3
+
+    def test_report_writes_an_unavailable_standard_error_as_null(self):
+        fit = estimate.fit_ipdf(make_round(n=10**4, seed=48))
+        report = replace(fit, unit_standard_errors=(math.nan, 0.5)).report()
+        assert report["unit_standard_errors"] == [None, 0.5]
 
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -0.1])
     def test_offset_outside_the_domain_rejected(self, offset):

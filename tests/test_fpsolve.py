@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import hyp1f1
 
 from incomedyn import distlib, fpsolve
@@ -258,6 +259,26 @@ class TestSteadyStateResidual:
         flux = op.edge_fluxes(wrong)
         scale = op.g * (op.b_minus * wrong[1:] + op.b_plus * wrong[:-1])
         assert np.abs(flux).max() / scale.max() > 1e-3
+
+
+class TestRelaxationSpectrum:
+    """Exact oracle: with sigma^2 = 2 the moments obey
+    d<y^n>/dt = n C <y^(n-1)> - n (M + 1 - n) <y^n>, so the decay rates are
+    lambda_n = n (M + 1 - n), with f_ss times a degree-n polynomial as
+    eigenfunction, below a continuum from (M + 1)^2 / 4.  At M = C0 = 4 that
+    is 0, -4 and -6 against a continuum edge at 6.25."""
+
+    @pytest.mark.parametrize("cells", [400, 800])
+    def test_leading_eigenvalues_match_the_exact_rates(self, cells):
+        op = fpsolve._FluxOperator(fpsolve.log_grid(4.0, 4.0, cells), 4.0, 4.0)
+        products = op.upper[:-1] * op.lower[1:]
+        # positive off-diagonal products: a diagonal similarity symmetrises L
+        assert (products > 0.0).all()
+        lam = eigvalsh_tridiagonal(op.diag, np.sqrt(products), select="i",
+                                   select_range=(cells - 3, cells - 1))[::-1]
+        assert abs(lam[0]) < 1e-9           # zero-flux boundaries conserve mass
+        assert abs(lam[1] + 4.0) < 5e-3
+        assert abs(lam[2] + 6.0) < 1e-2
 
 
 def test_snapshot_csv_roundtrip(tmp_path):
