@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 
 from .errors import DomainError
@@ -155,14 +154,18 @@ def observed_band_means(dist: SteadyStateIPDF, edges) -> np.ndarray:
 def ipdf_hill_exponent(dist: SteadyStateIPDF, tail_fraction: float) -> float:
     """Hill density exponent of the law itself: one plus the inverse mean
     log-excess above the exact (1 - tail_fraction) quantile.  With x = C0/y
-    that mean is the integral of P(M+1, x)/x over (0, x_q], divided by
-    tail_fraction, where P(M+1, x_q) = tail_fraction."""
+    that mean is the integral of P(a, x)/x over (0, x_q], a = M + 1, divided
+    by tail_fraction, where P(a, x_q) = tail_fraction.  Integrating the
+    series of P term by term (DLMF 8.7.1) gives the integral exactly as
+    sum_k P(a + k, x_q) / (a + k); the terms fall off faster than
+    geometrically once a + k passes x_q by a few sqrt(x_q), so the sum stops
+    after int(x_q + 40 sqrt(x_q)) + 60 of them."""
     if not 0.0 < tail_fraction < 1.0:
         raise DomainError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
     a = dist.shape_M + 1.0
-    area, _ = integrate.quad(lambda x: gammainc(a, x) / x, 0.0,
-                             gammaincinv(a, tail_fraction), epsabs=0.0, epsrel=1e-10)
-    return tail_fraction / area + 1.0
+    x_q = gammaincinv(a, tail_fraction)
+    ak = a + np.arange(int(x_q + 40.0 * math.sqrt(x_q)) + 60)
+    return tail_fraction / float(np.sum(gammainc(ak, x_q) / ak)) + 1.0
 
 
 def ipdf_mean(dist: SteadyStateIPDF) -> float:

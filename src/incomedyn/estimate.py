@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import distlib
 from .errors import DataError, DomainError
@@ -291,6 +290,7 @@ def fit_monod(rnd: BandedDistribution) -> MonodFit:
         return _monod_slope(x, s, math.exp(u))
 
     if slope(lo) < 0.0 < slope(hi):
+        from scipy.optimize import brentq
         u = brentq(slope, lo, hi, xtol=1e-12)
         rss, v_hat = _monod_rss(x, s, math.exp(u))
         n_rss = 1

@@ -263,6 +263,7 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
 class _FluxOperator:
     """Tridiagonal Chang-Cooper operator for fixed grid and labour rate C."""
 
+    @np.errstate(all="ignore")  # a non-finite coefficient is checked below
     def __init__(self, grid: np.ndarray, M: float, c_value: float):
         y = grid
         n = y.size
@@ -294,6 +295,8 @@ class _FluxOperator:
         di[:-1] -= gp / widths[:-1]
         di[1:] -= gm / widths[1:]
         lo[1:] += gp / widths[1:]
+        if not np.isfinite([lo, di, up]).all():
+            raise NumericalError(f"Fokker-Planck operator is not finite at C={c_value:g}")
         self.lower, self.diag, self.upper = lo, di, up
         self.n = n
 
@@ -330,7 +333,7 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
             f"for M={M:g}", suggested_dt=0.25 / (M + 2.0))
     snap_times = sorted(float(t) for t in snapshot_times)
-    if not all(f0.time <= t <= t_end for t in snap_times):
+    if not all(f0.time < t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")
 
     y = f0.grid

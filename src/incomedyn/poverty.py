@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from . import distlib, fpsolve
 from .errors import DataError, DomainError
@@ -117,8 +116,10 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
 
     For the closed-form law, y is its offset plus model income; the integral
     is evaluated by adaptive quadrature after u = C0 / (y - offset)
-    (absolute tolerance well below 1e-9).  A grid density, of model income,
-    must carry unit mass to 1e-6 and is integrated by the trapezoidal rule.
+    (absolute tolerance well below 1e-9); scipy's ``quad`` is imported at
+    this one call site, so commands without this index never load
+    ``scipy.integrate``.  A grid density, of model income, must carry unit
+    mass to 1e-6 and is integrated by the trapezoidal rule.
     """
     if not (V > 0.0 and K > 0.0):
         raise DomainError("V and K must be positive")
@@ -129,8 +130,8 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
         def integrand(u):
             return V * K / (K + off + c0 / u) * math.exp(m * math.log(u) - u - lognorm)
 
-        val, err = integrate.quad(integrand, 0.0, np.inf,
-                                  epsabs=1e-12, epsrel=1e-12, limit=200)
+        from scipy.integrate import quad
+        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
         if err > 1e-9:
             raise DataError(f"CD quadrature error {err:g} above tolerance")
         return float(val)

@@ -4,10 +4,14 @@ determinism of every command, and the exit-code contract."""
 import argparse
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import incomedyn
 from incomedyn import simulate
 from incomedyn.cli import build_parser, main
 
@@ -266,10 +270,18 @@ class TestExitCodes:
         # a population with no spread leaves the Hill estimate a division by zero
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
           "--sigma", 1e-300], 4),
+        # a snapshot at the initial time lies outside (start, t_end] for both solvers
+        (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", 0], 3),
+        (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
+          "--snapshot-times", 0], 3),
+        # an extreme grid scale overflows or divides by zero in the FP operator
+        (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e300], 4),
+        (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e-300], 4),
     ])
-    def test_failed_command_leaves_no_output(self, tmp_path, argv, code):
+    def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
         assert list(tmp_path.iterdir()) == []
+        assert [str(w.message) for w in recwarn] == []
 
     def test_non_finite_report_value_is_a_numerical_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "hill_tail_exponent", lambda *args: float("nan"))
@@ -289,6 +301,42 @@ class TestExitCodes:
         assert run_cli("simulate", *argv, "--out-dir", tmp_path / "o",
                        "--quiet") == 3
         assert list(tmp_path.iterdir()) == []
+
+
+_LAZY_SCIPY_PROBE = """
+import sys
+import incomedyn, incomedyn.cli
+if sys.argv[1:] and incomedyn.cli.main(sys.argv[1:]) != 0:
+    sys.exit("command failed")
+print(",".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def lazily_loaded_scipy(*argv) -> str:
+    """The modules out of scipy.integrate and scipy.optimize that a fresh
+    interpreter holds after importing the package and running ``argv``."""
+    src = str(Path(incomedyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3],
+    ["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
+    ["fit", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
+    ["evolve", "--t-end", 0.5, "--cells", 100],
+    ["synth", "--n", 1000],
+    ["modes", "--n-max", 1, "--grid-points", 50],
+], ids=lambda argv: argv[0] if argv else "import")
+def test_only_indices_loads_scipy_integrate_or_optimize(tmp_path, argv):
+    """Cold start: the quadrature and root finder load at their call sites,
+    which only the CD index and the Monod fit of ``indices`` reach."""
+    out = ["--out-dir", tmp_path / "o", "--quiet"] if argv else []
+    assert lazily_loaded_scipy(*argv, *out) == ""
 
 
 def test_manifest_echoes_config(tmp_path):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaincc
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from incomedyn import distlib
 from incomedyn.errors import DomainError
@@ -179,6 +179,18 @@ class TestHillTarget:
             excess, _ = integrate.quad(lambda u: math.log(u_q / u) * kernel(u), 0.0, u_q)
             oracle = frac / excess + 1.0
             assert distlib.ipdf_hill_exponent(DIST, frac) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("M", (0.05, 0.5, 1.6, 5.0, 20.0, 50.0, 150.0))
+    def test_series_matches_quadrature_of_the_tail_integral(self, M):
+        # oracle: adaptive quadrature of P(a, x)/x over (0, x_q]; large M with
+        # a tail fraction near 1 puts x_q far out and needs the most terms
+        a = M + 1.0
+        for frac in (1e-4, 0.01, 0.05, 0.5, 0.9, 0.999):
+            x_q = gammaincinv(a, frac)
+            area, _ = integrate.quad(lambda x: gammainc(a, x) / x, 0.0, x_q,
+                                     epsabs=0.0, epsrel=1e-13, limit=200)
+            got = distlib.ipdf_hill_exponent(distlib.SteadyStateIPDF(M, 1.0), frac)
+            assert got == pytest.approx(frac / area + 1.0, rel=1e-12, abs=0.0)
 
     def test_frozen_values_and_errors(self):
         # M = C0 = 1.6; the value does not depend on C0
