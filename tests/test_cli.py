@@ -316,8 +316,8 @@ def lazily_loaded_scipy(*argv) -> str:
     """The modules out of scipy.integrate and scipy.optimize that a fresh
     interpreter holds after importing the package and running ``argv``."""
     src = str(Path(incomedyn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, *map(str, argv)],
                           env=env, capture_output=True, text=True, check=True)
     return done.stdout.strip()
