@@ -39,11 +39,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(cell if isinstance(cell, str) else f"{float(cell):.12g}"
-                          for cell in row) for row in rows)
+    """One line per row: a ``round_id`` cell as text, any other as "%.12g"."""
+    line = ",".join("{}" if name == "round_id" else "{:.12g}" for name in header) + "\n"
+    text = "".join([line.format(*row) for row in rows])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + text)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,7 @@ def cmd_synth(args, out: Path) -> str:
 def cmd_modes(args, out: Path) -> str:
     # grid kept where the Kummer argument -C0/y stays within kummer_m's bound
     grid = np.geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
+    grid_values = grid.tolist()
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     params_report = []
     curve_rows = []
@@ -223,7 +224,7 @@ def cmd_modes(args, out: Path) -> str:
         usable = mode if not (mode.beta_minus_pole and mode.A1 != 0.0) else \
             fpsolve.eigenmode_params(n, args.M, A1=0.0, A2=args.A2, c=args.C0)
         g = fpsolve.eigenmode_eval(usable, grid)
-        curve_rows.extend((float(n), y, gv) for y, gv in zip(grid, g))
+        curve_rows.extend((n, y, gv) for y, gv in zip(grid_values, g.tolist()))
         residuals.append({"n": n, "relative_operator_residual":
                           fpsolve.eigenmode_operator_residual(usable, args.M, grid)})
     _write_json(out / "mode_params.json", {"modes": params_report})

@@ -6,9 +6,11 @@ The density obeys the flux-form equation
 
 discretized here as a conservative finite volume scheme on a log-spaced
 grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit
-(backward Euler) time stepping.  Zero-flux boundaries conserve the
-trapezoidal mass exactly, the scheme preserves positivity, and its discrete
-steady state matches the closed-form stationary law to O(h^2).
+(backward Euler) time stepping.  The tridiagonal I - dt L is LU-factored
+(LAPACK ``dgttrf``) once per (step, C) and each step is one ``dgttrs``
+solve from those factors.  Zero-flux boundaries conserve the trapezoidal
+mass exactly, the scheme preserves positivity, and its discrete steady
+state matches the closed-form stationary law to O(h^2).
 
 The ``modes`` family, omega_n = 2 pi n, combines confluent hypergeometric
 (Kummer M) functions from scipy's ``hyp1f1``.  Each mode satisfies
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import hyp1f1
 
 from . import distlib
@@ -122,8 +124,12 @@ def steady_state_mode(M: float, C0: float) -> EigenMode:
     return replace(mode, A2=a2)
 
 
+@np.errstate(all="ignore")  # a non-finite value is checked below
 def eigenmode_eval(mode: EigenMode, y):
-    """Evaluate g_n(y) = A1 (c/y)^a- M(a-, b-, -c/y) + A2 (c/y)^a+ M(a+, b+, -c/y)."""
+    """Evaluate g_n(y) = A1 (c/y)^a- M(a-, b-, -c/y) + A2 (c/y)^a+ M(a+, b+, -c/y).
+
+    A value that overflows is a ``NumericalError``.
+    """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     arr = np.asarray(y, dtype=float)
     if not (arr > 0.0).all():
@@ -140,6 +146,8 @@ def eigenmode_eval(mode: EigenMode, y):
     if mode.A2 != 0.0:
         out += mode.A2 * x ** mode.alpha_plus * kummer_m(
             mode.alpha_plus, mode.beta_plus, -x)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"eigenmode n={mode.n} overflows on the grid")
     return float(out) if scalar else out
 
 
@@ -151,6 +159,7 @@ def _central_diff(f: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")  # a non-finite operator value is checked below
 def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray) -> float:
     """Relative residual of L[g] = omega * g on the grid, L the spatial operator.
 
@@ -158,7 +167,8 @@ def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray) -> 
     differences; the returned value is max |L[g] - omega g| over the interior,
     normalized by the largest of the operator's component magnitudes.  Reported
     rather than asserted: the mode family satisfies the relation analytically,
-    so this measures the discretization error of the check itself.
+    so this measures the discretization error of the check itself.  An
+    operator value that overflows is a ``NumericalError``.
     """
     y = np.asarray(grid, dtype=float)
     if y.size < 16:
@@ -169,6 +179,8 @@ def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray) -> 
     t1 = _central_diff(adv, y)
     t2 = _central_diff(dif, y)
     lg = t1 + t2
+    if not np.isfinite(lg).all():
+        raise NumericalError(f"L[g] overflows on the grid for mode n={mode.n}")
     core = slice(2, -2)
     resid = np.abs(lg[core] - mode.omega_n * g[core])
     scale = max(np.abs(t1[core]).max(), np.abs(t2[core]).max(),
@@ -240,7 +252,8 @@ def bump_density(grid: np.ndarray, center: float, rel_width: float = 0.1) -> Gri
     y = np.asarray(grid, dtype=float)
     if not center > 0.0:
         raise DomainError("bump center must be positive")
-    f = np.exp(-0.5 * ((np.log(y) - math.log(center)) / rel_width) ** 2)
+    with np.errstate(over="ignore"):     # exp(-inf) = 0 far from a narrow bump
+        f = np.exp(-0.5 * ((np.log(y) - math.log(center)) / rel_width) ** 2)
     return GridDensity(y, f, 0.0).normalized()
 
 
@@ -298,18 +311,28 @@ class _FluxOperator:
         if not np.isfinite([lo, di, up]).all():
             raise NumericalError(f"Fokker-Planck operator is not finite at C={c_value:g}")
         self.lower, self.diag, self.upper = lo, di, up
-        self.n = n
 
-    def implicit_matrix(self, dt: float) -> np.ndarray:
-        """Banded (I - dt L) in solve_banded layout."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = -dt * self.upper[:-1]
-        ab[1, :] = 1.0 - dt * self.diag
-        ab[2, :-1] = -dt * self.lower[1:]
-        return ab
+    def implicit_factors(self, dt: float) -> tuple:
+        """LU factors of the tridiagonal (I - dt L), from LAPACK ``dgttrf``."""
+        *factors, info = dgttrf(-dt * self.lower[1:], 1.0 - dt * self.diag,
+                                -dt * self.upper[:-1])
+        if info > 0:
+            raise NumericalError(f"I - dt L is singular: zero pivot in row {info}")
+        return tuple(factors)
 
     def edge_fluxes(self, f: np.ndarray) -> np.ndarray:
         return self.g * (self.b_minus * f[1:] - self.b_plus * f[:-1])
+
+
+def solve_banded(factors: tuple, f: np.ndarray) -> np.ndarray:
+    """One backward Euler step: solve (I - dt L) x = f by LAPACK ``dgttrs``
+    from ``_FluxOperator.implicit_factors``.
+
+    ``evolve`` calls it exactly once per step, through this module attribute:
+    perfbench counts its calls as steps (``fpsolve.evolve.steps``) until it
+    reads the count from ``evolve``'s report (ROADMAP item 1).
+    """
+    return dgttrs(*factors, f)[0]
 
 
 def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
@@ -317,9 +340,13 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     """Evolve a density to t_end; returns (final, snapshots at requested times).
 
     Backward Euler steps of the Chang-Cooper operator; the labour rate may be
-    a constant or a callable of time.  Zero-flux boundaries conserve mass to
-    solver roundoff.  A time step above 0.5 / (M + 2) under-resolves the
-    fastest drift scale and is refused with a suggestion.
+    a constant or a callable of time.  I - step L depends only on (step, C):
+    it is built and factored once per pair, and the factors of the last two
+    pairs are kept, so a shortened step that lands on a snapshot time does
+    not evict the full step's.  Each step is one ``solve_banded`` call.  A
+    negative or NaN density is a ``NumericalError``.  Zero-flux boundaries
+    conserve mass to solver roundoff.  A time step above 0.5 / (M + 2)
+    under-resolves the fastest drift scale and is refused with a suggestion.
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
@@ -341,21 +368,24 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     t = f0.time
     snapshots = []
     pending = list(snap_times)
-    # the banded matrix depends only on (step, C): rebuilt when either changes
-    key = mat = None
+    factors = {}                     # (step, C) -> LU factors, last used last
     while t < t_end - 1e-12:
         target = pending[0] if pending else t_end
         step = min(dt, target - t)
         c_val = C_of_t(t + step) if callable(C_of_t) else float(C_of_t)
-        if (step, c_val) != key:
+        key = (step, c_val)
+        lu = factors.pop(key, None)
+        if lu is None:
             if not c_val > 0.0:
                 raise DomainError(f"labour rate must stay positive, got C({t + step})={c_val}")
-            mat = _FluxOperator(y, M, c_val).implicit_matrix(step)
-            key = (step, c_val)
-        f = solve_banded((1, 1), mat, f, overwrite_ab=False, overwrite_b=False)
+            lu = _FluxOperator(y, M, c_val).implicit_factors(step)
+            if len(factors) > 1:
+                del factors[next(iter(factors))]
+        factors[key] = lu
+        f = solve_banded(lu, f)
         fmin = f.min()
-        if fmin < -1e-12:
-            raise NumericalError(f"negative density {fmin:g} at t={t + step:g}")
+        if not fmin >= -1e-12:     # a NaN fails this test too
+            raise NumericalError(f"density minimum {fmin:g} at t={t + step:g}")
         if fmin < 0.0:
             np.maximum(f, 0.0, out=f)
         t += step

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import incomedyn
-from incomedyn import simulate
+from incomedyn import fpsolve, simulate
 from incomedyn.cli import build_parser, main
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
@@ -277,11 +278,25 @@ class TestExitCodes:
         # an extreme grid scale overflows or divides by zero in the FP operator
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e300], 4),
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e-300], 4),
+        # overflow is refused without a RuntimeWarning: a bump too narrow for
+        # the grid has no mass, and an eigenmode or its operator residual
+        # that overflows is a numerical failure
+        (["evolve", "--cells", 200, "--bump-width", 1e-300], 3),
+        (["modes", "--C0", 1e300], 4),
+        (["modes", "--M", 1e6], 4),
+        (["modes", "--C0", 1e-300], 4),
+        (["modes", "--A2", 1e300], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
         assert list(tmp_path.iterdir()) == []
         assert [str(w.message) for w in recwarn] == []
+
+    def test_nan_density_is_a_numerical_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fpsolve, "solve_banded", lambda lu, f: np.full_like(f, np.nan))
+        assert run_cli("evolve", "--t-end", 0.5, "--cells", 100,
+                       "--out-dir", tmp_path / "o", "--quiet") == 4
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_report_value_is_a_numerical_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "hill_tail_exponent", lambda *args: float("nan"))

@@ -240,6 +240,80 @@ class TestEvolve:
             assert fpsolve.l1_distance(final, steady) < 1e-3, (m, c0)
 
 
+def cli_sample_run():
+    """The evolve arguments of perfbench's cli_sample workload: M = C0 = 1.6,
+    a bump at 3 C0/M on 2000 cells, t_end 20 and 8 evenly spaced snapshots."""
+    grid = fpsolve.log_grid(1.6, 1.6, 2000)
+    f0 = fpsolve.bump_density(grid, 3.0, 0.1)
+    return fpsolve.evolve(f0, 1.6, 1.6, 20.0,
+                          snapshot_times=np.linspace(20.0 / 8.0, 20.0, 8))
+
+
+class TestEvolveSteps:
+    """Exact oracle: with sigma^2 = 2, d<y>/dt = C - M <y>, and backward Euler
+    on a zero-flux operator carries it exactly as
+    m_k = C/M + (m_0 - C/M) (1 + M dt)^(-k), up to the spatial error."""
+
+    def test_transient_mean_follows_the_backward_euler_recurrence(self):
+        m, c0 = 1.6, 1.6
+        grid = fpsolve.log_grid(m, c0, 2000)
+        bump = fpsolve.bump_density(grid, 3.0 * c0 / m)
+        times = [0.5, 1.0, 2.0, 4.0]
+        _, snaps = fpsolve.evolve(bump, m, c0, 4.0, snapshot_times=times)
+        dt = 0.1 / (m + 2.0)
+        for t, snap in zip(times, snaps):
+            k = round(t / dt)
+            exact = c0 / m + (bump.mean() - c0 / m) * (1.0 + m * dt) ** -k
+            # 1.6e-2 off the continuum exp(-M t) at t = 0.5: the time error
+            assert abs(snap.mean() - exact) < 1e-4, t
+
+    def test_one_solve_per_step(self, monkeypatch):
+        calls = []
+        solve = fpsolve.solve_banded
+        monkeypatch.setattr(fpsolve, "solve_banded",
+                            lambda lu, f: calls.append(1) or solve(lu, f))
+        final, _ = cli_sample_run()
+        assert final.time == pytest.approx(20.0)
+        assert len(calls) == 720
+
+    def test_factors_at_most_once_per_step_and_rate(self, monkeypatch):
+        keys = []
+
+        class Recording(fpsolve._FluxOperator):
+            def __init__(self, grid, M, c_value):
+                super().__init__(grid, M, c_value)
+                self.c_value = c_value
+
+            def implicit_factors(self, dt):
+                keys.append((dt, self.c_value))
+                return super().implicit_factors(dt)
+
+        monkeypatch.setattr(fpsolve, "_FluxOperator", Recording)
+        cli_sample_run()
+        # the full step and the shortened steps that land on snapshot times
+        assert 1 < len(keys) == len(set(keys))
+        keys.clear()
+        grid = fpsolve.log_grid(1.6, 1.6, 300)
+        f0 = fpsolve.bump_density(grid, 3.0)
+        rate = lambda t: 1.6 if t < 1.0 else 2.0
+        fpsolve.evolve(f0, 1.6, rate, 3.0, snapshot_times=[0.33, 1.5, 2.2])
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-6])
+    def test_nan_or_negative_density_is_a_numerical_error(self, monkeypatch, value):
+        monkeypatch.setattr(fpsolve, "solve_banded", lambda lu, f: np.full_like(f, value))
+        grid = fpsolve.log_grid(1.6, 1.6, 100)
+        with pytest.raises(NumericalError):
+            fpsolve.evolve(fpsolve.bump_density(grid, 2.0), 1.6, 1.6, 0.5)
+
+    def test_zero_pivot_is_a_numerical_error(self):
+        op = fpsolve._FluxOperator(fpsolve.log_grid(1.6, 1.6, 50), 1.6, 1.6)
+        op.lower[:] = op.upper[:] = 0.0
+        op.diag[:] = 2.0                 # I - 0.5 L is exactly zero
+        with pytest.raises(NumericalError, match="zero pivot"):
+            op.implicit_factors(0.5)
+
+
 class TestSteadyStateResidual:
     def test_small_on_fine_grid(self):
         assert fpsolve.steady_state_residual(1.6, 1.6) < 1e-6
