@@ -12,11 +12,17 @@ Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numerical
 failure.  A value wrong on its own is refused by its option's type (exit 2);
 a combination of values the model cannot honour, by the library (exit 3).
 Reports are strict JSON: a non-finite number in one is a numerical failure.
+
+The parser is built once per process, on the first ``main`` call rather than
+at import: every parse returns a fresh namespace, commands write only to
+that namespace, and every default is a scalar or a string that argparse
+converts afresh, so no call sees another's options.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,9 +45,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    """One line per row: a ``round_id`` cell as text, any other as "%.12g"."""
-    line = ",".join("{}" if name == "round_id" else "{:.12g}" for name in header) + "\n"
-    text = "".join([line.format(*row) for row in rows])
+    """One line per row tuple: a ``round_id`` cell as text, any other as "%.12g"."""
+    line = ",".join("%s" if name == "round_id" else "%.12g" for name in header) + "\n"
+    text = "".join([line % row for row in rows])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + text)
 
@@ -280,6 +286,7 @@ _COUNT = _numbers("(0, inf)", int)
 _TIMES = _numbers("[0, inf)", many=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incomedyn",
@@ -391,8 +398,7 @@ def main(argv=None) -> int:
     whose files move into ``--out-dir`` only when it succeeds, so a failed
     command leaves no output behind.  The command returns a summary, printed
     unless ``--quiet`` is set."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = Path(args.out_dir)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)

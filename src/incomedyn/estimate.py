@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distlib
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, NumericalError
 from .survey import BandedDistribution
 
 DEFAULT_OFFSET = 0.15          # starvation level in collapsed (mean = 1) units
@@ -244,6 +244,7 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
                      unit_standard_errors=unit_se, pearson_chi2=chi2)
 
 
+@np.errstate(over="ignore")     # a non-finite RSS is refused by fit_monod
 def _monod_rss(x: np.ndarray, s: np.ndarray, k: float) -> tuple:
     r = x / (k + x)
     v = float(np.dot(s, r) / np.dot(r, r))
@@ -298,6 +299,8 @@ def fit_monod(rnd: BandedDistribution) -> MonodFit:
         rss_lo, rss_hi = _monod_rss(x, s, math.exp(lo)), _monod_rss(x, s, math.exp(hi))
         (rss, v_hat), u = (rss_lo, lo) if rss_lo[0] <= rss_hi[0] else (rss_hi, hi)
         n_rss = 2
+    if not math.isfinite(rss):
+        raise NumericalError(f"round {rnd.round_id}: Monod residual sum of squares is {rss}")
     if not v_hat > 0.0:
         raise DataError(f"round {rnd.round_id}: saturation level fit is nonpositive")
     return MonodFit(V=v_hat, K=math.exp(u), rss=rss,

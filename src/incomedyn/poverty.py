@@ -63,11 +63,14 @@ def _fgt_banded(rnd: BandedDistribution, z: float) -> FGTIndices:
     lo, up = knots[:-1], knots[1:]
     top = np.clip(z, lo, up)
     below = rnd.shares / (up - lo) * (top - lo)     # each band's share below z
-    # mean gap (a + b) / 2z and squared gap (a^2 + ab + b^2) / 3z^2 of a uniform
-    # on [lo, top]: positive terms, exact also for a line far above a band
-    a, b = z - lo, z - top
-    return FGTIndices(float(below.sum()), float(below @ (a + b)) / (2.0 * z),
-                      float(below @ (a * a + a * b + b * b)) / (3.0 * z * z))
+    # mean gap (a + b) / 2 and squared gap (a^2 + ab + b^2) / 3 of a uniform on
+    # [lo, top], with a = 1 - lo/z and b = 1 - top/z the gaps as fractions of z:
+    # positive terms, exact also for a line far above a band, and no overflow
+    # for any line (knots are capped at z; a band above the line has no share)
+    gap = 1.0 - np.minimum(knots, z) / z
+    a, b = gap[:-1], gap[1:]
+    return FGTIndices(float(below.sum()), float(below @ (a + b)) / 2.0,
+                      float(below @ (a * a + a * b + b * b)) / 3.0)
 
 
 def fgt_indices(data: Union[np.ndarray, BandedDistribution], line) -> FGTIndices:

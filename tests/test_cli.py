@@ -318,24 +318,39 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
-_LAZY_SCIPY_PROBE = """
-import sys
+_FRESH_PROCESS_PROBE = """
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
 import incomedyn, incomedyn.cli
-if sys.argv[1:] and incomedyn.cli.main(sys.argv[1:]) != 0:
-    sys.exit("command failed")
-print(",".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+for _ in range(int(sys.argv[1])):
+    if incomedyn.cli.main(sys.argv[2:]) != 0:
+        sys.exit("command failed")
+print(json.dumps({"parsers": len(built), "scipy": [
+    m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]}))
 """
 
 
-def lazily_loaded_scipy(*argv) -> str:
-    """The modules out of scipy.integrate and scipy.optimize that a fresh
-    interpreter holds after importing the package and running ``argv``."""
+def fresh_process(*argv, check=True) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports the package from
+    this checkout."""
     src = str(Path(incomedyn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, *map(str, argv)],
-                          env=env, capture_output=True, text=True, check=True)
-    return done.stdout.strip()
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def probe_fresh_process(*argv, runs=1) -> dict:
+    """The ArgumentParsers built and the modules out of scipy.integrate and
+    scipy.optimize held by a fresh interpreter after importing the package
+    and running ``argv`` ``runs`` times."""
+    done = fresh_process("-c", _FRESH_PROCESS_PROBE, runs, *argv)
+    return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,9 +364,40 @@ def lazily_loaded_scipy(*argv) -> str:
 ], ids=lambda argv: argv[0] if argv else "import")
 def test_only_indices_loads_scipy_integrate_or_optimize(tmp_path, argv):
     """Cold start: the quadrature and root finder load at their call sites,
-    which only the CD index and the Monod fit of ``indices`` reach."""
+    which only the CD index and the Monod fit of ``indices`` reach, and
+    importing the CLI builds no parser."""
     out = ["--out-dir", tmp_path / "o", "--quiet"] if argv else []
-    assert lazily_loaded_scipy(*argv, *out) == ""
+    probe = probe_fresh_process(*argv, *out, runs=1 if argv else 0)
+    assert probe["scipy"] == []
+    if not argv:
+        assert probe["parsers"] == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    build_parser.__wrapped__()
+    per_build = len(built)
+    argv = ["synth", "--n", 1000, "--out-dir", tmp_path / "o", "--quiet"]
+    assert probe_fresh_process(*argv, runs=3)["parsers"] == per_build
+
+
+# the later command of each pair resolves a default into its namespace:
+# synth's auto edges into args.edges, evolve's bump centre from --C0
+@pytest.mark.parametrize("first, later", [
+    (["synth", "--n", 1000], ["synth", "--n", 1000, "--M", 2]),
+    (["evolve"], ["evolve", "--C0", 3.2]),
+], ids=["synth", "evolve"])
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, first, later):
+    """Run in one process after ``first``, ``later`` writes the tree, manifest
+    included, that it writes in a fresh process."""
+    quiet = ["--quiet", "--out-dir"]
+    assert run_cli(*first, *quiet, tmp_path / "first") == 0
+    assert run_cli(*later, *quiet, tmp_path / "later") == 0
+    fresh_process("-m", "incomedyn", *later, *quiet, tmp_path / "fresh")
+    assert_identical_trees(tmp_path / "later", tmp_path / "fresh")
 
 
 def test_manifest_echoes_config(tmp_path):
@@ -415,3 +461,20 @@ def test_every_numeric_option_keeps_the_exit_code_contract(
         for line in path.read_text().splitlines():
             assert "nan" not in line.lower().split(","), (path.name, line)
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("option, value, codes", [
+    # a line far above every band: everyone is poor with unit gaps
+    ("--line", "1e300", (0,)),
+    # squared residuals of the rescaled cereal column overflow
+    ("--collapse-to", "1e300", (3, 4)),
+], ids=["line", "collapse-to"])
+def test_extreme_indices_option_prints_no_warning(tmp_path, option, value, codes):
+    out = tmp_path / "o"
+    done = fresh_process("-m", "incomedyn", "indices", *CONTRACT_BASE["indices"],
+                         option, value, "--out-dir", out, "--quiet", check=False)
+    assert done.returncode in codes, done.stderr
+    assert "Warning" not in done.stderr
+    if done.returncode == 0:
+        rows = (out / "indices.csv").read_text().splitlines()
+        assert [row.split(",")[2:5] for row in rows[1:]] == [["1", "1", "1"]] * 3

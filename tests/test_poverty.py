@@ -92,6 +92,16 @@ class TestFGT:
         spg = np.dot(rnd.shares, (1.0 - mid / z) ** 2 + (up - lo) ** 2 / (12.0 * z ** 2))
         assert got.spg == pytest.approx(spg, rel=1e-14)
 
+    @pytest.mark.parametrize("z, expected", [(1e300, (1.0, 1.0, 1.0)),
+                                             (1.7e308, (1.0, 1.0, 1.0)),
+                                             (1e-300, (0.0, 0.0, 0.0))])
+    def test_banded_line_at_extreme_scales(self, recwarn, z, expected):
+        # the gaps are fractions of z, so z^2 never overflows or underflows
+        got = poverty.fgt_indices(make_round(seed=3, n=10**4), z)
+        assert got == pytest.approx(expected, abs=1e-14)
+        assert got.hci >= got.pg >= got.spg
+        assert [str(w.message) for w in recwarn] == []
+
     def test_bad_line(self):
         with pytest.raises(DomainError):
             poverty.fgt_indices(np.array([1.0, 2.0]), 0.0)
