@@ -288,6 +288,8 @@ _TIMES = _numbers("[0, inf)", many=True)
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; callers share it,
+    so they parse with it and never modify it."""
     parser = argparse.ArgumentParser(
         prog="incomedyn",
         description="Income-distribution dynamics: simulation, steady-state "
