@@ -14,9 +14,13 @@ a combination of values the model cannot honour, by the library (exit 3).
 Reports are strict JSON: a non-finite number in one is a numerical failure.
 
 The parser is built once per process, on the first ``main`` call rather than
-at import: every parse returns a fresh namespace, commands write only to
-that namespace, and every default is a scalar or a string that argparse
-converts afresh, so no call sees another's options.
+at import.  Only a process that calls ``main`` more than once gains from
+this, such as Python code that drives several commands, the test suite or
+the benchmark's in-process pass; a standalone ``incomedyn <command>`` builds
+one parser either way.  Sharing it is safe: every parse returns a fresh
+namespace, commands write only to that namespace, and every default is a
+scalar or a string that argparse converts afresh, so no call sees another's
+options.
 """
 
 from __future__ import annotations

@@ -413,17 +413,15 @@ def steady_state_residual(M: float, C0: float, grid: np.ndarray = None) -> float
 
 
 def write_snapshots_csv(path, snapshots: Sequence[GridDensity]) -> None:
-    """Dump snapshots as CSV with columns t, y, f, every number as "%.12g".
-
-    A grid shared by several snapshots is formatted once, as a row template
-    that lacks only the times: each snapshot joins its pieces on its time
-    and fills in its values with one ``%`` operation."""
-    templates = {}
+    """Dump snapshots as CSV with columns t, y, f; a grid shared by several
+    snapshots is formatted once."""
+    grid_text = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,y,f\n")
         for snap in snapshots:
             key = snap.grid.tobytes()
-            if key not in templates:
-                # the leading "" puts a time before the first row too
-                templates[key] = [""] + [",%.12g,%%.12g\n" % yi for yi in snap.grid.tolist()]
-            fh.write(("%.12g" % snap.time).join(templates[key]) % tuple(snap.values.tolist()))
+            if key not in grid_text:
+                grid_text[key] = [f"{yi:.12g}" for yi in snap.grid.tolist()]
+            t = f"{snap.time:.12g}"
+            fh.write("".join([f"{t},{yi},{fi:.12g}\n"
+                              for yi, fi in zip(grid_text[key], snap.values.tolist())]))

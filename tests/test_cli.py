@@ -319,18 +319,12 @@ class TestExitCodes:
 
 
 _FRESH_PROCESS_PROBE = """
-import argparse, json, sys
-built = []
-init = argparse.ArgumentParser.__init__
-def counting_init(self, *args, **kwargs):
-    built.append(self)
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting_init
-import incomedyn, incomedyn.cli
+import json, sys
+from incomedyn import cli
 for _ in range(int(sys.argv[1])):
-    if incomedyn.cli.main(sys.argv[2:]) != 0:
+    if cli.main(sys.argv[2:]) != 0:
         sys.exit("command failed")
-print(json.dumps({"parsers": len(built), "scipy": [
+print(json.dumps({"parsers": cli.build_parser.cache_info().misses, "scipy": [
     m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]}))
 """
 
@@ -346,7 +340,7 @@ def fresh_process(*argv, check=True) -> subprocess.CompletedProcess:
 
 
 def probe_fresh_process(*argv, runs=1) -> dict:
-    """The ArgumentParsers built and the modules out of scipy.integrate and
+    """The parsers built and the modules out of scipy.integrate and
     scipy.optimize held by a fresh interpreter after importing the package
     and running ``argv`` ``runs`` times."""
     done = fresh_process("-c", _FRESH_PROCESS_PROBE, runs, *argv)
@@ -373,15 +367,9 @@ def test_only_indices_loads_scipy_integrate_or_optimize(tmp_path, argv):
         assert probe["parsers"] == 0
 
 
-def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    build_parser.__wrapped__()
-    per_build = len(built)
+def test_parser_is_built_once_per_process(tmp_path):
     argv = ["synth", "--n", 1000, "--out-dir", tmp_path / "o", "--quiet"]
-    assert probe_fresh_process(*argv, runs=3)["parsers"] == per_build
+    assert probe_fresh_process(*argv, runs=3)["parsers"] == 1
 
 
 # the later command of each pair resolves a default into its namespace:
