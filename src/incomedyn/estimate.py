@@ -1,7 +1,7 @@
 """Parameter estimation from banded rounds.
 
-Two fits per round: the income law (shape M, scale C0, optional starvation
-offset) by binned maximum likelihood, and the saturating consumption curve
+Two fits per round: the income law (shape M, scale C0, starvation offset)
+by binned maximum likelihood, and the saturating consumption curve
 s(y) = V y / (K + y) by least squares.  V is linear given K and solved in
 closed form, which leaves a profile RSS in u = log K (variable projection:
 Golub & Pereyra 1973); K is the root of its exact slope, found by Brent's
@@ -11,12 +11,14 @@ The binned likelihood is maximised by Fisher scoring (Rao 1948; McDonald &
 Ransom 1979 for grouped income data): Newton steps on the multinomial
 likelihood with the expected information J^T diag(1/p) J in place of the
 Hessian, where J = dp/dtheta holds the derivatives of the band
-probabilities.  They are closed-form in C0 and the offset; only the shape
-derivative is a central difference of Q in its first argument.  Iterations
-stop once the Newton decrement g^T I^-1 g falls below 1e-15, which takes at
-most 4 of them on the criterion-6 and sample rounds; ``max_evaluations``
-bounds the iterations and ``n_evaluations`` counts likelihood evaluations.
-The same information gives the fit's standard errors.
+probabilities.  theta is always (M, C0, offset); a fixed offset is held by
+the same mask that holds a fitted one at its bound 0.  J is closed-form in
+C0 and the offset; only the shape derivative is a central difference of Q
+in its first argument.  Iterations stop once the Newton decrement
+g^T I^-1 g falls below 1e-15, which takes at most 4 of them on the
+criterion-6 and sample rounds; ``max_evaluations`` bounds the iterations
+and ``n_evaluations`` counts likelihood evaluations.  The same information
+gives the fit's standard errors.
 
 The labour-rate series ties fitted rounds together: under the quasi-static
 assumption the rate at a round's date is M times its mean model income,
@@ -52,11 +54,11 @@ class FitResult:
     ``log_likelihood`` is the per-observation multinomial log likelihood
     sum_b share_b log p_b; multiply by the sample count to get the total.
     ``unit_standard_errors`` are the square roots of the diagonal of the
-    inverse Fisher information per household, in the order (M, C0) or
-    (M, C0, offset): with n households the standard errors are these over
-    sqrt(n).  ``pearson_chi2`` is sum_b (share_b - p_b)^2 / p_b; n times it
-    is asymptotically chi-square with (bands - 1 - fitted parameters)
-    degrees of freedom.
+    inverse Fisher information per household of the fitted parameters, in
+    the order (M, C0, offset), without the offset when it is fixed: with n
+    households the standard errors are these over sqrt(n).  ``pearson_chi2``
+    is sum_b (share_b - p_b)^2 / p_b; n times it is asymptotically
+    chi-square with (bands - 1 - fitted parameters) degrees of freedom.
     """
 
     M: float
@@ -112,32 +114,29 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     return ll, p
 
 
-def _scoring_terms(rnd: BandedDistribution, theta: np.ndarray, offset: float,
-                   p: np.ndarray) -> tuple:
+def _scoring_terms(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray) -> tuple:
     """Jacobian J = dp/dtheta of the band probabilities p at theta, the score
     J^T (s / p) and the Fisher information J^T diag(1 / p) J per household.
 
-    theta is (M, C0) with ``offset`` fixed, or (M, C0, offset).  With
-    x = C0 / (edge - offset) and a = M + 1, the CDF Q(a, x) at an edge has
-    x dQ/dx = -x^a e^-x / Gamma(a), which gives its C0 and offset
-    derivatives exactly; dQ/da is a central difference.  J differentiates
-    the normalised p = diff(Q) / T, T = Q at the last edge minus Q at the
-    first, so the conditioning on the covered range is exact.  Bands with
-    p = 0 add nothing to the score or the information.
+    theta is (M, C0, offset), with a row of J for each, whether the fit
+    holds the offset fixed or not.  With x = C0 / (edge - offset) and
+    a = M + 1, the CDF Q(a, x) at an edge has x dQ/dx = -x^a e^-x / Gamma(a),
+    which gives its C0 and offset derivatives exactly; dQ/da is a central
+    difference.  J differentiates the normalised p = diff(Q) / T, T = Q at
+    the last edge minus Q at the first, so the conditioning on the covered
+    range is exact.  Bands with p = 0 add nothing to the score or the
+    information.
     """
     a, c0 = theta[0] + 1.0, theta[1]
-    dist = distlib.SteadyStateIPDF(theta[0], c0, theta[2] if theta.size == 3 else offset)
-    x = distlib.observed_argument(dist, rnd.edges)
+    x = distlib.observed_argument(distlib.SteadyStateIPDF(*theta), rnd.edges)
     inner = np.isfinite(x) & (x > 0.0)
     xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
     xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
     h = _SHAPE_STEP * a
-    d_cdf = [(distlib.reg_upper_incomplete_gamma(a + h, x)
-              - distlib.reg_upper_incomplete_gamma(a - h, x)) / (2.0 * h),
-             -xg / c0]
-    if theta.size == 3:
-        d_cdf.append(-xg * np.where(inner, x, 0.0) / c0)
-    d_cdf = np.array(d_cdf)
+    d_cdf = np.array([(distlib.reg_upper_incomplete_gamma(a + h, x)
+                       - distlib.reg_upper_incomplete_gamma(a - h, x)) / (2.0 * h),
+                      -xg / c0,
+                      -xg * np.where(inner, x, 0.0) / c0])
     total = float(np.diff(distlib.reg_upper_incomplete_gamma(a, x[[0, -1]]))[0])
     jac = (np.diff(d_cdf, axis=1)
            - np.outer(d_cdf[:, -1] - d_cdf[:, 0], p)) / total
@@ -151,15 +150,17 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
              max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
     """Fit (M, C0) — and the offset when ``fix_offset`` is None — to a round.
 
-    Fisher scoring on the multinomial likelihood from the moment-anchored
+    Fisher scoring on theta = (M, C0, offset) from the moment-anchored
     start M = 1.6, C0 = 1.6 x (mean income - offset), with the offset at
-    0.15 x mean income when it is fitted, or at half the lowest upper edge
-    of a populated band when that is lower.  Each iteration solves
-    (J^T diag(1/p) J) delta = J^T (s/p) and halves the step until the log
-    likelihood does not drop and M and C0 stay positive.  A fitted offset
-    that a step takes below zero is set to zero, and held there while its
-    score points below zero.  The fit has converged when the Newton
-    decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
+    ``fix_offset``, or, when it is fitted, at 0.15 x mean income, or at half
+    the lowest upper edge of a populated band when that is lower.  Each
+    iteration solves (J^T diag(1/p) J) delta = J^T (s/p) over the free
+    parameters and halves the step until the log likelihood does not drop
+    and M and C0 stay positive; an offset a step takes below zero is set to
+    zero.  One mask holds the offset: a fixed one is never free, a fitted
+    one is held at its bound 0 while its score points below zero.  The fit
+    has converged when the Newton decrement g^T I^-1 g falls below
+    ``DECREMENT_TOL``.
 
     ``max_evaluations`` is the budget of scoring iterations;
     ``n_evaluations`` counts likelihood evaluations (``band_log_likelihood``
@@ -177,10 +178,10 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             f"round {rnd.round_id}: {len(rnd.bands)} bands under-identify the fit; "
             "need at least 4")
     mean = rnd.mean_income()
-    fit_offset = fix_offset is None
+    fitted = np.array([True, True, fix_offset is None])
     # an offset at or above this band's upper edge leaves it no model mass
     first = next(b for b in rnd.bands if b.population_share > 0.0)
-    if fit_offset:
+    if fix_offset is None:
         offset0 = 0.15 * mean if 0.15 * mean < first.upper else 0.5 * first.upper
     else:
         offset0 = float(fix_offset)
@@ -191,19 +192,14 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             f"round {rnd.round_id}: offset {offset0:.6g} leaves the populated band "
             f"[{first.lower:.6g}, {first.upper:.6g}] with no model mass")
     mean_model = max(mean - offset0, 0.05 * mean)
-    theta = np.array([1.6, 1.6 * mean_model] + ([offset0] if fit_offset else []))
-
-    def evaluate(t):
-        return band_log_likelihood(rnd, t[0], t[1], t[2] if fit_offset else offset0)
-
-    ll, p = evaluate(theta)
+    theta = np.array([1.6, 1.6 * mean_model, offset0])
+    ll, p = band_log_likelihood(rnd, *theta)
     n_eval, iterations, converged = 1, 0, False
     while True:
-        _, score, info = _scoring_terms(rnd, theta, offset0, p)
-        # a fitted offset at its bound 0 is held there while its score points below
-        free = np.ones(theta.size, dtype=bool)
-        if fit_offset and theta[2] == 0.0 and score[2] <= 0.0:
-            free[2] = False
+        _, score, info = _scoring_terms(rnd, theta, p)
+        # a fixed offset is never free; a fitted one is held at its bound 0
+        # while its score points below zero
+        free = fitted & [True, True, not (theta[2] == 0.0 and score[2] <= 0.0)]
         step = np.zeros(theta.size)
         try:
             step[free] = np.linalg.solve(info[np.ix_(free, free)], score[free])
@@ -219,10 +215,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         t = 1.0
         while t >= _MIN_STEP:
             trial = theta + t * step
-            if fit_offset:
-                trial[2] = max(trial[2], 0.0)
+            trial[2] = max(trial[2], 0.0)
             if trial[0] > 0.0 and trial[1] > 0.0:
-                ll_trial, p_trial = evaluate(trial)
+                ll_trial, p_trial = band_log_likelihood(rnd, *trial)
                 n_eval += 1
                 if ll_trial >= ll:
                     break
@@ -232,13 +227,13 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         theta, ll, p = trial, ll_trial, p_trial
         iterations += 1
     try:
-        unit_se = tuple(float(v) for v in np.sqrt(np.diag(np.linalg.inv(info))))
+        unit_se = tuple(float(v) for v in
+                        np.sqrt(np.diag(np.linalg.inv(info[np.ix_(fitted, fitted)]))))
     except np.linalg.LinAlgError:
-        unit_se = (math.nan,) * theta.size
+        unit_se = (math.nan,) * int(fitted.sum())
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
                                   where=p > 0.0)))
-    return FitResult(M=float(theta[0]), C0=float(theta[1]),
-                     offset=float(theta[2]) if fit_offset else offset0,
+    return FitResult(M=float(theta[0]), C0=float(theta[1]), offset=float(theta[2]),
                      log_likelihood=ll, converged=converged, n_evaluations=n_eval,
                      per_band_expected_shares=p, iterations=iterations,
                      unit_standard_errors=unit_se, pearson_chi2=chi2)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import distlib, fpsolve
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, NumericalError
 from .estimate import FitResult, MonodFit, labour_rate_series
 from .survey import BandedDistribution
 
@@ -118,10 +118,11 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
     """Population-average deprivation V K / (K + y) over observed income y.
 
     For the closed-form law, y is its offset plus model income; the integral
-    is evaluated by adaptive quadrature after u = C0 / (y - offset)
-    (absolute tolerance well below 1e-9); scipy's ``quad`` is imported at
-    this one call site, so commands without this index never load
-    ``scipy.integrate``.  A grid density, of model income, must carry unit
+    is evaluated by adaptive quadrature after u = C0 / (y - offset).  Its
+    error estimate may be at most 1e-9 V, so the tolerance follows the
+    rounds' monetary frame; a non-finite value or estimate is a
+    ``NumericalError``.  scipy's ``quad`` is imported at this one call site,
+    so commands without this index never load ``scipy.integrate``.  A grid density, of model income, must carry unit
     mass to 1e-6 and is integrated by the trapezoidal rule.
     """
     if not (V > 0.0 and K > 0.0):
@@ -135,7 +136,9 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
 
         from scipy.integrate import quad
         val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-        if err > 1e-9:
+        if not (math.isfinite(val) and math.isfinite(err)):
+            raise NumericalError(f"CD quadrature gave {val:g} with error estimate {err:g}")
+        if err > 1e-9 * V:
             raise DataError(f"CD quadrature error {err:g} above tolerance")
         return float(val)
     grid = density

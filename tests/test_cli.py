@@ -101,6 +101,21 @@ class TestSmoke:
             assert {"iterations", "unit_standard_errors", "pearson_chi2"} <= set(rnd["fit"])
             assert 0 < rnd["monod"]["evaluations"] <= 16
 
+    @pytest.mark.parametrize("scale", [1e5, 1e9])
+    def test_cd_indices_do_not_depend_on_the_monetary_frame(self, tmp_path, scale):
+        """The CD indices as fractions of V, with rounds and offset in a frame
+        ``scale`` times larger, match those in the unit frame."""
+        def normalized(collapse_to):
+            out = tmp_path / f"{collapse_to:g}"
+            assert run_cli("indices", "--rounds", SAMPLE_ROUNDS,
+                           "--deflators", SAMPLE_DEFLATORS, "--collapse-to", collapse_to,
+                           "--fix-offset", 0.15 * collapse_to, "--out-dir", out,
+                           "--quiet") == 0
+            rounds = json.loads((out / "diagnostics.json").read_text())["rounds"]
+            return [[r["pcd_direct_normalized"], r["pcd_model_normalized"]] for r in rounds]
+
+        np.testing.assert_allclose(normalized(scale), normalized(1.0), rtol=0.0, atol=1e-12)
+
     def test_evolve(self, tmp_path):
         out = tmp_path / "ev"
         rc = run_cli("evolve", "--cells", 800, "--t-end", 12.0,
@@ -286,6 +301,9 @@ class TestExitCodes:
         (["modes", "--M", 1e6], 4),
         (["modes", "--C0", 1e-300], 4),
         (["modes", "--A2", 1e300], 4),
+        # V K overflows the CD integrand in this monetary frame
+        (["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+          "--collapse-to", 1e160], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code

@@ -147,10 +147,13 @@ class TestFitIPDF:
             up = ll(fit.M * (1 + dm), fit.C0 * (1 + dc), 0.0)
             down = ll(fit.M * (1 - dm), fit.C0 * (1 - dc), 0.0)
             assert abs(up - down) / (2 * h) < 1e-8
-
-
-def _theta_args(theta, offset):
-    return (theta[0], theta[1], theta[2] if theta.size == 3 else offset)
+        # a fixed offset at the same bound is never freed, even on a round
+        # drawn at offset 0.15 where its score points up
+        rnd = make_round(seed=700)
+        held = estimate.fit_ipdf(rnd, fix_offset=0.0)
+        theta = np.array([held.M, held.C0, held.offset])
+        assert estimate._scoring_terms(rnd, theta, held.per_band_expected_shares)[1][2] > 0.0
+        assert held.offset == 0.0 and len(held.unit_standard_errors) == 2
 
 
 class TestScoring:
@@ -165,20 +168,22 @@ class TestScoring:
         "closed": np.concatenate([[0.0], np.geomspace(0.25, 8.0, 16)]),
     }
 
+    # theta always carries the offset, so all three rows are checked at the
+    # default fixed offset 0.15 and at an offset 0.1 a fit has moved to
     @pytest.mark.parametrize("fit_offset", [False, True])
     @pytest.mark.parametrize("edges", ["open", "closed"])
     def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
         rnd = make_round(n=10**5, seed=51, edges=self.ROUNDS[edges])
-        theta = np.array([1.9, 1.4, 0.1] if fit_offset else [1.9, 1.4])
-        _, p = estimate.band_log_likelihood(rnd, *_theta_args(theta, 0.15))
-        jac, score, info = estimate._scoring_terms(rnd, theta, 0.15, p)
+        theta = np.array([1.9, 1.4, 0.1 if fit_offset else 0.15])
+        _, p = estimate.band_log_likelihood(rnd, *theta)
+        jac, score, info = estimate._scoring_terms(rnd, theta, p)
         for i in range(theta.size):
             h = 1e-5 * theta[i]
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            ll_up, p_up = estimate.band_log_likelihood(rnd, *_theta_args(up, 0.15))
-            ll_down, p_down = estimate.band_log_likelihood(rnd, *_theta_args(down, 0.15))
+            ll_up, p_up = estimate.band_log_likelihood(rnd, *up)
+            ll_down, p_down = estimate.band_log_likelihood(rnd, *down)
             numeric = (p_up - p_down) / (2 * h)
             assert np.max(np.abs(jac[i] - numeric)) <= 1e-6 * np.max(np.abs(numeric))
             assert score[i] == pytest.approx((ll_up - ll_down) / (2 * h), rel=1e-6)
@@ -189,19 +194,22 @@ class TestScoring:
     def test_fit_is_a_maximum_on_a_grid(self, fix_offset):
         rnd = make_round(seed=52)
         fit = estimate.fit_ipdf(rnd, fix_offset=fix_offset)
-        theta = np.array([fit.M, fit.C0] + ([fit.offset] if fix_offset is None else []))
+        theta = np.array([fit.M, fit.C0, fit.offset])
+        fitted = 3 if fix_offset is None else 2
 
         def ll(t):
-            return estimate.band_log_likelihood(rnd, *_theta_args(t, 0.15))[0]
+            return estimate.band_log_likelihood(rnd, *t)[0]
 
         assert ll(theta) == fit.log_likelihood
-        for i in range(theta.size):
+        for i in range(fitted):
             h = 1e-6 * theta[i]
             step = np.zeros(theta.size)
             step[i] = h
             assert abs(ll(theta + step) - ll(theta - step)) / (2 * h) * theta[i] < 1e-8
-        for factors in itertools.product((-1e-4, 0.0, 1e-4), repeat=theta.size):
-            assert fit.log_likelihood >= ll(theta * (1.0 + np.array(factors)))
+        for factors in itertools.product((-1e-4, 0.0, 1e-4), repeat=fitted):
+            scale = np.zeros(theta.size)
+            scale[:fitted] = factors
+            assert fit.log_likelihood >= ll(theta * (1.0 + scale))
 
     def test_standard_errors_and_chi2_match_replicate_spread(self):
         # 200 criterion-6 rounds: the spread of the fitted parameters over
