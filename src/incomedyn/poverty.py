@@ -118,12 +118,12 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
     """Population-average deprivation V K / (K + y) over observed income y.
 
     For the closed-form law, y is its offset plus model income; the integral
-    is evaluated by adaptive quadrature after u = C0 / (y - offset).  Its
-    error estimate may be at most 1e-9 V, so the tolerance follows the
-    rounds' monetary frame; a non-finite value or estimate is a
-    ``NumericalError``.  scipy's ``quad`` is imported at this one call site,
-    so commands without this index never load ``scipy.integrate``.  A grid density, of model income, must carry unit
-    mass to 1e-6 and is integrated by the trapezoidal rule.
+    is evaluated by adaptive quadrature after u = C0 / (y - offset), to an
+    error estimate of at most 1e-9 V, so the tolerance follows the monetary
+    frame (a non-finite result is a ``NumericalError``); scipy's ``quad`` is
+    imported at this one call site, so commands without this index never
+    load ``scipy.integrate``.  A grid density, of model income, must carry
+    unit mass to 1e-6 and is integrated by the trapezoidal rule.
     """
     if not (V > 0.0 and K > 0.0):
         raise DomainError("V and K must be positive")

@@ -168,8 +168,8 @@ class TestScoring:
         "closed": np.concatenate([[0.0], np.geomspace(0.25, 8.0, 16)]),
     }
 
-    # theta always carries the offset, so all three rows are checked at the
-    # default fixed offset 0.15 and at an offset 0.1 a fit has moved to
+    # theta always holds the offset, so all three rows are checked at both
+    # offsets: the default fixed 0.15 and 0.1
     @pytest.mark.parametrize("fit_offset", [False, True])
     @pytest.mark.parametrize("edges", ["open", "closed"])
     def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
@@ -207,8 +207,7 @@ class TestScoring:
             step[i] = h
             assert abs(ll(theta + step) - ll(theta - step)) / (2 * h) * theta[i] < 1e-8
         for factors in itertools.product((-1e-4, 0.0, 1e-4), repeat=fitted):
-            scale = np.zeros(theta.size)
-            scale[:fitted] = factors
+            scale = np.pad(factors, (0, theta.size - fitted))
             assert fit.log_likelihood >= ll(theta * (1.0 + scale))
 
     def test_standard_errors_and_chi2_match_replicate_spread(self):
