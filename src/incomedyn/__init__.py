@@ -16,7 +16,6 @@ from .distlib import (
     ipdf_mean,
     ipdf_moment,
     ipdf_sample,
-    lgamma,
     reg_upper_incomplete_gamma,
 )
 from .errors import (
@@ -42,7 +41,6 @@ from .fpsolve import (
 from .poverty import (
     FGTIndices,
     IndexSeries,
-    PovertyLine,
     Reduce,
     Transfer,
     cd_index_banded,
@@ -60,7 +58,6 @@ from .simulate import (
     init_population,
     ks_distance,
     run,
-    step,
 )
 from .survey import (
     Band,
@@ -71,7 +68,6 @@ from .survey import (
     empirical_cdf,
     empirical_ipdf,
     load_deflators,
-    load_round,
     load_rounds,
     save_rounds,
     synth_round,

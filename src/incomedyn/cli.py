@@ -26,6 +26,7 @@ options.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -169,7 +170,8 @@ def cmd_indices(args, out: Path) -> str:
     monods = [estimate.fit_monod(r) for r in rounds]
     series = poverty.index_series(rounds, fits, monods, args.line,
                                   pooled_M=args.pooled_M)
-    series.write_csv(out / "indices.csv")
+    _write_csv(out / "indices.csv", [f.name for f in dataclasses.fields(poverty.IndexRow)],
+               map(dataclasses.astuple, series.rows))
     _write_json(out / "diagnostics.json", series.diagnostics)
     return f"{len(series.rows)} rounds"
 

@@ -29,13 +29,6 @@ from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 from .errors import DomainError
 
 
-def lgamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"lgamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def reg_upper_incomplete_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
 

@@ -16,7 +16,7 @@ the same mask that holds a fitted one at its bound 0.  J is closed-form in
 C0 and the offset; only the shape derivative is a central difference of Q
 in its first argument.  Iterations stop once the Newton decrement
 g^T I^-1 g falls below 1e-15, which takes at most 4 of them on the
-criterion-6 and sample rounds; ``max_evaluations`` bounds the iterations
+criterion-6 and sample rounds; ``MAX_EVALUATIONS`` bounds the iterations
 and ``n_evaluations`` counts likelihood evaluations.  The same information
 gives the fit's standard errors.
 
@@ -146,8 +146,7 @@ def _scoring_terms(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray) ->
     return jac, score, info
 
 
-def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFSET,
-             max_evaluations: int = MAX_EVALUATIONS) -> FitResult:
+def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFSET) -> FitResult:
     """Fit (M, C0) — and the offset when ``fix_offset`` is None — to a round.
 
     Fisher scoring on theta = (M, C0, offset) from the moment-anchored
@@ -162,7 +161,7 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     has converged when the Newton decrement g^T I^-1 g falls below
     ``DECREMENT_TOL``.
 
-    ``max_evaluations`` is the budget of scoring iterations;
+    ``MAX_EVALUATIONS`` is the budget of scoring iterations;
     ``n_evaluations`` counts likelihood evaluations (``band_log_likelihood``
     calls), step halvings included, and ``iterations`` the steps taken.
     ``converged=False`` with the best point so far if the budget runs out,
@@ -210,7 +209,7 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         if float(score @ step) < DECREMENT_TOL:
             converged = True
             break
-        if iterations == max_evaluations:
+        if iterations == MAX_EVALUATIONS:
             break
         t = 1.0
         while t >= _MIN_STEP:

@@ -31,16 +31,8 @@ from .survey import BandedDistribution
 STRICT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PovertyLine:
-    z: float
-
-    def __post_init__(self):
-        _line_value(self)
-
-
 def _line_value(line) -> float:
-    z = line.z if isinstance(line, PovertyLine) else float(line)
+    z = float(line)
     if not z > 0.0:
         raise DomainError(f"poverty line must be positive, got {z}")
     return z
@@ -117,13 +109,15 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
                    V: float, K: float) -> float:
     """Population-average deprivation V K / (K + y) over observed income y.
 
-    For the closed-form law, y is its offset plus model income; the integral
-    is evaluated by adaptive quadrature after u = C0 / (y - offset), to an
-    error estimate of at most 1e-9 V, so the tolerance follows the monetary
-    frame (a non-finite result is a ``NumericalError``); scipy's ``quad`` is
-    imported at this one call site, so commands without this index never
-    load ``scipy.integrate``.  A grid density, of model income, must carry
-    unit mass to 1e-6 and is integrated by the trapezoidal rule.
+    For the closed-form law, y is its offset plus model income; the average
+    of K / (K + y), a fraction in (0, 1) free of V, is evaluated by adaptive
+    quadrature after u = C0 / (y - offset), to an error estimate of at most
+    1e-9, and then scaled by V, so neither the integrand nor the tolerance
+    depends on the monetary frame (a non-finite result is a
+    ``NumericalError``); scipy's ``quad`` is imported at this one call site,
+    so commands without this index never load ``scipy.integrate``.  A grid
+    density, of model income, must carry unit mass to 1e-6 and is
+    integrated by the trapezoidal rule.
     """
     if not (V > 0.0 and K > 0.0):
         raise DomainError("V and K must be positive")
@@ -132,15 +126,15 @@ def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
         lognorm = math.lgamma(m + 1.0)
 
         def integrand(u):
-            return V * K / (K + off + c0 / u) * math.exp(m * math.log(u) - u - lognorm)
+            return K / (K + off + c0 / u) * math.exp(m * math.log(u) - u - lognorm)
 
         from scipy.integrate import quad
         val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
         if not (math.isfinite(val) and math.isfinite(err)):
             raise NumericalError(f"CD quadrature gave {val:g} with error estimate {err:g}")
-        if err > 1e-9 * V:
+        if err > 1e-9:
             raise DataError(f"CD quadrature error {err:g} above tolerance")
-        return float(val)
+        return float(V * val)
     grid = density
     mass = grid.mass()
     if abs(mass - 1.0) > 1e-6:
@@ -164,13 +158,6 @@ class IndexRow:
 class IndexSeries:
     rows: tuple
     diagnostics: dict
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("round_id,year,hci,pg,spg,pcd_direct,pcd_model\n")
-            for r in self.rows:
-                fh.write(f"{r.round_id},{r.year:.12g},{r.hci:.12g},{r.pg:.12g},"
-                         f"{r.spg:.12g},{r.pcd_direct:.12g},{r.pcd_model:.12g}\n")
 
 
 def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult],

@@ -153,11 +153,6 @@ def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
     return taken
 
 
-def step(pop: AgentPopulation, params: LangevinParams, workers: int = 1) -> AgentPopulation:
-    """Advance every agent one weak Euler step; returns a new population."""
-    return run_steps(pop, params, n_steps=1, snapshot_steps=(), workers=workers)[0]
-
-
 def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
               snapshot_steps: Sequence[int] = (), workers: int = 1) -> list:
     """March ``n_steps`` from ``pop``; returns populations at the requested

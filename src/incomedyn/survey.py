@@ -73,6 +73,9 @@ class BandedDistribution:
     def __post_init__(self):
         bands = tuple(self.bands)
         object.__setattr__(self, "bands", bands)
+        # the id is written unquoted into CSV cells
+        if any(ch in self.round_id for ch in ',"\r\n'):
+            raise DataError(f"round id {self.round_id!r} holds a comma, quote or line break")
         if len(bands) < 1:
             raise DataError(f"round {self.round_id}: no bands")
         problems = []
@@ -249,19 +252,6 @@ def load_rounds(path) -> list:
         bands = _normalize_shares(rid, bands)
         rounds.append(BandedDistribution(round_id=rid, year=year, bands=tuple(bands)))
     return rounds
-
-
-def load_round(path, round_id: str = None) -> BandedDistribution:
-    """Load a single round; ``round_id`` selects when the file holds several."""
-    rounds = load_rounds(path)
-    if round_id is None:
-        if len(rounds) != 1:
-            raise DataError(f"{path}: holds {len(rounds)} rounds; specify round_id")
-        return rounds[0]
-    for rnd in rounds:
-        if rnd.round_id == round_id:
-            return rnd
-    raise DataError(f"{path}: no round named {round_id!r}")
 
 
 def save_rounds(path, rounds: Sequence[BandedDistribution]) -> None:

@@ -101,10 +101,16 @@ class TestSmoke:
             assert {"iterations", "unit_standard_errors", "pearson_chi2"} <= set(rnd["fit"])
             assert 0 < rnd["monod"]["evaluations"] <= 16
 
-    @pytest.mark.parametrize("scale", [1e5, 1e9])
-    def test_cd_indices_do_not_depend_on_the_monetary_frame(self, tmp_path, scale):
+    @pytest.mark.parametrize("scale, atol", [(1e5, 1e-12), (1e9, 1e-12), (1e160, 1e-8)],
+                             ids=["100000.0", "1000000000.0", "1e+160"])
+    def test_cd_indices_do_not_depend_on_the_monetary_frame(self, tmp_path, recwarn,
+                                                            scale, atol):
         """The CD indices as fractions of V, with rounds and offset in a frame
-        ``scale`` times larger, match those in the unit frame."""
+        ``scale`` times larger, match those in the unit frame, and the
+        default offset runs in that frame too.  At 1e160, where V K
+        overflows, the fit's information in C0 is of order 1 / C0^2 ~ 1e-320,
+        a subnormal number, so the fitted M moves by about 5e-8 and the model
+        index by about 1.4e-9."""
         def normalized(collapse_to):
             out = tmp_path / f"{collapse_to:g}"
             assert run_cli("indices", "--rounds", SAMPLE_ROUNDS,
@@ -114,7 +120,11 @@ class TestSmoke:
             rounds = json.loads((out / "diagnostics.json").read_text())["rounds"]
             return [[r["pcd_direct_normalized"], r["pcd_model_normalized"]] for r in rounds]
 
-        np.testing.assert_allclose(normalized(scale), normalized(1.0), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(normalized(scale), normalized(1.0), rtol=0.0, atol=atol)
+        assert run_cli("indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+                       "--collapse-to", scale, "--out-dir", tmp_path / "default-offset",
+                       "--quiet") == 0
+        assert [str(w.message) for w in recwarn] == []
 
     def test_evolve(self, tmp_path):
         out = tmp_path / "ev"
@@ -301,9 +311,8 @@ class TestExitCodes:
         (["modes", "--M", 1e6], 4),
         (["modes", "--C0", 1e-300], 4),
         (["modes", "--A2", 1e300], 4),
-        # V K overflows the CD integrand in this monetary frame
-        (["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
-          "--collapse-to", 1e160], 4),
+        # a comma in a round id would split its CSV cell
+        (["synth", "--n", 10, "--round-id", "a,b"], 3),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code

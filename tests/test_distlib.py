@@ -243,11 +243,6 @@ class TestSampling:
 
 
 class TestSpecialFunctions:
-    def test_lgamma_integer(self):
-        assert distlib.lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-        with pytest.raises(DomainError):
-            distlib.lgamma(0.0)
-
     def test_reg_upper_exponential_identity(self):
         for x in (0.0, 0.3, 1.0, 5.0, 40.0):
             assert distlib.reg_upper_incomplete_gamma(1.0, x) == \

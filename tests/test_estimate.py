@@ -83,11 +83,12 @@ class TestFitIPDF:
         assert m2.K == pytest.approx(lam * m1.K, rel=1e-6)
         assert m2.V == pytest.approx(lam * m1.V, rel=1e-6)
 
-    def test_budget_exhaustion_flags_non_convergence(self):
+    def test_budget_exhaustion_flags_non_convergence(self, monkeypatch):
         rnd = make_round(seed=46)
         ll_start, _ = estimate.band_log_likelihood(
             rnd, 1.6, 1.6 * (rnd.mean_income() - 0.15), 0.15)
-        fit = estimate.fit_ipdf(rnd, fix_offset=0.15, max_evaluations=1)
+        monkeypatch.setattr(estimate, "MAX_EVALUATIONS", 1)
+        fit = estimate.fit_ipdf(rnd, fix_offset=0.15)
         assert not fit.converged
         assert fit.iterations == 1
         assert fit.M > 0.0 and fit.C0 > 0.0  # best-so-far still returned

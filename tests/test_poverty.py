@@ -6,13 +6,15 @@ of the deprivation curve, and brute-force index recomputation for the
 axiom checks.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from incomedyn import distlib, estimate, fpsolve, poverty, survey
+from incomedyn import cli, distlib, estimate, fpsolve, poverty, survey
 from incomedyn.errors import DataError, DomainError
 
 DIST = distlib.SteadyStateIPDF(1.6, 1.6, 0.15)
@@ -52,7 +54,7 @@ class TestFGT:
         hci_o, _ = integrate.quad(dens, off + 1e-12, z)
         pg_o, _ = integrate.quad(lambda x: (1 - x / z) * dens(x), off + 1e-12, z)
         spg_o, _ = integrate.quad(lambda x: (1 - x / z) ** 2 * dens(x), off + 1e-12, z)
-        got = poverty.fgt_indices(rnd, poverty.PovertyLine(z))
+        got = poverty.fgt_indices(rnd, z)
         binning_tol = 0.5 * rnd.shares.max()
         assert abs(got.hci - hci_o) < binning_tol
         assert abs(got.pg - pg_o) < binning_tol
@@ -106,7 +108,7 @@ class TestFGT:
         with pytest.raises(DomainError):
             poverty.fgt_indices(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(DomainError):
-            poverty.PovertyLine(-1.0)
+            poverty.fgt_indices(make_round(n=10**4), -1.0)
 
 
 class TestCDIndexDirect:
@@ -255,13 +257,25 @@ class TestIndexSeries:
             poverty.index_series(rounds, fits[:1], monods, 0.45)
 
     def test_csv_and_diagnostics(self, tmp_path):
-        _, _, _, series = self._chain([1.0, 1.2], [0.5, 0.5])
-        path = tmp_path / "indices.csv"
-        series.write_csv(path)
-        lines = path.read_text().splitlines()
+        rounds, _, _, _ = self._chain([1.0, 1.2], [0.5, 0.5])
+        path, out = tmp_path / "rounds.csv", tmp_path / "out"
+        survey.save_rounds(path, rounds)
+        assert cli.main(["indices", "--rounds", str(path), "--line", "0.45",
+                         "--out-dir", str(out), "--quiet"]) == 0
+        lines = (out / "indices.csv").read_text().splitlines()
         assert lines[0] == "round_id,year,hci,pg,spg,pcd_direct,pcd_model"
         assert len(lines) == 3
-        diag = series.diagnostics
+        # one row per round, IndexRow's fields in header order
+        loaded = survey.load_rounds(path)
+        series = poverty.index_series(
+            loaded, [estimate.fit_ipdf(r, fix_offset=0.15) for r in loaded],
+            [estimate.fit_monod(r) for r in loaded], 0.45)
+        for line, row in zip(lines[1:], series.rows):
+            cells = line.split(",")
+            assert cells[0] == row.round_id
+            assert [float(c) for c in cells[1:]] == pytest.approx(
+                dataclasses.astuple(row)[1:], rel=1e-11)
+        diag = json.loads((out / "diagnostics.json").read_text())
         assert {"poverty_line", "pooled_M", "rounds"} <= set(diag)
         for rec in diag["rounds"]:
             assert 0.0 < rec["pcd_direct_normalized"] < 1.0

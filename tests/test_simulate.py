@@ -94,7 +94,9 @@ class TestDeterminism:
     def test_step_equals_run(self):
         params = make_params()
         pop0 = simulate.init_population(1_000, 1.0, seed=5)
-        via_step = simulate.step(simulate.step(pop0, params), params)
+        # the second step resumes from the RNG states the first returned
+        once = simulate.run_steps(pop0, params, 1)[0]
+        via_step = simulate.run_steps(once, params, 1)[0]
         via_run = simulate.run(1_000, params, 2 * params.dt, 1.0, seed=5)[-1]
         assert np.array_equal(via_step.incomes, via_run.incomes)
         assert via_step.step_index == 2
@@ -134,7 +136,7 @@ class TestStepMoments:
         n = 10**6
         for i, y0 in enumerate((0.5, 1.0, 3.0)):
             pop = simulate.init_population(n, y0, seed=100 + i)
-            nxt = simulate.step(pop, params)
+            nxt = simulate.run_steps(pop, params, 1)[0]
             dy = nxt.incomes - y0
             drift_exact = (1.6 - 1.6 * y0) * params.dt
             var_exact = 2.0 * y0**2 * params.dt
@@ -147,7 +149,7 @@ class TestStepMoments:
         # with probability 1/2
         params = make_params(dt=1e-3)
         n, y0 = 10**5, 2.0
-        nxt = simulate.step(simulate.init_population(n, y0, seed=4), params)
+        nxt = simulate.run_steps(simulate.init_population(n, y0, seed=4), params, 1)[0]
         decay, kick = 1.0 - 1.6 * params.dt, math.sqrt(2.0) * math.sqrt(params.dt)
         values, counts = np.unique(nxt.incomes, return_counts=True)
         assert values.tolist() == pytest.approx(
@@ -251,21 +253,21 @@ class TestNanDetection:
         bad = simulate.AgentPopulation(
             incomes=np.array([1.0, math.nan, 2.0]), time=0.0, seed=0)
         with pytest.raises(NumericalError):
-            simulate.step(bad, params)
+            simulate.run_steps(bad, params, 1)
 
     def test_overflow_aborts_before_a_snapshot_is_returned(self):
         # 1.79e308 times the upper multiplier 1 - M dt + sigma sqrt(dt) > 1.005
         # overflows; every returned population has passed the finite check
         big = simulate.AgentPopulation(incomes=np.full(64, 1.79e308), time=0.0, seed=0)
         with pytest.raises(NumericalError), np.errstate(over="ignore"):
-            simulate.step(big, make_params())
+            simulate.run_steps(big, make_params(), 1)
 
     def test_nonpositive_income_is_a_domain_error(self):
         for value in (0.0, -1.0):
             bad = simulate.AgentPopulation(
                 incomes=np.array([1.0, value, 2.0]), time=0.0, seed=0)
             with pytest.raises(DomainError):
-                simulate.step(bad, make_params())
+                simulate.run_steps(bad, make_params(), 1)
 
 
 class TestHill:

@@ -38,7 +38,7 @@ GOOD_ROWS = [
 class TestLoaders:
     def test_well_formed_round(self, tmp_path):
         path = write_rounds_csv(tmp_path / "r.csv", GOOD_ROWS)
-        rnd = survey.load_round(path)
+        rnd = survey.load_rounds(path)[0]
         assert len(rnd.bands) == 4
         assert rnd.shares.sum() == pytest.approx(1.0, abs=1e-12)
         assert rnd.has_open_band
@@ -49,7 +49,7 @@ class TestLoaders:
         rows[1] = "r1,1980,8,25,0.45,16,5\n"     # overlaps band 0
         path = write_rounds_csv(tmp_path / "r.csv", rows)
         with pytest.raises(DataError, match="rows 0/1"):
-            survey.load_round(path)
+            survey.load_rounds(path)
 
     def test_share_renormalization_policy(self, tmp_path):
         # 0.9995 total: renormalized with a warning
@@ -61,25 +61,25 @@ class TestLoaders:
         ]
         path = write_rounds_csv(tmp_path / "r.csv", rows)
         with pytest.warns(UserWarning, match="renormalizing"):
-            rnd = survey.load_round(path)
+            rnd = survey.load_rounds(path)[0]
         assert rnd.shares.sum() == pytest.approx(1.0, abs=1e-12)
         # 0.95 total: rejected
         rows[0] = "r1,1980,0,10,0.25,6,2\n"
         path = write_rounds_csv(tmp_path / "r2.csv", rows)
         with pytest.raises(DataError, match="sum to"):
-            survey.load_round(path)
+            survey.load_rounds(path)
 
     def test_cereal_above_total_rejected(self, tmp_path):
         rows = list(GOOD_ROWS)
         rows[0] = "r1,1980,0,10,0.3,6,7\n"
         path = write_rounds_csv(tmp_path / "r.csv", rows)
         with pytest.raises(DataError, match="cereal exceeds"):
-            survey.load_round(path)
+            survey.load_rounds(path)
 
     def test_missing_cereal_cells_allowed(self, tmp_path):
         rows = [r.rsplit(",", 1)[0] + ",\n" for r in GOOD_ROWS]
         path = write_rounds_csv(tmp_path / "r.csv", rows)
-        rnd = survey.load_round(path)
+        rnd = survey.load_rounds(path)[0]
         assert all(b.mean_cereal_expenditure is None for b in rnd.bands)
 
     def test_bad_header(self, tmp_path):
@@ -91,16 +91,20 @@ class TestLoaders:
     def test_multi_round_selection(self, tmp_path):
         rows = GOOD_ROWS + [r.replace("r1", "r2") for r in GOOD_ROWS]
         path = write_rounds_csv(tmp_path / "r.csv", rows)
-        assert len(survey.load_rounds(path)) == 2
-        assert survey.load_round(path, "r2").round_id == "r2"
-        with pytest.raises(DataError, match="specify round_id"):
-            survey.load_round(path)
+        assert [r.round_id for r in survey.load_rounds(path)] == ["r1", "r2"]
+
+    def test_round_id_that_breaks_a_csv_cell_rejected(self, tmp_path):
+        # csv reads a quoted id whole; written back unquoted it would add a cell
+        rows = [r.replace("r1", '"a,b"') for r in GOOD_ROWS]
+        path = write_rounds_csv(tmp_path / "r.csv", rows)
+        with pytest.raises(DataError, match="round id 'a,b'"):
+            survey.load_rounds(path)
 
     def test_save_load_roundtrip(self, tmp_path):
         rnd = survey.synth_round(DIST, EDGES, 10**5, seed=4, monod=(0.4, 0.5))
         path = tmp_path / "out.csv"
         survey.save_rounds(path, [rnd])
-        back = survey.load_round(path)
+        back = survey.load_rounds(path)[0]
         assert np.allclose(back.shares, rnd.shares, atol=1e-12)
         assert back.year == rnd.year
 
