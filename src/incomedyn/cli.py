@@ -187,8 +187,9 @@ def cmd_evolve(args, out: Path) -> str:
     else:
         f0 = fpsolve.bump_density(grid, args.bump_center, args.bump_width)
     times = args.snapshot_times or list(np.linspace(args.t_end / 8.0, args.t_end, 8))
+    stats = {}
     final, snaps = fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
-                                  snapshot_times=times)
+                                  snapshot_times=times, stats=stats)
     all_snaps = [f0] + snaps + ([final] if not snaps or snaps[-1].time != final.time else [])
     fpsolve.write_snapshots_csv(out / "snapshots.csv", all_snaps)
     conv_rows = [(s.time, fpsolve.l1_distance(s, steady)) for s in all_snaps]
@@ -197,7 +198,8 @@ def cmd_evolve(args, out: Path) -> str:
     _write_json(out / "report.json", {
         "final_l1_to_steady": conv_rows[-1][1],
         "mass_drift_per_unit_time": drift,
-        "residual_on_grid": fpsolve.steady_state_residual(args.M, args.C0, grid)})
+        "residual_on_grid": fpsolve.steady_state_residual(args.M, args.C0, grid),
+        **stats})
     return f"final L1 {conv_rows[-1][1]:.4g}"
 
 

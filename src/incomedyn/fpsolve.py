@@ -5,12 +5,16 @@ The density obeys the flux-form equation
     df/dt = d/dy { [(M+2) y - C(t)] f + y^2 df/dy }
 
 discretized here as a conservative finite volume scheme on a log-spaced
-grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit
-(backward Euler) time stepping.  The tridiagonal I - dt L is LU-factored
-(LAPACK ``dgttrf``) once per (step, C) and each step is one ``dgttrs``
-solve from those factors.  Zero-flux boundaries conserve the trapezoidal
-mass exactly, the scheme preserves positivity, and its discrete steady
-state matches the closed-form stationary law to O(h^2).
+grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit,
+variable-step BDF2 time stepping (Hairer & Wanner, Solving ODEs II, V.1).
+Every step solves a tridiagonal I - beta L, LU-factored (LAPACK
+``dgttrf``) once per (beta, C), by one ``dgttrs`` solve from those
+factors; LAPACK loads on the first factorisation, not at import.  Zero-flux
+boundaries conserve the trapezoidal mass exactly, and the discrete steady
+state matches the closed-form stationary law to O(h^2).  No linear
+second-order scheme keeps every density nonnegative at every step (Bolley &
+Crouzeix 1978), so a BDF2 step that goes negative is retaken by backward
+Euler, whose I - h L is an M-matrix and keeps the density nonnegative.
 
 The ``modes`` family, omega_n = 2 pi n, combines confluent hypergeometric
 (Kummer M) functions from scipy's ``hyp1f1``.  Each mode satisfies
@@ -23,12 +27,12 @@ the residual of the spatial operator on it; it projects no initial data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import hyp1f1
 
 from . import distlib
@@ -312,41 +316,68 @@ class _FluxOperator:
             raise NumericalError(f"Fokker-Planck operator is not finite at C={c_value:g}")
         self.lower, self.diag, self.upper = lo, di, up
 
-    def implicit_factors(self, dt: float) -> tuple:
-        """LU factors of the tridiagonal (I - dt L), from LAPACK ``dgttrf``."""
-        *factors, info = dgttrf(-dt * self.lower[1:], 1.0 - dt * self.diag,
-                                -dt * self.upper[:-1])
+    def implicit_factors(self, beta: float) -> functools.partial:
+        """LU factors of the tridiagonal (I - beta L), from LAPACK ``dgttrf``,
+        bound to the ``dgttrs`` solve that uses them.
+
+        ``scipy.linalg`` is imported here, where a matrix is first factored,
+        so that no command but ``evolve`` loads it."""
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        *factors, info = dgttrf(-beta * self.lower[1:], 1.0 - beta * self.diag,
+                                -beta * self.upper[:-1])
         if info > 0:
-            raise NumericalError(f"I - dt L is singular: zero pivot in row {info}")
-        return tuple(factors)
+            raise NumericalError(f"I - beta L is singular: zero pivot in row {info}")
+        return functools.partial(dgttrs, *factors)
 
     def edge_fluxes(self, f: np.ndarray) -> np.ndarray:
         return self.g * (self.b_minus * f[1:] - self.b_plus * f[:-1])
 
 
-def solve_banded(factors: tuple, f: np.ndarray) -> np.ndarray:
-    """One backward Euler step: solve (I - dt L) x = f by LAPACK ``dgttrs``
-    from ``_FluxOperator.implicit_factors``.
+def solve_banded(factors: functools.partial, rhs: np.ndarray) -> np.ndarray:
+    """One implicit step: solve (I - beta L) x = rhs from
+    ``_FluxOperator.implicit_factors``.
 
-    ``evolve`` calls it exactly once per step, through this module attribute:
-    perfbench counts its calls as steps (``fpsolve.evolve.steps``) until it
-    reads the count from ``evolve``'s report (ROADMAP item 1).
+    ``evolve`` calls it through this module attribute once per step, and
+    once more for a BDF2 step that it retakes by backward Euler.  perfbench
+    counts its calls as steps (``fpsolve.evolve.steps``) until it reads the
+    count from ``evolve``'s report (ROADMAP item 1).
     """
-    return dgttrs(*factors, f)[0]
+    return factors(rhs)[0]
+
+
+# omega = h / h_prev above this loses zero-stability of variable-step BDF2
+BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 
 
 def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
-           snapshot_times: Sequence[float] = ()) -> tuple:
+           snapshot_times: Sequence[float] = (), stats: dict = None) -> tuple:
     """Evolve a density to t_end; returns (final, snapshots at requested times).
 
-    Backward Euler steps of the Chang-Cooper operator; the labour rate may be
-    a constant or a callable of time.  I - step L depends only on (step, C):
-    it is built and factored once per pair, and the factors of the last two
-    pairs are kept, so a shortened step that lands on a snapshot time does
-    not evict the full step's.  Each step is one ``solve_banded`` call.  A
-    negative or NaN density is a ``NumericalError``.  Zero-flux boundaries
-    conserve mass to solver roundoff.  A time step above 0.5 / (M + 2)
+    Variable-step BDF2 on the Chang-Cooper operator L; the labour rate may
+    be a constant or a callable of time.  Each interval between output times
+    (the snapshot times and t_end) is split into the fewest equal steps of
+    at most ``dt`` (to a relative 1e-9, so that rounding adds no step), and
+    the steps land on every output time; an interval of 1e-12 or less takes
+    no step.  With omega = h / h_prev, a step solves
+
+        (I - beta L) f+ = ((1 + omega)^2 f - omega^2 f_prev) / (1 + 2 omega),
+        beta = h (1 + omega) / (1 + 2 omega).
+
+    The first step is backward Euler (I - h L) f+ = f, and so is any step
+    whose omega exceeds 1 + sqrt(2), the zero-stability limit.  A BDF2 step
+    whose density dips below -1e-12 (or is NaN) is retaken by backward
+    Euler, which keeps it nonnegative (module docstring); if that dips too,
+    the result is a ``NumericalError``.  I - beta L depends only on
+    (beta, C): it is built and factored once per pair, and the factors of
+    the last two pairs are kept, so a backward Euler step among BDF2 steps
+    does not evict theirs.  Each solve is one ``solve_banded`` call.
+    Zero-flux boundaries conserve mass to solver roundoff.
+
+    ``dt`` defaults to 0.25 / (M + 2).  A step above 0.5 / (M + 2)
     under-resolves the fastest drift scale and is refused with a suggestion.
+    If ``stats`` is a dict, it receives the counts ``steps``,
+    ``factorisations`` and ``backward_euler_steps`` (the start step, the
+    restarts after a ratio above the limit, and the retaken steps).
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
@@ -354,7 +385,7 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
         raise DomainError(f"t_end must be finite and exceed the initial time, got {t_end}")
     dt_max = 0.5 / (M + 2.0)
     if dt is None:
-        dt = 0.1 / (M + 2.0)
+        dt = 0.25 / (M + 2.0)
     if not 0.0 < dt <= dt_max:
         raise TimeStepError(
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
@@ -364,34 +395,56 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
         raise DomainError("snapshot times must lie within (time, t_end]")
 
     y = f0.grid
-    f = f0.values.copy()
+    f, f_prev, h_prev = f0.values.copy(), None, 0.0
     t = f0.time
     snapshots = []
     pending = list(snap_times)
-    factors = {}                     # (step, C) -> LU factors, last used last
-    while t < t_end - 1e-12:
-        target = pending[0] if pending else t_end
-        step = min(dt, target - t)
-        c_val = C_of_t(t + step) if callable(C_of_t) else float(C_of_t)
-        key = (step, c_val)
-        lu = factors.pop(key, None)
+    factors = {}                     # (beta, C) -> LU factors, last used last
+    counts = {"steps": 0, "factorisations": 0, "backward_euler_steps": 0}
+
+    def factored(beta: float, c_val: float):
+        lu = factors.pop((beta, c_val), None)
         if lu is None:
-            if not c_val > 0.0:
-                raise DomainError(f"labour rate must stay positive, got C({t + step})={c_val}")
-            lu = _FluxOperator(y, M, c_val).implicit_factors(step)
+            lu = _FluxOperator(y, M, c_val).implicit_factors(beta)
+            counts["factorisations"] += 1
             if len(factors) > 1:
                 del factors[next(iter(factors))]
-        factors[key] = lu
-        f = solve_banded(lu, f)
-        fmin = f.min()
-        if not fmin >= -1e-12:     # a NaN fails this test too
-            raise NumericalError(f"density minimum {fmin:g} at t={t + step:g}")
-        if fmin < 0.0:
-            np.maximum(f, 0.0, out=f)
-        t += step
-        if pending and t >= pending[0] - 1e-12:
+        factors[(beta, c_val)] = lu
+        return lu
+
+    while t < t_end - 1e-12:
+        target = pending[0] if pending else t_end
+        t0, span = t, target - t
+        n = max(1, math.ceil(span / dt - 1e-9)) if span > 1e-12 else 0
+        h = span / n if n else 0.0
+        for k in range(1, n + 1):
+            t = target if k == n else t0 + k * h
+            c_val = C_of_t(t) if callable(C_of_t) else float(C_of_t)
+            if not c_val > 0.0:
+                raise DomainError(f"labour rate must stay positive, got C({t})={c_val}")
+            omega = h / h_prev if h_prev else math.inf
+            bdf2 = omega <= BDF2_MAX_RATIO
+            if bdf2:
+                d = 1.0 + 2.0 * omega
+                rhs = (1.0 + omega) ** 2 / d * f
+                rhs -= omega ** 2 / d * f_prev
+                f_new = solve_banded(factored(h * (1.0 + omega) / d, c_val), rhs)
+                fmin = f_new.min()
+            if not (bdf2 and fmin >= -1e-12):     # a NaN fails this test too
+                counts["backward_euler_steps"] += 1
+                f_new = solve_banded(factored(h, c_val), f)
+                fmin = f_new.min()
+                if not fmin >= -1e-12:
+                    raise NumericalError(f"density minimum {fmin:g} at t={t:g}")
+            if fmin < 0.0:
+                np.maximum(f_new, 0.0, out=f_new)
+            f_prev, f, h_prev = f, f_new, h
+            counts["steps"] += 1
+        if pending:
             pending.pop(0)
             snapshots.append(GridDensity(y, f.copy(), t))
+    if stats is not None:
+        stats.update(counts)
     return GridDensity(y, f, t), snapshots
 
 

@@ -161,7 +161,16 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     The starting incomes must be finite (else ``NumericalError``) and
     positive (else ``DomainError``); the scheme keeps them so.  The chunks
     run one after another: ``workers`` is accepted and ignored, because
-    threads did not beat one thread on a step this short.
+    threads do not beat one thread on a step this short.  Measured on a
+    2-vCPU Xeon (Python 3.11, numpy 2.4):
+
+    - whole-chunk threads, each running its chunks over all steps with no
+      per-step barrier, ran 10^5 agents x 500 steps at 0.95x one thread
+      (0.101 -> 0.106 s), with bit-identical results;
+    - on 2 threads the step's numpy calls scale as: ``random_raw`` 0.57-0.65x,
+      ``take`` 1.22-1.59x, the multiply 0.83-1.02x, the add 0.77-0.80x;
+    - two processes do run in parallel, so the limit is not the CPU quota
+      but the GIL handoff between numpy calls of 3-24 us each.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")

@@ -438,6 +438,34 @@ CONTRACT_BASE = {
 }
 
 
+_LINALG_PROBE = """
+import json, sys
+from incomedyn import cli
+loaded = ["scipy.linalg" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit("command failed")
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("commands", [
+    ["simulate", "collapse", "fit", "synth", "modes", "evolve"],
+    ["indices"],
+], ids=["evolve-last", "indices"])
+def test_only_evolve_and_indices_load_scipy_linalg(tmp_path, commands):
+    """Cold start: ``evolve`` imports LAPACK where it factors a matrix, and
+    ``indices`` loads scipy.linalg through its quadrature and root finder.
+    One fresh process imports the package and runs ``commands`` in turn;
+    scipy.linalg must first appear after ``evolve`` or ``indices``."""
+    argv = [[c, *map(str, CONTRACT_BASE[c]), "--out-dir", str(tmp_path / c), "--quiet"]
+            for c in commands]
+    done = fresh_process("-c", _LINALG_PROBE, json.dumps(argv))
+    loaded = json.loads(done.stdout)
+    assert loaded == [False] * len(commands) + [True]
+
+
 def numeric_options(command: str) -> list:
     """Every option of ``command`` whose value argparse converts."""
     sub = next(a for a in build_parser()._actions
