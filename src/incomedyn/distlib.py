@@ -29,20 +29,22 @@ from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 from .errors import DomainError
 
 
-def reg_upper_incomplete_gamma(a: float, x):
+def reg_upper_incomplete_gamma(a, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
 
     ``scipy.special.gammaincc`` behind the package's domain contract: a > 0
     and x >= 0, else ``DomainError``.  Accepts a scalar or an ndarray for
-    ``x``; a 0-d input gives a float.  Q(a, 0) = 1 and Q(a, inf) = 0.
+    each of ``a`` and ``x``; arrays broadcast against each other, so one
+    call evaluates several shapes at the same points.  Two scalars give a
+    float.  Q(a, 0) = 1 and Q(a, inf) = 0.
     """
-    if not a > 0.0:
+    if not (np.asarray(a) > 0.0).all():      # also rejects NaN
         raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
     arr = np.asarray(x, dtype=float)
     if not (arr >= 0.0).all():      # also rejects NaN
         raise DomainError("incomplete gamma requires x >= 0")
     out = gammaincc(a, arr)
-    return float(out) if arr.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ Hessian, where J = dp/dtheta holds the derivatives of the band
 probabilities.  theta is always (M, C0, offset); a fixed offset is held by
 the same mask that holds a fitted one at its bound 0.  J is closed-form in
 C0 and the offset; only the shape derivative is a central difference of Q
-in its first argument.  Iterations stop once the Newton decrement
-g^T I^-1 g falls below 1e-15, which takes at most 4 of them on the
-criterion-6 and sample rounds; ``MAX_EVALUATIONS`` bounds the iterations
-and ``n_evaluations`` counts likelihood evaluations.  The same information
-gives the fit's standard errors.
+in its first argument, so one incomplete-gamma call on the shapes
+(M + 1, M + 1 +- h) gives a point's likelihood and its Jacobian together.
+Iterations stop once the Newton decrement g^T I^-1 g falls below 1e-15,
+which takes at most 4 of them on the criterion-6 and sample rounds;
+``MAX_EVALUATIONS`` bounds the iterations and ``n_evaluations`` counts
+likelihood evaluations.  The same information gives the fit's standard
+errors.
 
 The labour-rate series ties fitted rounds together: under the quasi-static
 assumption the rate at a round's date is M times its mean model income,
@@ -96,6 +98,26 @@ class MonodFit:
     evaluations: int = 0
 
 
+def _band_values(rnd: BandedDistribution, theta: np.ndarray) -> tuple:
+    """Everything the fit needs at one point theta = (M, C0, offset), from
+    one incomplete-gamma call: the log likelihood ``ll``, the band
+    probabilities ``p``, the edge arguments x = C0 / (edge - offset) and
+    ``q``, the CDF Q at every edge for the shapes (a, a + h, a - h), a row
+    each, where a = M + 1 and h is the central-difference step of
+    ``_scoring``.  ``band_log_likelihood`` documents ``ll`` and ``p``."""
+    a = theta[0] + 1.0
+    h = _SHAPE_STEP * a
+    x = distlib.observed_argument(distlib.SteadyStateIPDF(*theta), rnd.edges)
+    q = distlib.reg_upper_incomplete_gamma(np.array([[a], [a + h], [a - h]]), x)
+    p = q[0, 1:] - q[0, :-1]
+    total = p.sum()
+    if total <= 0.0:
+        return -math.inf, np.full(p.size, 1.0 / p.size), x, q
+    p = p / total
+    ll = float(np.dot(rnd.shares, np.log(np.maximum(p, _P_FLOOR))))
+    return ll, p, x, q
+
+
 def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
                         offset: float) -> tuple:
     """Per-observation log likelihood and expected band shares for given params.
@@ -105,41 +127,35 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     are conditioned on the range the bands cover, so expected shares always
     sum to one.  Parameters outside the law's domain are a ``DomainError``.
     """
-    p = np.diff(distlib.observed_cdf(distlib.SteadyStateIPDF(M, C0, offset), rnd.edges))
-    total = p.sum()
-    if total <= 0.0:
-        return -math.inf, np.full(p.size, 1.0 / p.size)
-    p = p / total
-    ll = float(np.dot(rnd.shares, np.log(np.maximum(p, _P_FLOOR))))
-    return ll, p
+    return _band_values(rnd, np.array([M, C0, offset], dtype=float))[:2]
 
 
-def _scoring_terms(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray) -> tuple:
+def _scoring(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray,
+             x: np.ndarray, q: np.ndarray) -> tuple:
     """Jacobian J = dp/dtheta of the band probabilities p at theta, the score
-    J^T (s / p) and the Fisher information J^T diag(1 / p) J per household.
+    J^T (s / p) and the Fisher information J^T diag(1 / p) J per household,
+    from the values ``_band_values`` returned at theta.
 
     theta is (M, C0, offset), with a row of J for each, whether the fit
     holds the offset fixed or not.  With x = C0 / (edge - offset) and
     a = M + 1, the CDF Q(a, x) at an edge has x dQ/dx = -x^a e^-x / Gamma(a),
     which gives its C0 and offset derivatives exactly; dQ/da is a central
-    difference.  J differentiates the normalised p = diff(Q) / T, T = Q at
-    the last edge minus Q at the first, so the conditioning on the covered
-    range is exact.  Bands with p = 0 add nothing to the score or the
-    information.
+    difference of the rows of ``q``.  J differentiates the normalised
+    p = diff(Q) / T, T = Q at the last edge minus Q at the first, so the
+    conditioning on the covered range is exact.  Bands with p = 0 add
+    nothing to the score or the information.
     """
     a, c0 = theta[0] + 1.0, theta[1]
-    x = distlib.observed_argument(distlib.SteadyStateIPDF(*theta), rnd.edges)
     inner = np.isfinite(x) & (x > 0.0)
     xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
     xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
     h = _SHAPE_STEP * a
-    d_cdf = np.array([(distlib.reg_upper_incomplete_gamma(a + h, x)
-                       - distlib.reg_upper_incomplete_gamma(a - h, x)) / (2.0 * h),
+    d_cdf = np.array([(q[1] - q[2]) / (2.0 * h),
                       -xg / c0,
                       -xg * np.where(inner, x, 0.0) / c0])
-    total = float(np.diff(distlib.reg_upper_incomplete_gamma(a, x[[0, -1]]))[0])
-    jac = (np.diff(d_cdf, axis=1)
-           - np.outer(d_cdf[:, -1] - d_cdf[:, 0], p)) / total
+    total = q[0, -1] - q[0, 0]
+    jac = (d_cdf[:, 1:] - d_cdf[:, :-1]
+           - (d_cdf[:, -1] - d_cdf[:, 0])[:, None] * p) / total
     w = np.divide(1.0, p, out=np.zeros(p.size), where=p > 0.0)
     score = jac @ (rnd.shares * w)
     info = (jac * w) @ jac.T
@@ -161,9 +177,11 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     has converged when the Newton decrement g^T I^-1 g falls below
     ``DECREMENT_TOL``.
 
-    ``MAX_EVALUATIONS`` is the budget of scoring iterations;
-    ``n_evaluations`` counts likelihood evaluations (``band_log_likelihood``
-    calls), step halvings included, and ``iterations`` the steps taken.
+    Each point is evaluated once, by ``_band_values``, and scored by
+    ``_scoring`` only once it is accepted, so a rejected trial costs one
+    incomplete-gamma call and no Jacobian.  ``MAX_EVALUATIONS`` is the
+    budget of scoring iterations; ``n_evaluations`` counts evaluated
+    points, step halvings included, and ``iterations`` the steps taken.
     ``converged=False`` with the best point so far if the budget runs out,
     the information matrix is singular, or no halved step keeps the
     likelihood from dropping.
@@ -192,16 +210,16 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             f"[{first.lower:.6g}, {first.upper:.6g}] with no model mass")
     mean_model = max(mean - offset0, 0.05 * mean)
     theta = np.array([1.6, 1.6 * mean_model, offset0])
-    ll, p = band_log_likelihood(rnd, *theta)
+    ll, p, x, q = _band_values(rnd, theta)
     n_eval, iterations, converged = 1, 0, False
     while True:
-        _, score, info = _scoring_terms(rnd, theta, p)
+        _, score, info = _scoring(rnd, theta, p, x, q)
         # a fixed offset is never free; a fitted one is held at its bound 0
         # while its score points below zero
         free = fitted & [True, True, not (theta[2] == 0.0 and score[2] <= 0.0)]
         step = np.zeros(theta.size)
         try:
-            step[free] = np.linalg.solve(info[np.ix_(free, free)], score[free])
+            step[free] = np.linalg.solve(info[free][:, free], score[free])
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(step).all():
@@ -216,18 +234,18 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             trial = theta + t * step
             trial[2] = max(trial[2], 0.0)
             if trial[0] > 0.0 and trial[1] > 0.0:
-                ll_trial, p_trial = band_log_likelihood(rnd, *trial)
+                values = _band_values(rnd, trial)
                 n_eval += 1
-                if ll_trial >= ll:
+                if values[0] >= ll:
                     break
             t *= 0.5
         else:
             break
-        theta, ll, p = trial, ll_trial, p_trial
+        theta, (ll, p, x, q) = trial, values
         iterations += 1
     try:
         unit_se = tuple(float(v) for v in
-                        np.sqrt(np.diag(np.linalg.inv(info[np.ix_(fitted, fitted)]))))
+                        np.sqrt(np.diag(np.linalg.inv(info[fitted][:, fitted]))))
     except np.linalg.LinAlgError:
         unit_se = (math.nan,) * int(fitted.sum())
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),

@@ -286,6 +286,23 @@ class TestSpecialFunctions:
         assert big[idx] == pytest.approx(
             distlib.reg_upper_incomplete_gamma(a, float(x_big[idx])), rel=1e-14)
 
+    def test_array_of_shapes_matches_scalar_calls_bit_for_bit(self):
+        # the fit evaluates (a, a + h, a - h) at its edges in one call
+        a = 2.6 * np.array([[1.0], [1.0 + 1e-5], [1.0 - 1e-5]])
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 40), [math.inf]])
+        stacked = distlib.reg_upper_incomplete_gamma(a, x)
+        assert stacked.shape == (3, x.size)
+        for row, ai in zip(stacked, a[:, 0]):
+            assert row.tobytes() == distlib.reg_upper_incomplete_gamma(float(ai), x).tobytes()
+        pointwise = distlib.reg_upper_incomplete_gamma(a[:, 0], 1.6)
+        assert pointwise.tolist() == [distlib.reg_upper_incomplete_gamma(float(ai), 1.6)
+                                      for ai in a[:, 0]]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_of_shapes_refuses_any_bad_element(self, bad):
+        with pytest.raises(DomainError):
+            distlib.reg_upper_incomplete_gamma(np.array([[2.6], [bad]]), np.ones(4))
+
 
 class TestObservedLaw:
     """Observed income is the offset plus model income."""

@@ -153,7 +153,8 @@ class TestFitIPDF:
         rnd = make_round(seed=700)
         held = estimate.fit_ipdf(rnd, fix_offset=0.0)
         theta = np.array([held.M, held.C0, held.offset])
-        assert estimate._scoring_terms(rnd, theta, held.per_band_expected_shares)[1][2] > 0.0
+        _, p, x, q = estimate._band_values(rnd, theta)
+        assert estimate._scoring(rnd, theta, p, x, q)[1][2] > 0.0
         assert held.offset == 0.0 and len(held.unit_standard_errors) == 2
 
 
@@ -176,8 +177,8 @@ class TestScoring:
     def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
         rnd = make_round(n=10**5, seed=51, edges=self.ROUNDS[edges])
         theta = np.array([1.9, 1.4, 0.1 if fit_offset else 0.15])
-        _, p = estimate.band_log_likelihood(rnd, *theta)
-        jac, score, info = estimate._scoring_terms(rnd, theta, p)
+        _, p, x, q = estimate._band_values(rnd, theta)
+        jac, score, info = estimate._scoring(rnd, theta, p, x, q)
         for i in range(theta.size):
             h = 1e-5 * theta[i]
             up, down = theta.copy(), theta.copy()
@@ -190,6 +191,17 @@ class TestScoring:
             assert score[i] == pytest.approx((ll_up - ll_down) / (2 * h), rel=1e-6)
         assert np.allclose(info, info.T)
         assert (np.linalg.eigvalsh(info) > 0.0).all()
+
+    @pytest.mark.parametrize("fix_offset", [0.15, 0.0, None])
+    @pytest.mark.parametrize("edges", ["open", "closed", "criterion 6"])
+    def test_fit_reports_the_likelihood_at_its_own_parameters(self, edges, fix_offset):
+        # each point is evaluated once, by the code behind band_log_likelihood,
+        # so the reported values are that function's at the fitted theta
+        rnd = make_round(seed=53, edges=self.ROUNDS.get(edges, EDGES20))
+        fit = estimate.fit_ipdf(rnd, fix_offset=fix_offset)
+        ll, p = estimate.band_log_likelihood(rnd, fit.M, fit.C0, fit.offset)
+        assert fit.log_likelihood == ll
+        assert fit.per_band_expected_shares.tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("fix_offset", [0.15, None])
     def test_fit_is_a_maximum_on_a_grid(self, fix_offset):
