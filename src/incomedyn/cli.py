@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -50,9 +51,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    """One line per row tuple: a ``round_id`` cell as text, any other as "%.12g"."""
-    line = ",".join("%s" if name == "round_id" else "%.12g" for name in header) + "\n"
-    text = "".join([line % row for row in rows])
+    """One line per row tuple, the whole file formatted by one ``%``.  Each
+    column's format comes from the first row: a ``str`` cell is written as
+    is, any other value as "%.12g"."""
+    rows = list(rows)
+    line = ",".join("%s" if isinstance(cell, str) else "%.12g"
+                    for cell in rows[0]) + "\n" if rows else ""
+    text = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + text)
 
@@ -191,7 +196,10 @@ def cmd_evolve(args, out: Path) -> str:
     final, snaps = fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
                                   snapshot_times=times, stats=stats)
     all_snaps = [f0] + snaps + ([final] if not snaps or snaps[-1].time != final.time else [])
-    fpsolve.write_snapshots_csv(out / "snapshots.csv", all_snaps)
+    # every snapshot lies on the one grid, so its text is made once
+    y_text = ["%.12g" % y for y in grid.tolist()]
+    _write_csv(out / "snapshots.csv", ["t", "y", "f"], itertools.chain.from_iterable(
+        zip(itertools.repeat("%.12g" % s.time), y_text, s.values.tolist()) for s in all_snaps))
     conv_rows = [(s.time, fpsolve.l1_distance(s, steady)) for s in all_snaps]
     _write_csv(out / "convergence.csv", ["t", "l1_to_steady"], conv_rows)
     drift = abs(final.mass() - f0.mass()) / max(final.time - f0.time, 1e-12)
@@ -238,7 +246,7 @@ def cmd_modes(args, out: Path) -> str:
         usable = mode if not (mode.beta_minus_pole and mode.A1 != 0.0) else \
             fpsolve.eigenmode_params(n, args.M, A1=0.0, A2=args.A2, c=args.C0)
         g = fpsolve.eigenmode_eval(usable, grid)
-        curve_rows.extend((n, y, gv) for y, gv in zip(grid_values, g.tolist()))
+        curve_rows.extend(zip(itertools.repeat(n), grid_values, g.tolist()))
         residuals.append({"n": n, "relative_operator_residual":
                           fpsolve.eigenmode_operator_residual(usable, args.M, grid)})
     _write_json(out / "mode_params.json", {"modes": params_report})

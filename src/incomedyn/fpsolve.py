@@ -464,17 +464,3 @@ def steady_state_residual(M: float, C0: float, grid: np.ndarray = None) -> float
     scale = op.g * (op.b_minus * f[1:] + op.b_plus * f[:-1])
     return float(np.abs(flux).max() / scale.max())
 
-
-def write_snapshots_csv(path, snapshots: Sequence[GridDensity]) -> None:
-    """Dump snapshots as CSV with columns t, y, f; a grid shared by several
-    snapshots is formatted once."""
-    grid_text = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,y,f\n")
-        for snap in snapshots:
-            key = snap.grid.tobytes()
-            if key not in grid_text:
-                grid_text[key] = [f"{yi:.12g}" for yi in snap.grid.tolist()]
-            t = f"{snap.time:.12g}"
-            fh.write("".join([f"{t},{yi},{fi:.12g}\n"
-                              for yi, fi in zip(grid_text[key], snap.values.tolist())]))

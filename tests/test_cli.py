@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import incomedyn
-from incomedyn import fpsolve, simulate
+from incomedyn import cli, fpsolve, simulate
 from incomedyn.cli import build_parser, main
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
@@ -421,6 +421,16 @@ def test_manifest_echoes_config(tmp_path):
     assert manifest["command"] == "synth"
     assert manifest["config"]["seed"] == 5
     assert manifest["config"]["n"] == 200_000
+
+
+def test_csv_cell_formats_follow_the_first_row(tmp_path):
+    # a str cell is written as is, any other value, int or numpy float, as %.12g
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["id", "n", "x"], iter([("r1", 2, np.float64(1 / 3)),
+                                                 ("r2", 10**13, 1e-300)]))
+    assert path.read_text() == "id,n,x\nr1,2,0.333333333333\nr2,1e+13,1e-300\n"
+    cli._write_csv(path, ["t", "y"], [])
+    assert path.read_text() == "t,y\n"
 
 
 # each command at a size that runs in milliseconds; a swept option is

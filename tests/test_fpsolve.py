@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import hyp1f1
 
-from incomedyn import distlib, fpsolve
+from incomedyn import cli, distlib, fpsolve
 from incomedyn.errors import DataError, DomainError, NumericalError, TimeStepError
 
 
@@ -487,10 +487,17 @@ class TestRelaxationSpectrum:
 
 
 def test_snapshot_csv_roundtrip(tmp_path):
+    # snapshots.csv is written by the evolve command: the start density and
+    # one snapshot, each on the whole grid, read back to 12 significant
+    # digits (a relative error of at most 5e-12)
+    assert cli.main(["evolve", "--cells", "64", "--init", "steady", "--t-end", "0.5",
+                     "--snapshot-times", "0.5", "--quiet", "--out-dir", str(tmp_path)]) == 0
     grid = fpsolve.log_grid(1.6, 1.6, 64)
     d = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 1.6), grid)
-    path = tmp_path / "snaps.csv"
-    fpsolve.write_snapshots_csv(path, [d])
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "snapshots.csv").read_text().splitlines()
     assert lines[0] == "t,y,f"
-    assert len(lines) == 1 + grid.size
+    assert len(lines) == 1 + 2 * grid.size
+    t, y, f = np.loadtxt(lines[1:], delimiter=",", unpack=True)
+    assert t.tolist() == [0.0] * grid.size + [0.5] * grid.size
+    assert np.allclose(y, np.tile(grid, 2), rtol=5e-12, atol=0.0)
+    assert np.allclose(f[:grid.size], d.values, rtol=5e-12, atol=0.0)
