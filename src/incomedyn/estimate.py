@@ -131,13 +131,16 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
 
 
 def _scoring(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray,
-             x: np.ndarray, q: np.ndarray) -> tuple:
-    """Jacobian J = dp/dtheta of the band probabilities p at theta, the score
+             x: np.ndarray, q: np.ndarray, c0_ref: float) -> tuple:
+    """Jacobian J = dp/dphi of the band probabilities p at theta, the score
     J^T (s / p) and the Fisher information J^T diag(1 / p) J per household,
     from the values ``_band_values`` returned at theta.
 
-    theta is (M, C0, offset), with a row of J for each, whether the fit
-    holds the offset fixed or not.  With x = C0 / (edge - offset) and
+    theta is (M, C0, offset) and phi is (M, C0 / c0_ref, offset), with a
+    row of J for each, whether the fit holds the offset fixed or not.  C0 is
+    scored relative to ``c0_ref``, so its row is c0_ref dp/dC0 and the
+    information stays near unit scale in any monetary frame; in absolute C0
+    its entries would scale as 1 / C0^2.  With x = C0 / (edge - offset) and
     a = M + 1, the CDF Q(a, x) at an edge has x dQ/dx = -x^a e^-x / Gamma(a),
     which gives its C0 and offset derivatives exactly; dQ/da is a central
     difference of the rows of ``q``.  J differentiates the normalised
@@ -151,7 +154,7 @@ def _scoring(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray,
     xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
     h = _SHAPE_STEP * a
     d_cdf = np.array([(q[1] - q[2]) / (2.0 * h),
-                      -xg / c0,
+                      -xg * (c0_ref / c0),
                       -xg * np.where(inner, x, 0.0) / c0])
     total = q[0, -1] - q[0, 0]
     jac = (d_cdf[:, 1:] - d_cdf[:, :-1]
@@ -170,7 +173,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     ``fix_offset``, or, when it is fitted, at 0.15 x mean income, or at half
     the lowest upper edge of a populated band when that is lower.  Each
     iteration solves (J^T diag(1/p) J) delta = J^T (s/p) over the free
-    parameters and halves the step until the log likelihood does not drop
+    parameters, with C0 relative to its start value (``_scoring``), so the
+    fitted M does not depend on the rounds' monetary frame, and halves the
+    step until the log likelihood does not drop
     and M and C0 stay positive; an offset a step takes below zero is set to
     zero.  One mask holds the offset: a fixed one is never free, a fitted
     one is held at its bound 0 while its score points below zero.  The fit
@@ -210,10 +215,12 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             f"[{first.lower:.6g}, {first.upper:.6g}] with no model mass")
     mean_model = max(mean - offset0, 0.05 * mean)
     theta = np.array([1.6, 1.6 * mean_model, offset0])
+    # steps and standard errors are in phi = (M, C0 / c0_ref, offset)
+    scale = np.array([1.0, theta[1], 1.0])
     ll, p, x, q = _band_values(rnd, theta)
     n_eval, iterations, converged = 1, 0, False
     while True:
-        _, score, info = _scoring(rnd, theta, p, x, q)
+        _, score, info = _scoring(rnd, theta, p, x, q, scale[1])
         # a fixed offset is never free; a fitted one is held at its bound 0
         # while its score points below zero
         free = fitted & [True, True, not (theta[2] == 0.0 and score[2] <= 0.0)]
@@ -231,7 +238,7 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             break
         t = 1.0
         while t >= _MIN_STEP:
-            trial = theta + t * step
+            trial = theta + t * scale * step
             trial[2] = max(trial[2], 0.0)
             if trial[0] > 0.0 and trial[1] > 0.0:
                 values = _band_values(rnd, trial)
@@ -244,8 +251,8 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         theta, (ll, p, x, q) = trial, values
         iterations += 1
     try:
-        unit_se = tuple(float(v) for v in
-                        np.sqrt(np.diag(np.linalg.inv(info[fitted][:, fitted]))))
+        unit_se = tuple(float(v) for v in scale[fitted]
+                        * np.sqrt(np.diag(np.linalg.inv(info[fitted][:, fitted]))))
     except np.linalg.LinAlgError:
         unit_se = (math.nan,) * int(fitted.sum())
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
