@@ -463,4 +463,3 @@ def steady_state_residual(M: float, C0: float, grid: np.ndarray = None) -> float
     flux = op.edge_fluxes(f)
     scale = op.g * (op.b_minus * f[1:] + op.b_plus * f[:-1])
     return float(np.abs(flux).max() / scale.max())
-
