@@ -176,10 +176,10 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     parameters, with C0 relative to its start value (``_scoring``), so the
     fitted M does not depend on the rounds' monetary frame, and halves the
     step until the log likelihood does not drop and M and C0 stay positive;
-    an offset a step takes below zero is set to zero.  One mask holds the offset: a fixed one is never free, a fitted
-    one is held at its bound 0 while its score points below zero.  The fit
-    has converged when the Newton decrement g^T I^-1 g falls below
-    ``DECREMENT_TOL``.
+    an offset a step takes below zero is set to zero.  One mask holds the
+    offset: a fixed one is never free, a fitted one is held at its bound 0
+    while its score points below zero.  The fit has converged when the
+    Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
 
     Each point is evaluated once, by ``_band_values``, and scored by
     ``_scoring`` only once it is accepted, so a rejected trial costs one

@@ -173,27 +173,27 @@ class TestScoring:
     # theta always holds the offset, so all three rows are checked at both
     # offsets: the default fixed 0.15 and 0.1; C0 is scored relative to
     # c0_ref, absolute at 1, so its row is c0_ref times dp/dC0
-    @pytest.mark.parametrize("c0_ref", [1.0, 2.5])
     @pytest.mark.parametrize("fit_offset", [False, True])
     @pytest.mark.parametrize("edges", ["open", "closed"])
-    def test_jacobian_and_score_match_central_differences(self, edges, fit_offset, c0_ref):
+    def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
         rnd = make_round(n=10**5, seed=51, edges=self.ROUNDS[edges])
         theta = np.array([1.9, 1.4, 0.1 if fit_offset else 0.15])
         _, p, x, q = estimate._band_values(rnd, theta)
-        jac, score, info = estimate._scoring(rnd, theta, p, x, q, c0_ref)
-        for i, unit in enumerate((1.0, c0_ref, 1.0)):
-            h = 1e-5 * theta[i]
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            ll_up, p_up = estimate.band_log_likelihood(rnd, *up)
-            ll_down, p_down = estimate.band_log_likelihood(rnd, *down)
-            h /= unit
-            numeric = (p_up - p_down) / (2 * h)
-            assert np.max(np.abs(jac[i] - numeric)) <= 1e-6 * np.max(np.abs(numeric))
-            assert score[i] == pytest.approx((ll_up - ll_down) / (2 * h), rel=1e-6)
-        assert np.allclose(info, info.T)
-        assert (np.linalg.eigvalsh(info) > 0.0).all()
+        for c0_ref in (1.0, 2.5):
+            jac, score, info = estimate._scoring(rnd, theta, p, x, q, c0_ref)
+            for i, unit in enumerate((1.0, c0_ref, 1.0)):
+                h = 1e-5 * theta[i]
+                up, down = theta.copy(), theta.copy()
+                up[i] += h
+                down[i] -= h
+                ll_up, p_up = estimate.band_log_likelihood(rnd, *up)
+                ll_down, p_down = estimate.band_log_likelihood(rnd, *down)
+                h /= unit
+                numeric = (p_up - p_down) / (2 * h)
+                assert np.max(np.abs(jac[i] - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+                assert score[i] == pytest.approx((ll_up - ll_down) / (2 * h), rel=1e-6)
+            assert np.allclose(info, info.T)
+            assert (np.linalg.eigvalsh(info) > 0.0).all()
 
     @pytest.mark.parametrize("fix_offset", [0.15, 0.0, None])
     @pytest.mark.parametrize("edges", ["open", "closed", "criterion 6"])
