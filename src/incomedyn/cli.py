@@ -54,12 +54,16 @@ def _write_csv(path: Path, header: list, rows) -> None:
     """One line per row tuple, the whole file formatted by one ``%``.  Each
     column's format comes from the first row: a ``str`` cell is written as
     is, any other value as "%.12g"."""
-    rows = list(rows)
-    line = ",".join("%s" if isinstance(cell, str) else "%.12g"
-                    for cell in rows[0]) + "\n" if rows else ""
-    text = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    rows = iter(rows)
+    first = next(rows, ())
+    line = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in first) + "\n"
+    # one tuple of all cells and no list of rows: each row tuple is dropped
+    # once its cells are taken, so a long file leaves the garbage collector
+    # no object per row to scan
+    cells = tuple(itertools.chain(first, itertools.chain.from_iterable(rows)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + text)
+        fh.write(",".join(header) + "\n")
+        fh.write((line * (len(cells) // len(first))) % cells if first else "")
 
 
 # ---------------------------------------------------------------------------
