@@ -50,20 +50,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+_CSV_BLOCK_ROWS = 2048
+
+
 def _write_csv(path: Path, header: list, rows) -> None:
-    """One line per row tuple, the whole file formatted by one ``%``.  Each
+    """One line per row tuple, each block of ``_CSV_BLOCK_ROWS`` rows
+    formatted by one ``%``, so a long file is never held whole.  Each
     column's format comes from the first row: a ``str`` cell is written as
     is, any other value as "%.12g"."""
     rows = iter(rows)
     first = next(rows, ())
     line = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in first) + "\n"
-    # one tuple of all cells and no list of rows: each row tuple is dropped
-    # once its cells are taken, so a long file leaves the garbage collector
-    # no object per row to scan
-    cells = tuple(itertools.chain(first, itertools.chain.from_iterable(rows)))
+    rows = itertools.chain((first,), rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((line * (len(cells) // len(first))) % cells if first else "")
+        while cells := tuple(itertools.chain.from_iterable(
+                itertools.islice(rows, _CSV_BLOCK_ROWS))):
+            fh.write((line * (len(cells) // len(first))) % cells)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +113,10 @@ def cmd_simulate(args, out: Path) -> str:
 
 
 def cmd_collapse(args, out: Path) -> str:
-    rounds = survey.load_rounds(args.rounds)
-    table = survey.load_deflators(args.deflators, args.reference_year,
-                                  args.reference_mean)
-    if args.target_mean is None:
-        args.target_mean = table.reference_mean_income
     target = args.target_mean
+    collapsed = _prepare_rounds(args, target)
     offset_abs = args.offset_frac * target
     c0 = args.M * (target - offset_abs)
-    collapsed = [survey.collapse_rescale(survey.deflate(r, table), target)
-                 for r in rounds]
     knot_lo = min(min(b.lower for b in r.bands if b.lower > 0.0) for r in collapsed)
     knot_hi = max(max(b.upper for b in r.bands if not b.is_open) for r in collapsed)
     grid = np.geomspace(0.25 * knot_lo, 4.0 * knot_hi, args.grid_points)
@@ -144,26 +141,26 @@ def cmd_collapse(args, out: Path) -> str:
     return f"{len(collapsed)} rounds, max spread {spread:.4g}"
 
 
-def _prepare_rounds(args):
+def _prepare_rounds(args, collapse_to) -> list:
+    """The rounds of ``--rounds``, deflated when ``--deflators`` is given and
+    then rescaled to the mean ``collapse_to`` unless it is None."""
     rounds = survey.load_rounds(args.rounds)
     if args.deflators:
-        table = survey.load_deflators(args.deflators, args.reference_year,
-                                      args.reference_mean)
+        table = survey.load_deflators(args.deflators, args.reference_year)
         rounds = [survey.deflate(r, table) for r in rounds]
-    if args.collapse_to is not None:
-        rounds = [survey.collapse_rescale(r, args.collapse_to) for r in rounds]
+    if collapse_to is not None:
+        rounds = [survey.collapse_rescale(r, collapse_to) for r in rounds]
     return rounds
 
 
 def cmd_fit(args, out: Path) -> str:
-    rounds = _prepare_rounds(args)
+    rounds = _prepare_rounds(args, args.collapse_to)
     fix = None if args.fit_offset else args.fix_offset
     reports = []
     rows = []
     for rnd in rounds:
         fit = estimate.fit_ipdf(rnd, fix_offset=fix)
-        reports.append({"round_id": rnd.round_id, "year": rnd.year,
-                        "n_evaluations": fit.n_evaluations, **fit.report()})
+        reports.append({"round_id": rnd.round_id, "year": rnd.year, **fit.report()})
         for b, obs, exp in zip(rnd.bands, rnd.shares, fit.per_band_expected_shares):
             rows.append((rnd.round_id, b.lower, b.upper, obs, exp))
     _write_json(out / "fit_report.json", {"fits": reports})
@@ -174,7 +171,7 @@ def cmd_fit(args, out: Path) -> str:
 
 
 def cmd_indices(args, out: Path) -> str:
-    rounds = _prepare_rounds(args)
+    rounds = _prepare_rounds(args, args.collapse_to)
     fits = [estimate.fit_ipdf(r, fix_offset=args.fix_offset) for r in rounds]
     monods = [estimate.fit_monod(r) for r in rounds]
     series = poverty.index_series(rounds, fits, monods, args.line,
@@ -326,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rounds", required=True)
         p.add_argument("--deflators", required=deflators_required)
         p.add_argument("--reference-year", type=_FINITE, default=1974.0)
-        p.add_argument("--reference-mean", type=_POSITIVE, default=64.84)
 
     def round_fit(p):
         survey_input(p)
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_collapse, "deflate, rescale, and overlay rounds")
     survey_input(p, deflators_required=True)
-    p.add_argument("--target-mean", type=_POSITIVE, default=None)
+    p.add_argument("--target-mean", type=_POSITIVE, default=64.84)
     p.add_argument("--M", type=_POSITIVE, default=1.6)
     p.add_argument("--offset-frac", type=_numbers("[0, 1)"), default=0.15)
     p.add_argument("--grid-points", type=_COUNT, default=200)

@@ -190,8 +190,10 @@ def ipdf_moment(dist: SteadyStateIPDF, k: int) -> Moment:
     return Moment(math.exp(log_val), True)
 
 
-def ipdf_sample(dist: SteadyStateIPDF, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. incomes as C0 / Gamma(M+1) variates; deterministic in seed."""
+def ipdf_sample(dist: SteadyStateIPDF, n: int, seed) -> np.ndarray:
+    """Draw n i.i.d. incomes as C0 / Gamma(M+1) variates; deterministic in
+    ``seed``, which is anything ``np.random.default_rng`` accepts (an int, a
+    ``SeedSequence``, ...)."""
     if n < 0:
         raise DomainError(f"sample size must be >= 0, got {n}")
     if n == 0:

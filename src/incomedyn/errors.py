@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: DataError -> 3, NumericalError -> 4.
+Exit-code mapping used by the CLI: DataError, DomainError and OSError -> 3;
+any ArithmeticError (a NumericalError, an overflow, a division by zero) -> 4.
 """
 
 

@@ -82,7 +82,8 @@ class FitResult:
         standard error that is not finite (singular information) is None."""
         return {"M": self.M, "C0": self.C0, "offset": self.offset,
                 "log_likelihood": self.log_likelihood, "converged": self.converged,
-                "iterations": self.iterations, "pearson_chi2": self.pearson_chi2,
+                "iterations": self.iterations, "n_evaluations": self.n_evaluations,
+                "pearson_chi2": self.pearson_chi2,
                 "unit_standard_errors": [se if math.isfinite(se) else None
                                          for se in self.unit_standard_errors]}
 

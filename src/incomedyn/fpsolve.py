@@ -383,13 +383,13 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
         raise DomainError(f"M must be > 0, got {M}")
     if not f0.time < t_end < math.inf:
         raise DomainError(f"t_end must be finite and exceed the initial time, got {t_end}")
-    dt_max = 0.5 / (M + 2.0)
+    dt_max, dt_default = 0.5 / (M + 2.0), 0.25 / (M + 2.0)
     if dt is None:
-        dt = 0.25 / (M + 2.0)
+        dt = dt_default
     if not 0.0 < dt <= dt_max:
         raise TimeStepError(
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
-            f"for M={M:g}", suggested_dt=0.25 / (M + 2.0))
+            f"for M={M:g}; suggested dt={dt_default:g}", suggested_dt=dt_default)
     snap_times = sorted(float(t) for t in snapshot_times)
     if not all(f0.time < t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")

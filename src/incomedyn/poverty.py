@@ -18,7 +18,7 @@ offset + y so the two frames stay consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -197,9 +197,7 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
         diag_rounds.append({
             "round_id": rnd.round_id, "year": rnd.year,
             "fit": fit.report(),
-            "monod": {"V": mono.V, "K": mono.K, "rss": mono.rss,
-                      "k_at_boundary": mono.k_at_boundary,
-                      "evaluations": mono.evaluations},
+            "monod": asdict(mono),
             "labour_rate": c_t,
             # saturation-normalized variants: deprivation as a fraction of V
             "pcd_direct_normalized": pcd_d / mono.V,

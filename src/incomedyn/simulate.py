@@ -205,8 +205,7 @@ def init_population(n_agents: int, init, seed: int) -> AgentPopulation:
     if n_agents <= 0:
         raise DomainError(f"population size must be positive, got {n_agents}")
     if isinstance(init, distlib.SteadyStateIPDF):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
-        incomes = init.scale_C0 / rng.gamma(init.shape_M + 1.0, 1.0, size=n_agents)
+        incomes = distlib.ipdf_sample(init, n_agents, np.random.SeedSequence((seed, 0, 0)))
     else:
         y0 = float(init)
         if not y0 > 0.0:

@@ -270,12 +270,11 @@ def save_rounds(path, rounds: Sequence[BandedDistribution]) -> None:
 
 @dataclass(frozen=True)
 class DeflatorTable:
-    """CPI by year plus the reference frame used for deflation and collapse."""
+    """CPI by year plus the reference year that deflation expresses incomes in."""
 
     years: np.ndarray
     cpis: np.ndarray
     reference_year: float
-    reference_mean_income: float
 
     def __post_init__(self):
         years = np.asarray(self.years, dtype=float)
@@ -290,8 +289,6 @@ class DeflatorTable:
             raise DataError("CPI values must be positive")
         if not (years[0] <= self.reference_year <= years[-1]):
             raise DataError(f"reference year {self.reference_year} outside the table")
-        if not self.reference_mean_income > 0.0:
-            raise DataError("reference mean income must be positive")
 
     def cpi(self, year: float) -> float:
         """CPI at a year, linearly interpolated between bracketing entries."""
@@ -302,15 +299,14 @@ class DeflatorTable:
         return float(np.interp(year, self.years, self.cpis))
 
 
-def load_deflators(path, reference_year: float = 1974.0,
-                   reference_mean_income: float = 64.84) -> DeflatorTable:
+def load_deflators(path, reference_year: float = 1974.0) -> DeflatorTable:
     years, cpis = [], []
     for where, row in _csv_rows(path, ["year", "cpi"]):
         years.append(_parse_float(row[0], where))
         cpis.append(_parse_float(row[1], where))
     order = np.argsort(years)
     return DeflatorTable(np.asarray(years)[order], np.asarray(cpis)[order],
-                         reference_year, reference_mean_income)
+                         reference_year)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ class TestSmoke:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert len(diag["rounds"]) == 3
         for rnd in diag["rounds"]:
-            assert {"iterations", "unit_standard_errors", "pearson_chi2"} <= set(rnd["fit"])
+            assert {"iterations", "n_evaluations", "unit_standard_errors",
+                    "pearson_chi2"} <= set(rnd["fit"])
             assert 0 < rnd["monod"]["evaluations"] <= 16
 
     @pytest.mark.parametrize("scale, atol", [(1e5, 1e-12), (1e9, 1e-12), (1e160, 1e-12)],
@@ -244,10 +245,12 @@ class TestExitCodes:
                     "--quiet")
         assert exc.value.code == 2
 
-    def test_numerical_failure_is_4(self, tmp_path):
+    def test_numerical_failure_is_4(self, tmp_path, capsys):
         rc = run_cli("evolve", "--dt", 5.0, "--cells", 200,
                      "--out-dir", tmp_path / "o", "--quiet")
         assert rc == 4
+        # the refused step comes with the default 0.25 / (M + 2) as a suggestion
+        assert "suggested dt=0.0694444" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--span", "abc"],
@@ -280,6 +283,9 @@ class TestExitCodes:
         ["fit", "--rounds", SAMPLE_ROUNDS, "--collapse-to", 0],
         ["synth", "--n", 10, "--edges", "0,1,2,inf,inf"],
         ["evolve", "--span", "2,1"],
+        # the retired --reference-mean is unknown to collapse, fit and indices
+        *[[command, "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+           "--reference-mean", 64.84] for command in ("collapse", "fit", "indices")],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -431,6 +437,14 @@ def test_csv_cell_formats_follow_the_first_row(tmp_path):
     assert path.read_text() == "id,n,x\nr1,2,0.333333333333\nr2,1e+13,1e-300\n"
     cli._write_csv(path, ["t", "y"], [])
     assert path.read_text() == "t,y\n"
+
+
+def test_csv_blocks_match_a_row_by_row_write(tmp_path):
+    # two whole blocks and a partial one
+    rows = [(f"r{i}", i, 1.0 / (i + 3)) for i in range(2 * cli._CSV_BLOCK_ROWS + 5)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["id", "n", "x"], iter(rows))
+    assert path.read_text() == "id,n,x\n" + "".join("%s,%.12g,%.12g\n" % r for r in rows)
 
 
 # each command at a size that runs in milliseconds; a swept option is
