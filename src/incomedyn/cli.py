@@ -75,10 +75,9 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 def cmd_simulate(args, out: Path) -> str:
     simulate.hill_tail_size(args.agents, args.hill_tail_fraction)
-    params = simulate.LangevinParams(M=args.M, labour_rate=args.C, dt=args.dt,
-                                     noise_scale=args.sigma)
-    dist = distlib.SteadyStateIPDF(args.M, args.C)
-    init = dist if args.init == "equilibrium" else args.C / args.M
+    params = simulate.LangevinParams(M=args.M, labour_rate=args.C0, dt=args.dt)
+    dist = distlib.SteadyStateIPDF(args.M, args.C0)
+    init = dist if args.init == "equilibrium" else args.C0 / args.M
     snaps = simulate.run(args.agents, params, args.t_end, init, args.seed,
                          snapshot_times=args.snapshot_times, workers=args.workers)
 
@@ -89,8 +88,8 @@ def cmd_simulate(args, out: Path) -> str:
         edges = np.geomspace(y.min(), y.max() * (1 + 1e-12), args.histogram_bins + 1)
         counts, _ = np.histogram(y, bins=edges)
         dens = counts / (counts.sum() * np.diff(edges))
-        for lo, hi, cnt, dd in zip(edges[:-1], edges[1:], counts, dens):
-            hist_rows.append((pop.time, lo, hi, float(cnt), dd))
+        hist_rows.extend(zip(itertools.repeat(pop.time), edges[:-1], edges[1:],
+                             counts.astype(float), dens))
         ks_rows.append((pop.time, simulate.ks_distance(y, lambda v: distlib.ipdf_cdf(dist, v))))
     _write_csv(out / "histograms.csv",
                ["t", "bin_lower", "bin_upper", "count", "density"], hist_rows)
@@ -106,7 +105,7 @@ def cmd_simulate(args, out: Path) -> str:
         "increments": simulate.INCREMENTS,
         "asymptotic_density_exponent": args.M + 2.0,
         "sample_mean": float(final.incomes.mean()),
-        "model_mean": args.C / args.M,
+        "model_mean": args.C0 / args.M,
     }
     _write_json(out / "report.json", report)
     return f"KS={report['final_ks']:.4g} hill={hill:.3f}"
@@ -245,7 +244,7 @@ def cmd_modes(args, out: Path) -> str:
             "beta_plus": mode.beta_plus, "beta_minus": mode.beta_minus,
             "beta_minus_pole": mode.beta_minus_pole})
         usable = mode if not (mode.beta_minus_pole and mode.A1 != 0.0) else \
-            fpsolve.eigenmode_params(n, args.M, A1=0.0, A2=args.A2, c=args.C0)
+            dataclasses.replace(mode, A1=0.0)
         g = fpsolve.eigenmode_eval(usable, grid)
         curve_rows.extend(zip(itertools.repeat(n), grid_values, g.tolist()))
         residuals.append({"n": n, "relative_operator_residual":
@@ -329,22 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--collapse-to", type=_POSITIVE, default=None)
         p.add_argument("--fix-offset", type=_NONNEGATIVE, default=estimate.DEFAULT_OFFSET)
 
-    def income_law(p, rate="--C0"):
+    def income_law(p):
         p.add_argument("--M", type=_POSITIVE, default=1.6)
-        p.add_argument(rate, type=_POSITIVE, default=1.6)
+        p.add_argument("--C0", type=_POSITIVE, default=1.6)
 
     def command(func, summary, *groups):
         """The subcommand named after ``func`` (cmd_<name>), with the common
-        options and then each option group."""
-        p = sub.add_parser(func.__name__[len("cmd_"):], help=summary)
+        options and then each option group.  An option is taken only under
+        its full name: no prefix, such as ``--C`` of ``--C0``, stands in
+        for it."""
+        p = sub.add_parser(func.__name__[len("cmd_"):], help=summary, allow_abbrev=False)
         p.set_defaults(func=func)
         for group in (common,) + groups:
             group(p)
         return p
 
-    p = command(cmd_simulate, "agent-based run vs the analytic law")
-    income_law(p, "--C")
-    p.add_argument("--sigma", type=_POSITIVE, default=simulate.DEFAULT_SIGMA)
+    p = command(cmd_simulate, "agent-based run vs the analytic law", income_law)
     p.add_argument("--dt", type=_POSITIVE, default=1e-3)
     p.add_argument("--agents", type=_COUNT, required=True)
     p.add_argument("--t-end", type=_POSITIVE, default=50.0)

@@ -286,6 +286,11 @@ class TestExitCodes:
         # the retired --reference-mean is unknown to collapse, fit and indices
         *[[command, "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
            "--reference-mean", 64.84] for command in ("collapse", "fit", "indices")],
+        # simulate's noise is fixed at sigma^2 = 2 and its labour rate is --C0;
+        # no option is taken under a prefix of its name
+        ["simulate", "--agents", 4000, "--t-end", 0.05, "--sigma", 1.0],
+        ["simulate", "--agents", 4000, "--t-end", 0.05, "--C", 1.6],
+        ["evolve", "--t-end", 0.5, "--cells", 100, "--C", 1.6],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -299,9 +304,9 @@ class TestExitCodes:
         (["evolve", "--dt", 5.0, "--cells", 200], 4),
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
-        # a population with no spread leaves the Hill estimate a division by zero
-        (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
-          "--sigma", 1e-300], 4),
+        # one two-point step leaves two distinct incomes, so the top 5% has no
+        # spread and the Hill estimate divides by zero
+        (["simulate", "--agents", 4000, "--t-end", 0.005, "--dt", 5e-3], 4),
         # a snapshot at the initial time lies outside (start, t_end] for both solvers
         (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", 0], 3),
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,

@@ -5,7 +5,8 @@ conditions checked by Monte Carlo against the drift/diffusion coefficients,
 the exact mean and second moment of the discrete Euler chain (they depend
 only on E xi = 0 and E xi^2 = 1, so they hold for any increment law), the
 closed-form stationary law for equilibrium, the finite-volume solver for the
-transient mean, and inverse-CDF Pareto samples for the Hill estimator.
+transient mean, inverse-CDF Pareto samples for the Hill estimator, and the
+default-sigma chain in rescaled time for any other sigma.
 """
 
 import math
@@ -245,6 +246,20 @@ class TestEquilibrium:
         pops = simulate.run(500, params, 0.1, 1.0, seed=1)
         assert len(pops) == 1
         assert pops[0].time == pytest.approx(0.1, abs=params.dt)
+
+
+class TestTimeUnit:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_other_sigma_is_the_default_chain_in_rescaled_time(self, sigma):
+        # exact oracle: with s = sigma^2 / 2 the step y (1 - M dt + sigma
+        # sqrt(dt) xi) + C dt is the default-sigma step at (M/s, C/s, s dt),
+        # so sigma^2 = 2 only fixes the time unit
+        s = sigma ** 2 / 2.0
+        a = simulate.run(10_000, make_params(noise_scale=sigma), 1.0, 2.0, seed=3)[-1]
+        b = simulate.run(10_000, make_params(M=1.6 / s, labour_rate=1.6 / s, dt=2e-3 * s),
+                         s * 1.0, 2.0, seed=3)[-1]
+        assert b.step_index == a.step_index == 500
+        np.testing.assert_allclose(b.incomes, a.incomes, rtol=1e-12, atol=0.0)
 
 
 class TestNanDetection:

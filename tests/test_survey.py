@@ -310,3 +310,17 @@ def test_sample_files_load_and_deflate():
     assert years == sorted(years)
     assert all(m > 0 for m in means)
     assert means[-1] > means[0]
+
+
+@pytest.mark.parametrize("target", [1.0, 64.84])
+def test_deflation_cancels_under_a_collapse(target):
+    """A collapse divides by the round's own mean, so the CPI ratio that
+    deflation multiplies in cancels: `collapse`, `fit --collapse-to` and
+    `indices --collapse-to` read the CPI table only to check the years."""
+    from pathlib import Path
+    base = Path(__file__).resolve().parent.parent / "sample_data"
+    table = survey.load_deflators(base / "deflators.csv")
+    for rnd in survey.load_rounds(base / "rounds.csv"):
+        deflated = survey.collapse_rescale(survey.deflate(rnd, table), target)
+        direct = survey.collapse_rescale(rnd, target)
+        np.testing.assert_allclose(deflated.edges, direct.edges, rtol=1e-15, atol=0.0)
