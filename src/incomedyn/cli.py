@@ -50,25 +50,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-_CSV_BLOCK_ROWS = 2048
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    """One line per row tuple, each block of ``_CSV_BLOCK_ROWS`` rows
-    formatted by one ``%``, so a long file is never held whole.  Each
-    column's format comes from the first row: a ``str`` cell is written as
-    is, any other value as "%.12g"."""
-    rows = iter(rows)
-    first = next(rows, ())
-    line = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in first) + "\n"
-    rows = itertools.chain((first,), rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        while cells := tuple(itertools.chain.from_iterable(
-                itertools.islice(rows, _CSV_BLOCK_ROWS))):
-            fh.write((line * (len(cells) // len(first))) % cells)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -91,8 +72,8 @@ def cmd_simulate(args, out: Path) -> str:
         hist_rows.extend(zip(itertools.repeat(pop.time), edges[:-1], edges[1:],
                              counts.astype(float), dens))
         ks_rows.append((pop.time, simulate.ks_distance(y, lambda v: distlib.ipdf_cdf(dist, v))))
-    _write_csv(out / "histograms.csv",
-               ["t", "bin_lower", "bin_upper", "count", "density"], hist_rows)
+    survey.write_csv(out / "histograms.csv",
+                     ["t", "bin_lower", "bin_upper", "count", "density"], hist_rows)
     final = snaps[-1]
     hill = simulate.hill_tail_exponent(final.incomes, args.hill_tail_fraction)
     report = {
@@ -125,9 +106,10 @@ def cmd_collapse(args, out: Path) -> str:
         cdf = survey.empirical_cdf(rnd)(grid)
         curves.append(cdf)
         rows.extend((rnd.round_id, y, c) for y, c in zip(grid, cdf))
-    _write_csv(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"], rows)
+    survey.write_csv(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"], rows)
     dist = distlib.SteadyStateIPDF(args.M, c0, offset_abs)
-    _write_csv(out / "model_cdf.csv", ["y", "cdf"], zip(grid, distlib.observed_cdf(dist, grid)))
+    survey.write_csv(out / "model_cdf.csv", ["y", "cdf"],
+                     zip(grid, distlib.observed_cdf(dist, grid)))
     spread = float(np.max(np.max(curves, axis=0) - np.min(curves, axis=0))) \
         if len(curves) > 1 else 0.0
     # irregular band grids put a binning floor under any collapse comparison
@@ -163,9 +145,9 @@ def cmd_fit(args, out: Path) -> str:
         for b, obs, exp in zip(rnd.bands, rnd.shares, fit.per_band_expected_shares):
             rows.append((rnd.round_id, b.lower, b.upper, obs, exp))
     _write_json(out / "fit_report.json", {"fits": reports})
-    _write_csv(out / "expected_vs_observed.csv",
-               ["round_id", "band_lower", "band_upper", "observed_share",
-                "expected_share"], rows)
+    survey.write_csv(out / "expected_vs_observed.csv",
+                     ["round_id", "band_lower", "band_upper", "observed_share",
+                      "expected_share"], rows)
     return f"{len(rounds)} rounds"
 
 
@@ -175,8 +157,9 @@ def cmd_indices(args, out: Path) -> str:
     monods = [estimate.fit_monod(r) for r in rounds]
     series = poverty.index_series(rounds, fits, monods, args.line,
                                   pooled_M=args.pooled_M)
-    _write_csv(out / "indices.csv", [f.name for f in dataclasses.fields(poverty.IndexRow)],
-               map(dataclasses.astuple, series.rows))
+    survey.write_csv(out / "indices.csv",
+                     [f.name for f in dataclasses.fields(poverty.IndexRow)],
+                     map(dataclasses.astuple, series.rows))
     _write_json(out / "diagnostics.json", series.diagnostics)
     return f"{len(series.rows)} rounds"
 
@@ -198,10 +181,10 @@ def cmd_evolve(args, out: Path) -> str:
     all_snaps = [f0] + snaps + ([final] if not snaps or snaps[-1].time != final.time else [])
     # every snapshot lies on the one grid, so its text is made once
     y_text = ["%.12g" % y for y in grid.tolist()]
-    _write_csv(out / "snapshots.csv", ["t", "y", "f"], itertools.chain.from_iterable(
+    survey.write_csv(out / "snapshots.csv", ["t", "y", "f"], itertools.chain.from_iterable(
         zip(itertools.repeat("%.12g" % s.time), y_text, s.values.tolist()) for s in all_snaps))
     conv_rows = [(s.time, fpsolve.l1_distance(s, steady)) for s in all_snaps]
-    _write_csv(out / "convergence.csv", ["t", "l1_to_steady"], conv_rows)
+    survey.write_csv(out / "convergence.csv", ["t", "l1_to_steady"], conv_rows)
     drift = abs(final.mass() - f0.mass()) / max(final.time - f0.time, 1e-12)
     _write_json(out / "report.json", {
         "final_l1_to_steady": conv_rows[-1][1],
@@ -250,7 +233,7 @@ def cmd_modes(args, out: Path) -> str:
         residuals.append({"n": n, "relative_operator_residual":
                           fpsolve.eigenmode_operator_residual(usable, args.M, grid)})
     _write_json(out / "mode_params.json", {"modes": params_report})
-    _write_csv(out / "modes.csv", ["n", "y", "g"], curve_rows)
+    survey.write_csv(out / "modes.csv", ["n", "y", "g"], curve_rows)
     steady = fpsolve.steady_state_mode(args.M, args.C0)
     g0 = fpsolve.eigenmode_eval(steady, grid)
     ref = distlib.ipdf_density(dist, grid)

@@ -74,9 +74,6 @@ class FitResult:
     unit_standard_errors: tuple = ()
     pearson_chi2: float = math.nan
 
-    def dist(self) -> distlib.SteadyStateIPDF:
-        return distlib.SteadyStateIPDF(self.M, self.C0, self.offset)
-
     def report(self) -> dict:
         """The fit's JSON fields: parameters, likelihood and convergence; a
         standard error that is not finite (singular information) is None."""
@@ -365,6 +362,4 @@ def labour_rate_series(rounds: Sequence[BandedDistribution], M: float,
         values.append(M * mean_model)
     if len(ordered) == 1:
         warnings.warn("single round: labour rate series is constant")
-        times = [times[0], times[0] + 1.0]
-        values = [values[0], values[0]]
     return PiecewiseLinear(times, values)

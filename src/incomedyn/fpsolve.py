@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import hyp1f1
+from scipy.special import exprel, hyp1f1, rgamma
 
 from . import distlib
 from .errors import DataError, DomainError, NumericalError, TimeStepError
@@ -123,9 +123,7 @@ def steady_state_mode(M: float, C0: float) -> EigenMode:
     exp(-c/y), so A2 = 1 / (C0 Gamma(M+1)) reproduces the closed form.
     """
     mode = eigenmode_params(0, M, A1=0.0, A2=0.0, c=C0)
-    a2 = 1.0 / (C0 * math.gamma(M + 1.0)) if M < 170 else math.exp(
-        -math.log(C0) - math.lgamma(M + 1.0))
-    return replace(mode, A2=a2)
+    return replace(mode, A2=rgamma(M + 1.0) / C0)
 
 
 @np.errstate(all="ignore")  # a non-finite value is checked below
@@ -267,24 +265,13 @@ def l1_distance(a: GridDensity, b: GridDensity) -> float:
     return float(np.trapezoid(np.abs(a.values - b.values), a.grid))
 
 
-def _bernoulli(w: np.ndarray) -> np.ndarray:
-    """B(w) = w / (exp(w) - 1), the exponential-fitting weight; B(0) = 1."""
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-12
-    out[small] = 1.0 - 0.5 * w[small]
-    ws = w[~small]
-    out[~small] = ws / np.expm1(ws)
-    return out
-
-
 class _FluxOperator:
     """Tridiagonal Chang-Cooper operator for fixed grid and labour rate C."""
 
     @np.errstate(all="ignore")  # a non-finite coefficient is checked below
     def __init__(self, grid: np.ndarray, M: float, c_value: float):
         y = grid
-        n = y.size
-        edges = np.empty(n + 1)
+        edges = np.empty(y.size + 1)
         edges[0] = y[0]
         edges[1:-1] = 0.5 * (y[:-1] + y[1:])
         edges[-1] = y[-1]
@@ -295,26 +282,21 @@ class _FluxOperator:
         a_edge = (M + 2.0) * e_in - c_value
         w = a_edge * h / d_edge
         g = d_edge / h
-        b_plus = _bernoulli(w)           # weight on the left node
-        b_minus = _bernoulli(-w)         # weight on the right node
+        # the exponential-fitting weights B(+-w), B(w) = w / (exp(w) - 1)
+        self.b_plus = 1.0 / exprel(w)    # weight on the left node
+        self.b_minus = 1.0 / exprel(-w)  # weight on the right node
         # flux at interior edge j (between nodes j-1, j):
         #   J_j = g_j * (b_minus_j * f_j - b_plus_j * f_{j-1})
         self.g = g
-        self.b_plus = b_plus
-        self.b_minus = b_minus
-        lo = np.zeros(n)
-        di = np.zeros(n)
-        up = np.zeros(n)
-        gp = g * b_plus                  # weight on the edge's left node
-        gm = g * b_minus                 # weight on the edge's right node
-        # (Lf)_i = (J_right - J_left) / width_i with J_j = gm_j f_right - gp_j f_left
-        up[:-1] += gm / widths[:-1]
-        di[:-1] -= gp / widths[:-1]
-        di[1:] -= gm / widths[1:]
-        lo[1:] += gp / widths[1:]
-        if not np.isfinite([lo, di, up]).all():
+        gp = g * self.b_plus             # weight on the edge's left node
+        gm = g * self.b_minus            # weight on the edge's right node
+        # (Lf)_i = (J_right - J_left) / width_i with J_j = gm_j f_right - gp_j f_left;
+        # the off-diagonals have the n - 1 entries that dgttrf takes
+        self.lower = gp / widths[1:]
+        self.upper = gm / widths[:-1]
+        self.diag = -np.append(gp, 0.0) / widths - np.append(0.0, gm) / widths
+        if not all(np.isfinite(band).all() for band in (self.lower, self.diag, self.upper)):
             raise NumericalError(f"Fokker-Planck operator is not finite at C={c_value:g}")
-        self.lower, self.diag, self.upper = lo, di, up
 
     def implicit_factors(self, beta: float) -> functools.partial:
         """LU factors of the tridiagonal (I - beta L), from LAPACK ``dgttrf``,
@@ -323,8 +305,8 @@ class _FluxOperator:
         ``scipy.linalg`` is imported here, where a matrix is first factored,
         so that no command but ``evolve`` loads it."""
         from scipy.linalg.lapack import dgttrf, dgttrs
-        *factors, info = dgttrf(-beta * self.lower[1:], 1.0 - beta * self.diag,
-                                -beta * self.upper[:-1])
+        *factors, info = dgttrf(-beta * self.lower, 1.0 - beta * self.diag,
+                                -beta * self.upper)
         if info > 0:
             raise NumericalError(f"I - beta L is singular: zero pivot in row {info}")
         return functools.partial(dgttrs, *factors)
@@ -368,10 +350,11 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     whose density dips below -1e-12 (or is NaN) is retaken by backward
     Euler, which keeps it nonnegative (module docstring); if that dips too,
     the result is a ``NumericalError``.  I - beta L depends only on
-    (beta, C): it is built and factored once per pair, and the factors of
-    the last two pairs are kept, so a backward Euler step among BDF2 steps
-    does not evict theirs.  Each solve is one ``solve_banded`` call.
-    Zero-flux boundaries conserve mass to solver roundoff.
+    (beta, C): it is built and factored once per pair, and a two-entry
+    ``functools.lru_cache`` keeps the factors of the last two pairs, so a
+    backward Euler step among BDF2 steps does not evict theirs.  Each solve
+    is one ``solve_banded`` call.  Zero-flux boundaries conserve mass to
+    solver roundoff.
 
     ``dt`` defaults to 0.25 / (M + 2).  A step above 0.5 / (M + 2)
     under-resolves the fastest drift scale and is refused with a suggestion.
@@ -399,18 +382,11 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     t = f0.time
     snapshots = []
     pending = list(snap_times)
-    factors = {}                     # (beta, C) -> LU factors, last used last
-    counts = {"steps": 0, "factorisations": 0, "backward_euler_steps": 0}
+    steps = backward_euler_steps = 0
 
+    @functools.lru_cache(maxsize=2)
     def factored(beta: float, c_val: float):
-        lu = factors.pop((beta, c_val), None)
-        if lu is None:
-            lu = _FluxOperator(y, M, c_val).implicit_factors(beta)
-            counts["factorisations"] += 1
-            if len(factors) > 1:
-                del factors[next(iter(factors))]
-        factors[(beta, c_val)] = lu
-        return lu
+        return _FluxOperator(y, M, c_val).implicit_factors(beta)
 
     while t < t_end - 1e-12:
         target = pending[0] if pending else t_end
@@ -431,7 +407,7 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
                 f_new = solve_banded(factored(h * (1.0 + omega) / d, c_val), rhs)
                 fmin = f_new.min()
             if not (bdf2 and fmin >= -1e-12):     # a NaN fails this test too
-                counts["backward_euler_steps"] += 1
+                backward_euler_steps += 1
                 f_new = solve_banded(factored(h, c_val), f)
                 fmin = f_new.min()
                 if not fmin >= -1e-12:
@@ -439,12 +415,13 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
             if fmin < 0.0:
                 np.maximum(f_new, 0.0, out=f_new)
             f_prev, f, h_prev = f, f_new, h
-            counts["steps"] += 1
+            steps += 1
         if pending:
             pending.pop(0)
             snapshots.append(GridDensity(y, f.copy(), t))
     if stats is not None:
-        stats.update(counts)
+        stats.update(steps=steps, factorisations=factored.cache_info().misses,
+                     backward_euler_steps=backward_euler_steps)
     return GridDensity(y, f, t), snapshots
 
 

@@ -103,12 +103,6 @@ class AgentPopulation:
     def n_agents(self) -> int:
         return self.incomes.size
 
-    @property
-    def stream_ids(self) -> np.ndarray:
-        """RNG stream (chunk) identifier of every agent."""
-        bounds = _chunk_bounds(self.n_agents)
-        return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-
 
 def _chunk_bounds(n_agents: int) -> list:
     """Edges of the ceil(n / CHUNK_SIZE) chunks, whose sizes differ by at most one."""
@@ -129,9 +123,9 @@ def _check_finite(y: np.ndarray, t: float) -> None:
 
 
 def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
-                   t0: float, n_steps: int, snap_steps: set) -> list:
-    """March one chunk forward n_steps in place from its SFC64 state; returns
-    (incomes, RNG state) at each step index in ``snap_steps``, in step order."""
+                   t0: float, k0: int, k1: int) -> dict:
+    """March one chunk in place from step k0 to step k1 after time t0, from
+    its SFC64 state; returns the RNG state at step k1."""
     bitgen = np.random.SFC64()
     bitgen.state = rng_state
     dt = params.dt
@@ -139,18 +133,15 @@ def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
     n_words = -(-y.size // 64)
     mult = np.empty((8 * n_words, 8))
     mult_y = mult.reshape(-1)[:y.size]
-    taken = []
-    for k in range(n_steps):
+    for k in range(k0, k1):
         # byte j of the little-endian words holds the signs of agents 8j..8j+7
         signs = bitgen.random_raw(n_words).astype("<u8", copy=False).view(np.uint8)
         np.take(table, signs, axis=0, out=mult, mode="clip")
         y *= mult_y
         y += params.rate_at(t0 + k * dt) * dt
-        if k + 1 in snap_steps or (k + 1) % _FINITE_CHECK_EVERY == 0:
+        if (k + 1) % _FINITE_CHECK_EVERY == 0 or k + 1 == k1:
             _check_finite(y, t0 + (k + 1) * dt)
-            if k + 1 in snap_steps:
-                taken.append((y.copy(), bitgen.state))
-    return taken
+    return bitgen.state
 
 
 def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
@@ -180,19 +171,18 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     if not (pop.incomes > 0.0).all():
         raise DomainError("incomes must be positive")
     bounds = _chunk_bounds(pop.n_agents)
-    snap_steps = sorted(set(int(s) for s in snapshot_steps if 0 < int(s) <= n_steps))
-    if not snap_steps or snap_steps[-1] != n_steps:
-        snap_steps.append(n_steps)
-    per_chunk = [_advance_chunk(pop.incomes[lo:hi].copy(), state, params, pop.time,
-                                n_steps, set(snap_steps))
-                 for lo, hi, state in zip(bounds[:-1], bounds[1:], pop.rng_states, strict=True)]
+    snap_steps = sorted({int(s) for s in snapshot_steps if 0 < int(s) < n_steps} | {n_steps})
+    # one income array; each chunk steps its slice in place up to the next snapshot
+    incomes, states, k0 = pop.incomes.copy(), pop.rng_states, 0
     out = []
-    for i, k in enumerate(snap_steps):
-        incomes = np.concatenate([chunk[i][0] for chunk in per_chunk])
-        states = tuple(chunk[i][1] for chunk in per_chunk)
+    for k1 in snap_steps:
+        states = tuple(_advance_chunk(incomes[lo:hi], state, params, pop.time, k0, k1)
+                       for lo, hi, state in zip(bounds[:-1], bounds[1:], states, strict=True))
         out.append(AgentPopulation(
-            incomes=incomes, time=pop.time + k * params.dt, seed=pop.seed,
-            step_index=pop.step_index + k, rng_states=states))
+            incomes=incomes if k1 == n_steps else incomes.copy(),
+            time=pop.time + k1 * params.dt, seed=pop.seed,
+            step_index=pop.step_index + k1, rng_states=states))
+        k0 = k1
     return out
 
 
@@ -273,5 +263,8 @@ def hill_tail_exponent(incomes: np.ndarray, tail_fraction: float = 0.05) -> floa
     if not (x > 0.0).all():
         raise DomainError("incomes must be positive")
     top = np.sort(x)[-(k + 1):]
-    log_excess = np.log(top[1:]) - math.log(top[0])
-    return 1.0 / float(log_excess.mean()) + 1.0
+    mean_excess = float((np.log(top[1:]) - math.log(top[0])).mean())
+    if mean_excess == 0.0:
+        raise NumericalError(f"the top k={k} incomes are equal: "
+                             "the Hill estimate needs a tail with spread")
+    return 1.0 / mean_excess + 1.0

@@ -22,6 +22,7 @@ deflators: year,cpi
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -254,18 +255,33 @@ def load_rounds(path) -> list:
     return rounds
 
 
-def save_rounds(path, rounds: Sequence[BandedDistribution]) -> None:
+CSV_BLOCK_ROWS = 2048
+
+
+def write_csv(path, header: list, rows) -> None:
+    """One line per row tuple, each block of ``CSV_BLOCK_ROWS`` rows
+    formatted by one ``%``, so a long file is never held whole.  Each
+    column's format comes from the first row: a ``str`` cell is written as
+    is, any other value as "%.12g"."""
+    rows = iter(rows)
+    first = next(rows, ())
+    line = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in first) + "\n"
+    rows = itertools.chain((first,), rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_ROUND_HEADER) + "\n")
-        for rnd in rounds:
-            for b in rnd.bands:
-                cereal = "" if b.mean_cereal_expenditure is None \
-                    else f"{b.mean_cereal_expenditure:.12g}"
-                total = "" if b.mean_total_expenditure is None \
-                    else f"{b.mean_total_expenditure:.12g}"
-                fh.write(f"{rnd.round_id},{rnd.year:.12g},{b.lower:.12g},"
-                         f"{b.upper:.12g},{b.population_share:.12g},"
-                         f"{total},{cereal}\n")
+        fh.write(",".join(header) + "\n")
+        while cells := tuple(itertools.chain.from_iterable(
+                itertools.islice(rows, CSV_BLOCK_ROWS))):
+            fh.write((line * (len(cells) // len(first))) % cells)
+
+
+def save_rounds(path, rounds: Sequence[BandedDistribution]) -> None:
+    """Write rounds in the rounds schema; a missing mean is an empty cell."""
+    def optional(value):
+        return "" if value is None else "%.12g" % value
+    write_csv(path, _ROUND_HEADER, (
+        (rnd.round_id, rnd.year, b.lower, b.upper, b.population_share,
+         optional(b.mean_total_expenditure), optional(b.mean_cereal_expenditure))
+        for rnd in rounds for b in rnd.bands))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import incomedyn
-from incomedyn import cli, fpsolve, simulate
+from incomedyn import cli, fpsolve, simulate, survey
 from incomedyn.cli import build_parser, main
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
@@ -305,7 +305,7 @@ class TestExitCodes:
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
         # one two-point step leaves two distinct incomes, so the top 5% has no
-        # spread and the Hill estimate divides by zero
+        # spread, and the Hill estimate refuses it as a numerical failure
         (["simulate", "--agents", 4000, "--t-end", 0.005, "--dt", 5e-3], 4),
         # a snapshot at the initial time lies outside (start, t_end] for both solvers
         (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", 0], 3),
@@ -437,18 +437,18 @@ def test_manifest_echoes_config(tmp_path):
 def test_csv_cell_formats_follow_the_first_row(tmp_path):
     # a str cell is written as is, any other value, int or numpy float, as %.12g
     path = tmp_path / "t.csv"
-    cli._write_csv(path, ["id", "n", "x"], iter([("r1", 2, np.float64(1 / 3)),
-                                                 ("r2", 10**13, 1e-300)]))
+    survey.write_csv(path, ["id", "n", "x"], iter([("r1", 2, np.float64(1 / 3)),
+                                                   ("r2", 10**13, 1e-300)]))
     assert path.read_text() == "id,n,x\nr1,2,0.333333333333\nr2,1e+13,1e-300\n"
-    cli._write_csv(path, ["t", "y"], [])
+    survey.write_csv(path, ["t", "y"], [])
     assert path.read_text() == "t,y\n"
 
 
 def test_csv_blocks_match_a_row_by_row_write(tmp_path):
     # two whole blocks and a partial one
-    rows = [(f"r{i}", i, 1.0 / (i + 3)) for i in range(2 * cli._CSV_BLOCK_ROWS + 5)]
+    rows = [(f"r{i}", i, 1.0 / (i + 3)) for i in range(2 * survey.CSV_BLOCK_ROWS + 5)]
     path = tmp_path / "t.csv"
-    cli._write_csv(path, ["id", "n", "x"], iter(rows))
+    survey.write_csv(path, ["id", "n", "x"], iter(rows))
     assert path.read_text() == "id,n,x\n" + "".join("%s,%.12g,%.12g\n" % r for r in rows)
 
 

@@ -465,6 +465,16 @@ class TestSteadyStateResidual:
         scale = op.g * (op.b_minus * wrong[1:] + op.b_plus * wrong[:-1])
         assert np.abs(flux).max() / scale.max() > 1e-3
 
+    @pytest.mark.parametrize("M, c0", [(1.6, 1.6), (4.0, 0.5), (0.3, 10.0)])
+    def test_edge_weights_ratio_is_exp_w(self, M, c0):
+        # B(-w) / B(w) = exp(w) with B(w) = w / (exp(w) - 1): the zero-flux
+        # steady state f_j / f_(j-1) = exp(w_j) rests on this identity
+        y = fpsolve.log_grid(M, c0)
+        e_in, h = 0.5 * (y[:-1] + y[1:]), np.diff(y)
+        w = ((M + 2.0) * e_in - c0) * h / e_in ** 2
+        op = fpsolve._FluxOperator(y, M, c0)
+        assert np.max(np.abs(op.b_minus / op.b_plus / np.exp(w) - 1.0)) < 2e-15
+
 
 class TestRelaxationSpectrum:
     """Exact oracle: with sigma^2 = 2 the moments obey
@@ -476,7 +486,7 @@ class TestRelaxationSpectrum:
     @pytest.mark.parametrize("cells", [400, 800])
     def test_leading_eigenvalues_match_the_exact_rates(self, cells):
         op = fpsolve._FluxOperator(fpsolve.log_grid(4.0, 4.0, cells), 4.0, 4.0)
-        products = op.upper[:-1] * op.lower[1:]
+        products = op.upper * op.lower
         # positive off-diagonal products: a diagonal similarity symmetrises L
         assert (products > 0.0).all()
         lam = eigvalsh_tridiagonal(op.diag, np.sqrt(products), select="i",

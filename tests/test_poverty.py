@@ -359,3 +359,13 @@ class TestSenAxioms:
         for ix in ("pg", "spg", "pcd"):
             assert report[ix]["monotonicity"]["violations"] == 0
             assert report[ix]["transfer"]["violations"] == 0
+
+    def test_suite_records_the_headcount_insensitivity(self):
+        # a regressive transfer leaves everyone on their side of the line, so
+        # the headcount does not move: each instance is a recorded violation
+        report = poverty.sen_axiom_suite(n_instances=50, seed=1, indices=("hci",))
+        transfer = report["hci"]["transfer"]
+        assert transfer["violations"] > 0
+        assert transfer["violations"] == len(transfer["witnesses"])
+        for res in transfer["witnesses"] + report["hci"]["monotonicity"]["witnesses"]:
+            assert not res.passed and res.index_name == "hci"

@@ -103,24 +103,26 @@ class TestDeterminism:
         assert via_step.step_index == 2
 
     def test_stream_ids_follow_chunks(self):
+        # agents [0, n // 2) draw from stream 0 and the rest from stream 1
         n = simulate.CHUNK_SIZE + 10
         pop = simulate.init_population(n, 1.0, seed=0)
-        assert pop.stream_ids.tolist() == [0] * (n // 2) + [1] * (n - n // 2)
+        assert np.diff(simulate._chunk_bounds(n)).tolist() == [n // 2, n - n // 2]
         assert len(pop.rng_states) == 2
 
     def test_chunks_are_balanced(self):
         # ceil(n / CHUNK_SIZE) streams whose sizes depend only on n and
         # differ by at most one agent
         for n in (1, 1000, simulate.CHUNK_SIZE, simulate.CHUNK_SIZE + 1, 100_000, 300_001):
-            ids = simulate.init_population(n, 1.0, seed=0).stream_ids
-            assert np.array_equal(ids, simulate.init_population(n, DIST, seed=8).stream_ids)
-            sizes = np.bincount(ids)
+            sizes = np.diff(simulate._chunk_bounds(n))
+            assert len(simulate.init_population(n, 1.0, seed=0).rng_states) == sizes.size
+            assert len(simulate.init_population(n, DIST, seed=8).rng_states) == sizes.size
+            assert sizes.sum() == n
             assert sizes.size == math.ceil(n / simulate.CHUNK_SIZE), n
             assert sizes.max() - sizes.min() <= 1, n
         # 100,000 agents: four streams of 25,000; the first stream alone
         # carries the first 25,000 agents along the same paths
         pop = simulate.init_population(100_000, DIST, seed=3)
-        assert np.bincount(pop.stream_ids).tolist() == [25_000] * 4
+        assert np.diff(simulate._chunk_bounds(100_000)).tolist() == [25_000] * 4
         params = make_params()
         full = simulate.run_steps(pop, params, 5)[-1]
         head = simulate.AgentPopulation(incomes=pop.incomes[:25_000], time=0.0, seed=3,
@@ -317,6 +319,11 @@ class TestHill:
     def test_too_few_tail_samples(self):
         with pytest.raises(DomainError):
             simulate.hill_tail_exponent(np.ones(500) + np.arange(500), 0.05)
+
+    def test_tail_with_no_spread_is_a_numerical_error(self):
+        # equal top incomes make the mean log excess 0: no finite estimate
+        with pytest.raises(NumericalError, match="top k=200 incomes are equal"):
+            simulate.hill_tail_exponent(np.full(4000, 2.0), 0.05)
 
 
 class TestKS:

@@ -108,6 +108,14 @@ class TestLoaders:
         assert np.allclose(back.shares, rnd.shares, atol=1e-12)
         assert back.year == rnd.year
 
+    def test_saved_rounds_match_the_loaded_text(self, tmp_path):
+        # a missing mean is written back as an empty cell
+        rows = [GOOD_ROWS[0].replace(",6,2\n", ",,\n"),
+                GOOD_ROWS[1].replace(",5\n", ",\n")] + GOOD_ROWS[2:]
+        path = write_rounds_csv(tmp_path / "r.csv", rows)
+        survey.save_rounds(tmp_path / "out.csv", survey.load_rounds(path))
+        assert (tmp_path / "out.csv").read_text() == path.read_text()
+
     def test_deflator_loading_and_range(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("year,cpi\n1970,50\n1974,100\n1980,200\n")
@@ -234,6 +242,36 @@ class TestEmpiricalDistributions:
             poverty.fgt_indices(rnd, 2.5)
         assert sum("too shallow" in str(w.message) for w in caught) == 1
         assert rnd.knots[-1] == 3.0 + rnd.bands[-2].width
+
+
+class TestRepresentativeIncomes:
+    """Without a recorded mean a closed band is read at its midpoint and the
+    open band at the conditional mean lo (a - 1) / (a - 2) of the Pareto
+    density y^(-a) fitted through the last two closed bands."""
+
+    @staticmethod
+    def _round(shares, first_mean=None):
+        means = [first_mean, None, None, None]
+        return survey.BandedDistribution(round_id="r", year=2000.0, bands=tuple(
+            survey.Band(lo, up, s, m, None) for lo, up, s, m in
+            zip([0.0, 1.0, 2.0, 4.0], [1.0, 2.0, 4.0, math.inf], shares, means)))
+
+    def test_closed_band_midpoints_and_recorded_mean(self):
+        rnd = self._round([0.25, 0.5, 0.2, 0.05], first_mean=0.6)
+        np.testing.assert_array_equal(rnd.representative_incomes()[:3], [0.6, 1.5, 3.0])
+
+    def test_open_band_at_the_pareto_conditional_mean(self):
+        rnd = self._round([0.25, 0.5, 0.2, 0.05])
+        # densities 0.5 and 0.1 at midpoints 1.5 and 3
+        a = math.log(0.5 / 0.1) / math.log(3.0 / 1.5)
+        assert a > 2.0
+        assert rnd.representative_incomes()[-1] == pytest.approx(
+            4.0 * (a - 1.0) / (a - 2.0), rel=1e-14)
+
+    def test_open_band_with_no_finite_mean_at_its_top_knot(self):
+        rnd = self._round([0.4, 0.3, 0.2, 0.1])
+        assert math.log(0.3 / 0.1) / math.log(2.0) <= 2.0
+        assert rnd.representative_incomes()[-1] == rnd.knots[-1]
 
 
 def test_band_arrays_are_built_once_and_read_only():
