@@ -18,13 +18,7 @@ from .distlib import (
     ipdf_sample,
     reg_upper_incomplete_gamma,
 )
-from .errors import (
-    DataError,
-    DomainError,
-    IncomedynError,
-    NumericalError,
-    TimeStepError,
-)
+from .errors import DataError, DomainError, IncomedynError, NumericalError
 from .estimate import FitResult, MonodFit, PiecewiseLinear, fit_ipdf, fit_monod, labour_rate_series
 from .fpsolve import (
     EigenMode,

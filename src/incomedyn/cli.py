@@ -110,8 +110,7 @@ def cmd_collapse(args, out: Path) -> str:
     dist = distlib.SteadyStateIPDF(args.M, c0, offset_abs)
     survey.write_csv(out / "model_cdf.csv", ["y", "cdf"],
                      zip(grid, distlib.observed_cdf(dist, grid)))
-    spread = float(np.max(np.max(curves, axis=0) - np.min(curves, axis=0))) \
-        if len(curves) > 1 else 0.0
+    spread = float(np.ptp(curves, axis=0).max())
     # irregular band grids put a binning floor under any collapse comparison
     binning_tol = 0.5 * max(float(r.shares.max()) for r in collapsed)
     _write_json(out / "report.json", {

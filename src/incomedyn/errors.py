@@ -2,6 +2,8 @@
 
 Exit-code mapping used by the CLI: DataError, DomainError and OSError -> 3;
 any ArithmeticError (a NumericalError, an overflow, a division by zero) -> 4.
+A time step too large for the evolution scheme is a NumericalError whose
+message gives the suggested step.
 """
 
 
@@ -20,13 +22,3 @@ class DataError(IncomedynError, ValueError):
 class NumericalError(IncomedynError, ArithmeticError):
     """A numerical procedure failed (overflow, NaN, no convergence)."""
 
-
-class TimeStepError(NumericalError):
-    """The requested time step is too large for the evolution scheme.
-
-    Carries ``suggested_dt`` so callers can retry.
-    """
-
-    def __init__(self, message, suggested_dt):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import exprel, hyp1f1, rgamma
 
 from . import distlib
-from .errors import DataError, DomainError, NumericalError, TimeStepError
+from .errors import DataError, DomainError, NumericalError
 
 # exp(|z|) overflows near |z| = 709; kummer_m refuses arguments above this bound
 KUMMER_MAX_ARG = 700.0
@@ -370,9 +370,9 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     if dt is None:
         dt = dt_default
     if not 0.0 < dt <= dt_max:
-        raise TimeStepError(
+        raise NumericalError(
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
-            f"for M={M:g}; suggested dt={dt_default:g}", suggested_dt=dt_default)
+            f"for M={M:g}; suggested dt={dt_default:g}")
     snap_times = sorted(float(t) for t in snapshot_times)
     if not all(f0.time < t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")

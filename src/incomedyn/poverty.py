@@ -177,10 +177,8 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
     if not rounds:
         raise DataError("index series needs at least one round")
     z = _line_value(line)
-    order = np.argsort([r.year for r in rounds])
-    rounds = [rounds[i] for i in order]
-    fits = [fits[i] for i in order]
-    monods = [monods[i] for i in order]
+    rounds, fits, monods = zip(*sorted(zip(rounds, fits, monods),
+                                       key=lambda rfm: rfm[0].year))
     m_common = float(pooled_M) if pooled_M is not None else float(
         np.mean([f.M for f in fits]))
     off_common = float(np.mean([f.offset for f in fits]))
@@ -315,14 +313,10 @@ def sen_axiom_suite(n_instances: int = 1000, seed: int = 0,
         j = int(rng.choice(above))
         delta = float(rng.uniform(0.05, 0.95)) * y[i]
         for ix in indices:
-            line = None if ix == "pcd" else z
-            mono = vk if ix == "pcd" else None
-            res = sen_axiom_check(y, ix, Reduce(i, delta), line=line, monod=mono)
-            if not res.passed:
-                report[ix]["monotonicity"]["violations"] += 1
-                report[ix]["monotonicity"]["witnesses"].append(res)
-            res = sen_axiom_check(y, ix, Transfer(i, j, delta), line=line, monod=mono)
-            if not res.passed:
-                report[ix]["transfer"]["violations"] += 1
-                report[ix]["transfer"]["witnesses"].append(res)
+            for axiom, perturbation in (("monotonicity", Reduce(i, delta)),
+                                        ("transfer", Transfer(i, j, delta))):
+                res = sen_axiom_check(y, ix, perturbation, line=z, monod=vk)
+                if not res.passed:
+                    report[ix][axiom]["violations"] += 1
+                    report[ix][axiom]["witnesses"].append(res)
     return report

@@ -7,16 +7,17 @@ CPI deflation to a reference year and rescaling to a common mean (the data
 collapse).  A round is read as uniform density within each band, the open
 band at an effective width from a power-law fit to the last two closed
 bands; ``BandedDistribution.knots`` is the one implementation of that
-reading.  The empirical CDF and density here and the banded poverty indices
-all read ``knots``, so they stay self-consistent.
+reading, and the round fits its tail once, for the knots and for the open
+band's representative income.  The empirical CDF and density here and the
+banded poverty indices all read ``knots``, so they stay self-consistent.
 
 CSV schemas
 -----------
 rounds:    round_id,year,band_lower,band_upper,population_share,
            mean_total_expenditure,mean_cereal_expenditure
-           (band_upper is ``inf`` for the open band; empty cereal cells are
-           allowed and mark the column as unavailable for that band)
-deflators: year,cpi
+           (band_upper is ``inf`` for the open band, every other number is
+           finite; an empty mean cell marks it unavailable for that band)
+deflators: year,cpi (finite numbers)
 """
 
 from __future__ import annotations
@@ -79,22 +80,21 @@ class BandedDistribution:
             raise DataError(f"round id {self.round_id!r} holds a comma, quote or line break")
         if len(bands) < 1:
             raise DataError(f"round {self.round_id}: no bands")
-        problems = []
+        problems = [] if math.isfinite(self.year) else [f"year {self.year} is not finite"]
         for i, b in enumerate(bands):
+            mean, cereal = b.mean_total_expenditure, b.mean_cereal_expenditure
             if b.lower < 0.0 or not b.upper > b.lower:
                 problems.append(f"row {i}: edges ({b.lower}, {b.upper}) not increasing")
             if b.is_open and i != len(bands) - 1:
                 problems.append(f"row {i}: only the last band may be open-ended")
             if not 0.0 <= b.population_share <= 1.0:
                 problems.append(f"row {i}: share {b.population_share} outside [0, 1]")
-            if b.mean_total_expenditure is not None and not b.mean_total_expenditure > 0.0:
-                problems.append(f"row {i}: mean expenditure must be positive")
-            if b.mean_cereal_expenditure is not None:
-                if b.mean_cereal_expenditure < 0.0:
-                    problems.append(f"row {i}: cereal expenditure must be nonnegative")
-                elif (b.mean_total_expenditure is not None
-                      and b.mean_cereal_expenditure > b.mean_total_expenditure * (1 + 1e-12)):
-                    problems.append(f"row {i}: cereal exceeds total expenditure")
+            if mean is not None and not 0.0 < mean < math.inf:
+                problems.append(f"row {i}: mean expenditure must be positive and finite")
+            if cereal is not None and not 0.0 <= cereal < math.inf:
+                problems.append(f"row {i}: cereal expenditure must be nonnegative and finite")
+            elif cereal is not None and mean is not None and cereal > mean * (1 + 1e-12):
+                problems.append(f"row {i}: cereal exceeds total expenditure")
         for i in range(len(bands) - 1):
             lo_next, up = bands[i + 1].lower, bands[i].upper
             tol = EDGE_REL_TOL * max(1.0, abs(up))
@@ -122,12 +122,36 @@ class BandedDistribution:
 
     @cached_property
     def knots(self) -> np.ndarray:
-        """Band edges under the uniform-density reading: ``edges``, with an
-        open band's top at its lower edge plus ``open_band_width``."""
+        """Band edges under the uniform-density reading: ``edges``, with the
+        open band above its lower edge L as wide as L / (a - 1), the width in
+        which a density proportional to y^(-a) above L carries its mass; a tail
+        fit too shallow (a <= 1.05) reuses the last closed band's width."""
         if not self.has_open_band:
             return self.edges
-        top = self.bands[-1].lower + open_band_width(self)
-        return _frozen(np.append(self.edges[:-1], top))
+        a, lo = self._tail_exponent, self.bands[-1].lower
+        if a <= 1.05:
+            warnings.warn(
+                f"round {self.round_id}: tail fit exponent {a:.3g} too shallow; "
+                "falling back to the last closed band's width")
+            width = self.bands[-2].width
+        else:
+            width = lo / (a - 1.0)
+        return _frozen(np.append(self.edges[:-1], lo + width))
+
+    @cached_property
+    def _tail_exponent(self) -> float:
+        """Density exponent fitted through the last two closed bands."""
+        closed = [b for b in self.bands if not b.is_open]
+        if len(closed) < 2:
+            raise DataError(f"round {self.round_id}: tail fit needs two closed bands")
+        b1, b2 = closed[-2], closed[-1]
+        if b1.population_share <= 0.0 or b2.population_share <= 0.0:
+            raise DataError(f"round {self.round_id}: tail fit needs positive shares")
+        d1 = b1.population_share / b1.width
+        d2 = b2.population_share / b2.width
+        m1 = 0.5 * (b1.lower + b1.upper)
+        m2 = 0.5 * (b2.lower + b2.upper)
+        return math.log(d1 / d2) / math.log(m2 / m1)
 
     def representative_incomes(self) -> np.ndarray:
         """Per-band representative income: recorded mean when present, else the
@@ -139,60 +163,28 @@ class BandedDistribution:
             elif not b.is_open:
                 out[i] = 0.5 * (b.lower + b.upper)
             else:
-                a, lo = _pareto_tail_fit(self)
-                # conditional mean of a Pareto density exponent a above lo
-                out[i] = lo * (a - 1.0) / (a - 2.0) if a > 2.0 else self.knots[-1]
+                a = self._tail_exponent
+                # conditional mean of a Pareto density exponent a above the edge
+                out[i] = b.lower * (a - 1.0) / (a - 2.0) if a > 2.0 else self.knots[-1]
         return out
 
     def mean_income(self) -> float:
         return float(np.dot(self.shares, self.representative_incomes()))
 
 
-def _pareto_tail_fit(rnd: BandedDistribution) -> tuple:
-    """Density exponent fitted through the last two closed bands, and the
-    open band's lower edge."""
-    closed = [b for b in rnd.bands if not b.is_open]
-    if len(closed) < 2:
-        raise DataError(f"round {rnd.round_id}: tail fit needs two closed bands")
-    b1, b2 = closed[-2], closed[-1]
-    if b1.population_share <= 0.0 or b2.population_share <= 0.0:
-        raise DataError(f"round {rnd.round_id}: tail fit needs positive shares")
-    d1 = b1.population_share / b1.width
-    d2 = b2.population_share / b2.width
-    m1 = 0.5 * (b1.lower + b1.upper)
-    m2 = 0.5 * (b2.lower + b2.upper)
-    a = math.log(d1 / d2) / math.log(m2 / m1)
-    lo = rnd.bands[-1].lower
-    return a, lo
-
-
-def open_band_width(rnd: BandedDistribution) -> float:
-    """Effective width of the open band from the two-band power-law fit.
-
-    A density proportional to y^(-a) above the lower edge L carries its mass
-    within an equivalent uniform band of width L / (a - 1).  If the fit is
-    too shallow (a <= 1.05) the last closed band's width is reused.
-    """
-    if not rnd.has_open_band:
-        raise DataError(f"round {rnd.round_id} has no open band")
-    a, lo = _pareto_tail_fit(rnd)
-    if a <= 1.05:
-        warnings.warn(
-            f"round {rnd.round_id}: tail fit exponent {a:.3g} too shallow; "
-            "falling back to the last closed band's width")
-        return rnd.bands[-2].width
-    return lo / (a - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # loading and saving
 # ---------------------------------------------------------------------------
 
-def _parse_float(text: str, where: str) -> float:
+def _parse_float(text: str, where: str, finite: str = "") -> float:
+    """The number in a CSV cell; ``finite`` names a column that refuses inf and nan."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"{where}: cannot parse number {text!r}") from None
+    if finite and not math.isfinite(value):
+        raise DataError(f"{where}: {finite} {value} is not finite")
+    return value
 
 
 _ROUND_HEADER = ["round_id", "year", "band_lower", "band_upper",
@@ -233,7 +225,7 @@ def load_rounds(path) -> list:
     by_id = {}
     for where, row in _csv_rows(path, _ROUND_HEADER):
         rid = row[0].strip()
-        year = _parse_float(row[1], where)
+        year = _parse_float(row[1], where, finite="year")
         band = Band(
             lower=_parse_float(row[2], where),
             upper=_parse_float(row[3], where),
@@ -299,6 +291,8 @@ class DeflatorTable:
         object.__setattr__(self, "cpis", cpis)
         if years.size == 0 or years.size != cpis.size:
             raise DataError("deflator table needs matching year/cpi columns")
+        if not (np.isfinite(years).all() and np.isfinite(cpis).all()):
+            raise DataError("deflator years and CPI values must be finite")
         if (np.diff(years) <= 0.0).any():
             raise DataError("deflator years must be strictly increasing")
         if not (cpis > 0.0).all():
@@ -318,8 +312,8 @@ class DeflatorTable:
 def load_deflators(path, reference_year: float = 1974.0) -> DeflatorTable:
     years, cpis = [], []
     for where, row in _csv_rows(path, ["year", "cpi"]):
-        years.append(_parse_float(row[0], where))
-        cpis.append(_parse_float(row[1], where))
+        years.append(_parse_float(row[0], where, finite="year"))
+        cpis.append(_parse_float(row[1], where, finite="CPI"))
     order = np.argsort(years)
     return DeflatorTable(np.asarray(years)[order], np.asarray(cpis)[order],
                          reference_year)
@@ -332,15 +326,13 @@ def load_deflators(path, reference_year: float = 1974.0) -> DeflatorTable:
 def _scale_monetary(rnd: BandedDistribution, factor: float) -> BandedDistribution:
     if not factor > 0.0:
         raise DomainError(f"scale factor must be positive, got {factor}")
+
+    def scaled(value):
+        return None if value is None else value * factor
     bands = tuple(
-        replace(b, lower=b.lower * factor,
-                upper=b.upper * factor,
-                mean_total_expenditure=(
-                    None if b.mean_total_expenditure is None
-                    else b.mean_total_expenditure * factor),
-                mean_cereal_expenditure=(
-                    None if b.mean_cereal_expenditure is None
-                    else b.mean_cereal_expenditure * factor))
+        replace(b, lower=b.lower * factor, upper=b.upper * factor,
+                mean_total_expenditure=scaled(b.mean_total_expenditure),
+                mean_cereal_expenditure=scaled(b.mean_cereal_expenditure))
         for b in rnd.bands)
     return replace(rnd, bands=bands)
 

@@ -5,6 +5,7 @@ import argparse
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,16 @@ class TestSmoke:
         assert report["final_l1_to_steady"] < 1e-3
         assert report["mass_drift_per_unit_time"] < 1e-10
         assert report["residual_on_grid"] < 1e-5
+
+    def test_evolve_shorter_than_the_time_tolerance(self, tmp_path):
+        # a span within evolve's 1e-12 time tolerance takes no step and
+        # returns no snapshot; the files still hold the start and the end
+        out = tmp_path / "ev"
+        assert run_cli("evolve", "--t-end", 1e-13, "--cells", 100,
+                       "--out-dir", out, "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["steps"] == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 3
 
     def test_synth_then_fit_round_trip(self, tmp_path):
         out = tmp_path / "sy"
@@ -549,3 +560,84 @@ def test_extreme_indices_option_prints_no_warning(tmp_path, option, value, code)
     if code == 0:
         rows = (out / "indices.csv").read_text().splitlines()
         assert [row.split(",")[2:5] for row in rows[1:]] == [["1", "1", "1"]] * 3
+
+
+_ROUNDS_HEADER = ("round_id,year,band_lower,band_upper,population_share,"
+                  "mean_total_expenditure,mean_cereal_expenditure\n")
+# band_lower,band_upper,population_share,mean_total,mean_cereal of a valid round
+_BANDS = ("0,1,0.4,0.5,0.2", "1,2,0.3,1.5,0.4", "2,4,0.2,3,0.5", "4,inf,0.1,6,0.6")
+
+
+def rounds_file(*bands, year="1980"):
+    return _ROUNDS_HEADER + "".join(f"r,{year},{b}\n" for b in bands)
+
+
+def deflators_file(*rows):
+    return "year,cpi\n" + "".join(f"{row}\n" for row in rows)
+
+
+# case: (rounds file, deflators file or None, a fragment of the error message);
+# with None, fit and indices read the rounds undeflated and collapse deflates
+# them by a valid table
+MALFORMED_DATA = {
+    # non-finite numbers: a year, a CPI, a mean or a cereal value
+    "year-inf": (rounds_file(*_BANDS, year="inf"), None, "rounds.csv:2: year inf is not finite"),
+    "year-nan": (rounds_file(*_BANDS, year="nan"), None, "rounds.csv:2: year nan is not finite"),
+    "deflator-year-inf": (rounds_file(*_BANDS), deflators_file("1970,40", "inf,80"),
+                          "deflators.csv:3: year inf is not finite"),
+    "cpi-inf": (rounds_file(*_BANDS), deflators_file("1970,40", "1990,inf"),
+                "deflators.csv:3: CPI inf is not finite"),
+    "mean-inf": (rounds_file(_BANDS[0], "1,2,0.3,inf,0.4", *_BANDS[2:]), None,
+                 "round r: row 1: mean expenditure must be positive and finite"),
+    "cereal-nan": (rounds_file(_BANDS[0], "1,2,0.3,1.5,nan", *_BANDS[2:]), None,
+                   "round r: row 1: cereal expenditure must be nonnegative and finite"),
+    # the file's layout
+    "unparsable-number": (rounds_file("0,1,0.4,abc,0.2", *_BANDS[1:]), None,
+                          "rounds.csv:2: cannot parse number 'abc'"),
+    "field-count": (rounds_file("0,1,0.4,0.5", *_BANDS[1:]), None,
+                    "rounds.csv:2: expected 7 fields"),
+    "conflicting-years": (rounds_file(*_BANDS) + "r,1981,8,9,0,,\n", None,
+                          "rounds.csv:6: round r has conflicting years"),
+    "no-data-rows": (_ROUNDS_HEADER, None, "rounds.csv: no data rows"),
+    # the bands of a round
+    "band-gap": (rounds_file(*_BANDS[:2], "2.5,4,0.2,3,0.5", _BANDS[3]), None,
+                 "round r: rows 1/2: gap between bands"),
+    "share-outside-unit-interval": (
+        rounds_file("0,1,-0.25,0.5,0.2", "1,2,0.75,1.5,0.4", "2,4,0.25,3,0.5",
+                    "4,inf,0.25,6,0.6"), None, "round r: row 0: share -0.25 outside"),
+    "two-open-bands": (rounds_file("0,1,0.4,0.5,0.2", "1,inf,0.3,1.5,0.4", "2,inf,0.3,3,0.5"),
+                       None, "round r: row 1: only the last band may be open-ended"),
+    # the open band's tail fit; a two-band round is refused by the fit before
+    # it reaches the tail, so only collapse meets the tail fit's message
+    "one-closed-band": (rounds_file("0,1,0.9,,", "1,inf,0.1,,"), None,
+                        "round r: (tail fit needs two closed bands|2 bands under-identify)"),
+    "zero-share-in-tail-fit": (rounds_file("0,1,0.5,,", "1,2,0.4,,", "2,4,0,,", "4,inf,0.1,,"),
+                               None, "round r: tail fit needs positive shares"),
+    # the deflator table
+    "repeated-deflator-year": (rounds_file(*_BANDS),
+                               deflators_file("1970,40", "1970,50", "1990,80"),
+                               "deflator years must be strictly increasing"),
+    "zero-cpi": (rounds_file(*_BANDS), deflators_file("1970,0", "1990,80"),
+                 "CPI values must be positive"),
+    "deflator-header": (rounds_file(*_BANDS), "year,CPI\n1970,40\n1990,80\n",
+                        "deflators.csv: expected header year,cpi"),
+}
+
+
+@pytest.mark.parametrize("command", ["collapse", "fit", "indices"])
+@pytest.mark.parametrize("case", MALFORMED_DATA)
+def test_malformed_data_file_is_a_data_error(tmp_path_factory, tmp_path, recwarn, capsys,
+                                             case, command):
+    """A malformed rounds or deflators file exits 3 with a message that names
+    the file's line or the round's band, leaves no output and prints no
+    Python warning."""
+    rounds, deflators, message = MALFORMED_DATA[case]
+    data = tmp_path_factory.mktemp("data")
+    (data / "rounds.csv").write_text(rounds)
+    (data / "deflators.csv").write_text(deflators or deflators_file("1970,40", "1990,80"))
+    deflate = ["--deflators", data / "deflators.csv"] if deflators or command == "collapse" else []
+    assert run_cli(command, "--rounds", data / "rounds.csv", *deflate,
+                   "--out-dir", tmp_path / "o", "--quiet") == 3
+    assert re.search(message, capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+    assert [str(w.message) for w in recwarn] == []

@@ -220,9 +220,10 @@ class TestEmpiricalDistributions:
 
     def test_open_band_width_from_tail_fit(self):
         rnd = survey.synth_round(DIST, EDGES, 10**6, seed=10, monod=(0.4, 0.5))
-        w = survey.open_band_width(rnd)
+        lower, a = rnd.bands[-1].lower, rnd._tail_exponent
+        w = rnd.knots[-1] - lower
         assert 0.0 < w < 100.0
-        assert rnd.knots[-1] == rnd.bands[-1].lower + w
+        assert w == pytest.approx(lower / (a - 1.0), rel=1e-12)
         np.testing.assert_array_equal(rnd.knots[:-1], rnd.edges[:-1])
         assert np.isfinite(rnd.knots).all()
 
