@@ -175,9 +175,9 @@ def cmd_evolve(args, out: Path) -> str:
         f0 = fpsolve.bump_density(grid, args.bump_center, args.bump_width)
     times = args.snapshot_times or list(np.linspace(args.t_end / 8.0, args.t_end, 8))
     stats = {}
-    final, snaps = fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
-                                  snapshot_times=times, stats=stats)
-    all_snaps = [f0] + snaps + ([final] if not snaps or snaps[-1].time != final.time else [])
+    all_snaps = [f0, *fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
+                                     snapshot_times=times, stats=stats)]
+    final = all_snaps[-1]
     # every snapshot lies on the one grid, so its text is made once
     y_text = ["%.12g" % y for y in grid.tolist()]
     survey.write_csv(out / "snapshots.csv", ["t", "y", "f"], itertools.chain.from_iterable(

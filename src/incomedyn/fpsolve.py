@@ -332,15 +332,16 @@ BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 
 
 def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
-           snapshot_times: Sequence[float] = (), stats: dict = None) -> tuple:
-    """Evolve a density to t_end; returns (final, snapshots at requested times).
+           snapshot_times: Sequence[float] = (), stats: dict = None) -> list:
+    """Evolve a density to t_end; returns one state per distinct output
+    time, in time order, the last at the end.  The output times are the
+    snapshot times and t_end.
 
     Variable-step BDF2 on the Chang-Cooper operator L; the labour rate may
     be a constant or a callable of time.  Each interval between output times
-    (the snapshot times and t_end) is split into the fewest equal steps of
-    at most ``dt`` (to a relative 1e-9, so that rounding adds no step), and
-    the steps land on every output time; an interval of 1e-12 or less takes
-    no step.  With omega = h / h_prev, a step solves
+    is split into the fewest equal steps of at most ``dt`` (to a relative
+    1e-9, so that rounding adds no step), and at least one; the steps land
+    on every output time.  With omega = h / h_prev, a step solves
 
         (I - beta L) f+ = ((1 + omega)^2 f - omega^2 f_prev) / (1 + 2 omega),
         beta = h (1 + omega) / (1 + 2 omega).
@@ -373,26 +374,23 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
         raise NumericalError(
             f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
             f"for M={M:g}; suggested dt={dt_default:g}")
-    snap_times = sorted(float(t) for t in snapshot_times)
+    snap_times = {float(t) for t in snapshot_times}
     if not all(f0.time < t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")
 
     y = f0.grid
-    f, f_prev, h_prev = f0.values.copy(), None, 0.0
-    t = f0.time
-    snapshots = []
-    pending = list(snap_times)
+    f, f_prev, h_prev, t = f0.values, None, 0.0, f0.time
+    states = []
     steps = backward_euler_steps = 0
 
     @functools.lru_cache(maxsize=2)
     def factored(beta: float, c_val: float):
         return _FluxOperator(y, M, c_val).implicit_factors(beta)
 
-    while t < t_end - 1e-12:
-        target = pending[0] if pending else t_end
+    for target in sorted({*snap_times, float(t_end)}):
         t0, span = t, target - t
-        n = max(1, math.ceil(span / dt - 1e-9)) if span > 1e-12 else 0
-        h = span / n if n else 0.0
+        n = max(1, math.ceil(span / dt - 1e-9))
+        h = span / n
         for k in range(1, n + 1):
             t = target if k == n else t0 + k * h
             c_val = C_of_t(t) if callable(C_of_t) else float(C_of_t)
@@ -416,13 +414,11 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
                 np.maximum(f_new, 0.0, out=f_new)
             f_prev, f, h_prev = f, f_new, h
             steps += 1
-        if pending:
-            pending.pop(0)
-            snapshots.append(GridDensity(y, f.copy(), t))
+        states.append(GridDensity(y, f, t))
     if stats is not None:
         stats.update(steps=steps, factorisations=factored.cache_info().misses,
                      backward_euler_steps=backward_euler_steps)
-    return GridDensity(y, f, t), snapshots
+    return states
 
 
 def steady_state_residual(M: float, C0: float, grid: np.ndarray = None) -> float:

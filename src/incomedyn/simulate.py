@@ -146,8 +146,9 @@ def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
 
 def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
               snapshot_steps: Sequence[int] = (), workers: int = 1) -> list:
-    """March ``n_steps`` from ``pop``; returns populations at the requested
-    step indices plus the final state (deduplicated, in time order).
+    """March ``n_steps`` from ``pop``; returns one state per distinct output
+    time, in time order, the last at the end.  The output times are the
+    snapshot steps, each in [1, n_steps] (else ``DomainError``), and n_steps.
 
     The starting incomes must be finite (else ``NumericalError``) and
     positive (else ``DomainError``); the scheme keeps them so.  The chunks
@@ -170,12 +171,14 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     _check_finite(pop.incomes, pop.time)
     if not (pop.incomes > 0.0).all():
         raise DomainError("incomes must be positive")
+    snap_steps = {int(s) for s in snapshot_steps}
+    if not all(1 <= s <= n_steps for s in snap_steps):
+        raise DomainError(f"snapshot steps must lie in [1, {n_steps}]")
     bounds = _chunk_bounds(pop.n_agents)
-    snap_steps = sorted({int(s) for s in snapshot_steps if 0 < int(s) < n_steps} | {n_steps})
     # one income array; each chunk steps its slice in place up to the next snapshot
     incomes, states, k0 = pop.incomes.copy(), pop.rng_states, 0
     out = []
-    for k1 in snap_steps:
+    for k1 in sorted(snap_steps | {n_steps}):
         states = tuple(_advance_chunk(incomes[lo:hi], state, params, pop.time, k0, k1)
                        for lo, hi, state in zip(bounds[:-1], bounds[1:], states, strict=True))
         out.append(AgentPopulation(
@@ -206,18 +209,17 @@ def init_population(n_agents: int, init, seed: int) -> AgentPopulation:
 
 def run(n_agents: int, params: LangevinParams, t_end: float, init, seed: int,
         snapshot_times: Sequence[float] = (), workers: int = 1) -> list:
-    """Simulate from t = 0 to t_end; returns snapshots plus the final state.
-
-    Snapshot times are rounded up to the next step boundary.  With an empty
-    snapshot list only the final population is returned.
+    """Simulate from t = 0 to t_end; returns one state per distinct output
+    time, in time order, the last at the end.  The output times are the
+    snapshot times and t_end, each rounded up to the next step boundary.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    times = sorted(float(t) for t in snapshot_times)
-    if not all(0.0 < t <= t_end + 1e-9 for t in times):
+    if not all(0.0 < t <= t_end + 1e-9 for t in snapshot_times):
         raise DomainError("snapshot times must lie in (0, t_end]")
     n_steps = max(1, math.ceil(t_end / params.dt - 1e-9))
-    snap_steps = [min(n_steps, math.ceil(t / params.dt - 1e-9)) for t in times]
+    snap_steps = [min(n_steps, max(1, math.ceil(t / params.dt - 1e-9)))
+                  for t in snapshot_times]
     pop0 = init_population(n_agents, init, seed)
     return run_steps(pop0, params, n_steps, snap_steps, workers=workers)
 

@@ -88,7 +88,7 @@ def test_criterion_04_fp_solver():
                                          fpsolve.log_grid(M_STAR, C_STAR, 500))
     bump = fpsolve.bump_density(grid, 3.0 * C_STAR / M_STAR)
     steady = fpsolve.density_on_grid(DIST, grid)
-    final, _ = fpsolve.evolve(bump, M_STAR, C_STAR, 25.0)
+    final = fpsolve.evolve(bump, M_STAR, C_STAR, 25.0)[-1]
     l1 = fpsolve.l1_distance(final, steady)
     drift = abs(final.mass() - bump.mass()) / 25.0
     print(f"[criterion 4] residual={resid:.2e} (<1e-6); refinement ratios "

@@ -138,15 +138,18 @@ class TestSmoke:
         assert report["mass_drift_per_unit_time"] < 1e-10
         assert report["residual_on_grid"] < 1e-5
 
-    def test_evolve_shorter_than_the_time_tolerance(self, tmp_path):
-        # a span within evolve's 1e-12 time tolerance takes no step and
-        # returns no snapshot; the files still hold the start and the end
+    def test_evolve_of_a_tiny_span_takes_a_step(self, tmp_path):
+        # every output time is reached by at least one step, however short
+        # the span, and a time requested twice (here as a snapshot and as
+        # the end) is written once
         out = tmp_path / "ev"
         assert run_cli("evolve", "--t-end", 1e-13, "--cells", 100,
-                       "--out-dir", out, "--quiet") == 0
+                       "--snapshot-times", 1e-13, "--out-dir", out, "--quiet") == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["steps"] == 0
-        assert len((out / "convergence.csv").read_text().splitlines()) == 3
+        assert report["steps"] == 1
+        rows = [line.split(",") for line in
+                (out / "convergence.csv").read_text().splitlines()[1:]]
+        assert [float(t) for t, _ in rows] == [0.0, 1e-13]
 
     def test_synth_then_fit_round_trip(self, tmp_path):
         out = tmp_path / "sy"

@@ -173,15 +173,14 @@ class TestEvolve:
     def test_stationary_input_stays(self):
         grid = fpsolve.log_grid(1.6, 1.6, 2000)
         f0 = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 1.6), grid)
-        final, _ = fpsolve.evolve(f0, 1.6, 1.6, 10.0)
+        final = fpsolve.evolve(f0, 1.6, 1.6, 10.0)[-1]
         assert fpsolve.l1_distance(final, f0) < 1e-4
 
     def test_bump_converges_to_closed_form(self):
         grid = fpsolve.log_grid(1.6, 1.6, 1200)
         bump = fpsolve.bump_density(grid, 3.0 * 1.0)
         steady = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 1.6), grid)
-        final, snaps = fpsolve.evolve(bump, 1.6, 1.6, 20.0,
-                                      snapshot_times=[2.0, 5.0, 10.0, 20.0])
+        snaps = fpsolve.evolve(bump, 1.6, 1.6, 20.0, snapshot_times=[2.0, 5.0, 10.0, 20.0])
         dists = [fpsolve.l1_distance(s, steady) for s in snaps]
         # strictly decreasing until below the target; then a plateau at the
         # discrete equilibrium's O(h^2) offset from the sampled closed form
@@ -193,13 +192,13 @@ class TestEvolve:
     def test_mass_conservation(self):
         grid = fpsolve.log_grid(1.6, 1.6, 1000)
         bump = fpsolve.bump_density(grid, 2.0)
-        final, _ = fpsolve.evolve(bump, 1.6, 1.6, 8.0)
+        final = fpsolve.evolve(bump, 1.6, 1.6, 8.0)[-1]
         assert abs(final.mass() - bump.mass()) / 8.0 < 1e-10
 
     def test_positivity(self):
         grid = fpsolve.log_grid(1.6, 1.6, 600)
         bump = fpsolve.bump_density(grid, 6.0, rel_width=0.05)
-        final, _ = fpsolve.evolve(bump, 1.6, 1.6, 3.0)
+        final = fpsolve.evolve(bump, 1.6, 1.6, 3.0)[-1]
         assert (final.values >= 0.0).all()
 
     def test_snapshot_before_first_full_step(self):
@@ -207,10 +206,9 @@ class TestEvolve:
         # must not be reused before it exists
         grid = fpsolve.log_grid(1.6, 1.6, 300)
         f0 = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 1.6), grid)
-        final, snaps = fpsolve.evolve(f0, 1.6, 1.6, 1.0, dt=0.1,
-                                      snapshot_times=[0.05, 0.5])
-        assert [round(s.time, 6) for s in snaps] == [0.05, 0.5]
-        assert final.mass() == pytest.approx(1.0, abs=1e-10)
+        snaps = fpsolve.evolve(f0, 1.6, 1.6, 1.0, dt=0.1, snapshot_times=[0.05, 0.5])
+        assert [round(s.time, 6) for s in snaps] == [0.05, 0.5, 1.0]
+        assert snaps[-1].mass() == pytest.approx(1.0, abs=1e-10)
 
     def test_time_step_refusal_with_suggestion(self):
         grid = fpsolve.log_grid(1.6, 1.6, 400)
@@ -223,7 +221,7 @@ class TestEvolve:
         grid = fpsolve.log_grid(1.6, 2.0, 1000, span=(1e-3, 2e3))
         f0 = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 1.6), grid)
         rate = lambda t: 1.6 + 0.4 * min(t, 1.0)
-        final, _ = fpsolve.evolve(f0, 1.6, rate, 20.0)
+        final = fpsolve.evolve(f0, 1.6, rate, 20.0)[-1]
         steady2 = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 2.0), grid)
         assert fpsolve.l1_distance(final, steady2) < 1e-3
 
@@ -236,7 +234,7 @@ class TestEvolve:
             bump = fpsolve.bump_density(grid, 2.5 * c0 / m)
             steady = fpsolve.density_on_grid(distlib.SteadyStateIPDF(m, c0), grid)
             t_relax = 25.0 / min(m, 2.0)
-            final, _ = fpsolve.evolve(bump, m, c0, t_relax)
+            final = fpsolve.evolve(bump, m, c0, t_relax)[-1]
             assert fpsolve.l1_distance(final, steady) < 1e-3, (m, c0)
 
 
@@ -307,7 +305,7 @@ class TestEvolveSteps:
         bump = fpsolve.bump_density(grid, 3.0 * c0 / m)
         times = [0.5, 1.0, 2.0, 4.0]
         stats = {}
-        _, snaps = fpsolve.evolve(bump, m, c0, 4.0, snapshot_times=times, stats=stats)
+        snaps = fpsolve.evolve(bump, m, c0, 4.0, snapshot_times=times, stats=stats)
         assert stats["backward_euler_steps"] == 1
         expected = moment_recurrence(m, c0, (bump.mean(), second_moment(bump)), times,
                                      0.25 / (m + 2.0))
@@ -323,7 +321,7 @@ class TestEvolveSteps:
         bump = fpsolve.bump_density(grid, 3.0 * c0 / m)
         times = [0.5, 1.0, 2.0, 4.0]
         stats = {}
-        _, snaps = fpsolve.evolve(bump, m, c0, 4.0, snapshot_times=times, stats=stats)
+        snaps = fpsolve.evolve(bump, m, c0, 4.0, snapshot_times=times, stats=stats)
         assert stats["backward_euler_steps"] == 1
         expected = moment_recurrence(m, c0, (bump.mean(), second_moment(bump)), times,
                                      0.25 / (m + 2.0))
@@ -338,7 +336,7 @@ class TestEvolveSteps:
         grid = fpsolve.log_grid(m, m, 2000)
         bump = fpsolve.bump_density(grid, 3.0)
         times = [0.5, 1.0, 2.0]
-        _, snaps = fpsolve.evolve(bump, m, m, 2.0, snapshot_times=times)
+        snaps = fpsolve.evolve(bump, m, m, 2.0, snapshot_times=times)
         old = backward_euler(bump, m, m, times, 0.1 / (m + 2.0))
         for t, new, be in zip(times, snaps, old):
             exact = 1.0 + (bump.mean() - 1.0) * math.exp(-m * t)
@@ -358,8 +356,8 @@ class TestEvolveSteps:
             grid = fpsolve.log_grid(m, c0, cells)
             bump = fpsolve.bump_density(grid, rng.uniform(0.5, 4.0) * c0 / m, width)
             dt = 0.25 / (m + 2.0)
-            _, ref = fpsolve.evolve(bump, m, c0, 2.0, dt=dt / 32, snapshot_times=times)
-            _, new = fpsolve.evolve(bump, m, c0, 2.0, snapshot_times=times)
+            ref = fpsolve.evolve(bump, m, c0, 2.0, dt=dt / 32, snapshot_times=times)
+            new = fpsolve.evolve(bump, m, c0, 2.0, snapshot_times=times)
             old = backward_euler(bump, m, c0, times, 0.1 / (m + 2.0))
             for t, r, a, b in zip(times, ref, new, old):
                 if t >= 0.5:
@@ -372,7 +370,7 @@ class TestEvolveSteps:
         monkeypatch.setattr(fpsolve, "solve_banded",
                             lambda lu, f: calls.append(1) or solve(lu, f))
         stats = {}
-        final, _ = cli_sample_run(stats)
+        final = cli_sample_run(stats)[-1]
         assert final.time == 20.0
         assert len(calls) == 288
         assert stats == {"steps": 288, "factorisations": 2, "backward_euler_steps": 1}
@@ -407,28 +405,31 @@ class TestEvolveSteps:
         f0 = fpsolve.bump_density(grid, 3.0)
         rate = lambda t: 1.6 if t < 1.0 else 2.0
         stats = {}
-        final, snaps = fpsolve.evolve(f0, 1.6, rate, 3.0,
-                                      snapshot_times=[0.33, 1.5, 2.2], stats=stats)
+        *snaps, final = fpsolve.evolve(f0, 1.6, rate, 3.0,
+                                       snapshot_times=[0.33, 1.5, 2.2], stats=stats)
         assert stats["backward_euler_steps"] > 1       # the start step and a retaken one
         assert all((s.values >= 0.0).all() for s in snaps + [final])
         assert abs(final.mass() - f0.mass()) / 3.0 < 1e-10
 
-    @pytest.mark.parametrize("times, expected, steps", [
-        ([0.5, 0.5, 1.0], [0.5, 0.5, 1.0], 16),
-        ([1.0, 1.0], [1.0], 15),
-        ([0.5, 0.5 + 1e-13, 1.0], [0.5, 0.5, 1.0], 16),
-    ], ids=["repeated", "repeated-at-end", "ulp-close"])
-    def test_repeated_and_close_snapshot_times(self, times, expected, steps):
-        """A snapshot per time, except that the run stops at t_end; an
-        interval of 1e-12 or less takes no step, so none has zero length.
-        At dt = 0.25 / 3.6, 0.5 takes 8 steps and 1 takes 15."""
+    @pytest.mark.parametrize("times, expected, steps, backward_euler_steps", [
+        ([0.5, 0.5, 1.0], [0.5, 1.0], 16, 1),
+        ([1.0, 1.0], [1.0], 15, 1),
+        ([0.5, 0.5 + 1e-13, 1.0], [0.5, 0.5 + 1e-13, 1.0], 17, 2),
+    ], ids=["repeated-once", "repeated-at-end-once", "1e-13-apart-own-step"])
+    def test_repeated_and_close_snapshot_times(self, times, expected, steps,
+                                               backward_euler_steps):
+        """One state per distinct output time: a repeated time gives one
+        state, and a time 1e-13 after another is reached by a step of its
+        own, after which the step ratio restarts backward Euler.  At
+        dt = 0.25 / 3.6, 0.5 takes 8 steps and 1 takes 15."""
         grid = fpsolve.log_grid(1.6, 1.6, 200)
         f0 = fpsolve.bump_density(grid, 3.0)
         stats = {}
-        final, snaps = fpsolve.evolve(f0, 1.6, 1.6, 1.0, snapshot_times=times, stats=stats)
+        snaps = fpsolve.evolve(f0, 1.6, 1.6, 1.0, snapshot_times=times, stats=stats)
         assert [s.time for s in snaps] == pytest.approx(expected, abs=1e-12)
-        assert final.time == 1.0
-        assert stats["steps"] == steps and stats["backward_euler_steps"] == 1
+        assert snaps[-1].time == 1.0
+        assert stats["steps"] == steps
+        assert stats["backward_euler_steps"] == backward_euler_steps
 
     @pytest.mark.parametrize("value", [math.nan, -1e-6])
     def test_nan_or_negative_density_is_a_numerical_error(self, monkeypatch, value):

@@ -230,11 +230,15 @@ class TestEquilibrium:
         # m' = C - M m exactly, and must track the evolved density's mean
         params = make_params(dt=2e-3)
         n = 20_000
-        times = [0.5, 1.0, 2.0, 3.0]
+        # unsorted and with a repeat: both integrators give one state per
+        # distinct time, in time order, the last at t_end
+        times = [2.0, 0.5, 1.0, 0.5]
         pops = simulate.run(n, params, 3.0, 5.0, seed=31, snapshot_times=times)
         grid = fpsolve.log_grid(1.6, 1.6, 1500, span=(1e-3, 3e3))
         f0 = fpsolve.bump_density(grid, 5.0, rel_width=0.01)
-        _, snaps = fpsolve.evolve(f0, 1.6, 1.6, 3.0, dt=0.005, snapshot_times=times)
+        snaps = fpsolve.evolve(f0, 1.6, 1.6, 3.0, dt=0.005, snapshot_times=times)
+        assert [p.time for p in pops] == pytest.approx([s.time for s in snaps], abs=1e-12)
+        assert [s.time for s in snaps] == [0.5, 1.0, 2.0, 3.0]
         means = [p.incomes.mean() for p in pops]
         assert all(b < a for a, b in zip(means, means[1:]))
         for pop, snap in zip(pops, snaps):
@@ -248,6 +252,21 @@ class TestEquilibrium:
         pops = simulate.run(500, params, 0.1, 1.0, seed=1)
         assert len(pops) == 1
         assert pops[0].time == pytest.approx(0.1, abs=params.dt)
+
+    def test_snapshot_time_below_the_first_step_is_rounded_up(self):
+        # 1e-15 is below 1e-9 dt, the rounding slack, and still gets step 1
+        pops = simulate.run(1000, make_params(dt=1e-3), 0.01, 1.0, seed=0,
+                            snapshot_times=[1e-15, 0.005])
+        assert [p.step_index for p in pops] == [1, 5, 10]
+        assert [p.time for p in pops] == pytest.approx([0.001, 0.005, 0.01], abs=1e-15)
+
+    def test_snapshot_step_outside_the_run_is_a_domain_error(self):
+        pop = simulate.init_population(100, 1.0, seed=0)
+        for steps in ([0], [20], [-3], [0, 20, -3, 5]):
+            with pytest.raises(DomainError, match="snapshot steps"):
+                simulate.run_steps(pop, make_params(), 10, snapshot_steps=steps)
+        pops = simulate.run_steps(pop, make_params(), 10, snapshot_steps=[10, 1, 10])
+        assert [p.step_index for p in pops] == [1, 10]
 
 
 class TestTimeUnit:
