@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=_POSITIVE, default=50.0)
     p.add_argument("--init", choices=["mean", "equilibrium"], default="mean")
     p.add_argument("--snapshot-times", type=_TIMES, default="")
-    p.add_argument("--workers", type=_COUNT, default=1, help="accepted and ignored")
+    p.add_argument("--workers", type=_COUNT, default=1,
+                   help="threads over chunks; results do not depend on it")
     p.add_argument("--hill-tail-fraction", type=_numbers("(0, 1)"), default=0.05)
     p.add_argument("--histogram-bins", type=_COUNT, default=80)
 

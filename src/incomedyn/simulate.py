@@ -15,13 +15,16 @@ continuum).  Under the dt guards the multiplier exceeds
 1 - 0.1 - sqrt(0.05) > 0.67, so incomes stay above C dt with no floor.
 
 Chunk model: ceil(n / CHUNK_SIZE) chunks whose sizes differ by at most one
-agent, each with its own seeded SFC64 stream that gives one raw bit per
-agent and step.  The partition depends only on n, so results are
-bit-identical for any worker count.
+agent, each with its own slice of the incomes and its own seeded SFC64
+stream.  Eight steps compose into one affine map y -> P[b] y + S[b], so one
+random byte b per agent (bit i the i-th step's increment) and two lookups in
+256-entry tables advance a chunk eight steps.  The partition depends only on
+n, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -122,6 +125,7 @@ def _check_finite(y: np.ndarray, t: float) -> None:
         raise NumericalError(f"non-finite income at t={t:g} ({bad} agents)")
 
 
+@np.errstate(over="ignore")     # an overflow is refused by the finite check
 def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
                    t0: float, k0: int, k1: int) -> dict:
     """March one chunk in place from step k0 to step k1 after time t0, from
@@ -130,17 +134,31 @@ def _advance_chunk(y: np.ndarray, rng_state: dict, params: LangevinParams,
     bitgen.state = rng_state
     dt = params.dt
     table = (1.0 - params.M * dt) + params.noise_scale * math.sqrt(dt) * _SIGNS
+    k_single, buf, rates = k1 - (k1 - k0) % 8, np.empty(y.size), None
+    p = table.prod(axis=1)      # eight steps are y -> P[b] y + S[b]
+    for k in range(k0, k_single, 8):
+        block_rates = [params.rate_at(t0 + j * dt) for j in range(k, k + 8)]
+        if block_rates != rates:        # S by Horner's rule over the steps
+            rates, s = block_rates, np.zeros(256)
+            for m, c in zip(table.T, rates):
+                s = s * m + c * dt
+        # byte a of the little-endian words drives agent a, and its bit i step k + i
+        b = bitgen.random_raw(-(-y.size // 8)).astype("<u8", copy=False).view(np.uint8)
+        np.take(p, b[:y.size], out=buf, mode="clip")
+        y *= buf
+        np.take(s, b[:y.size], out=buf, mode="clip")
+        y += buf
+        if (k + 8) // _FINITE_CHECK_EVERY > k // _FINITE_CHECK_EVERY:
+            _check_finite(y, t0 + (k + 8) * dt)
     n_words = -(-y.size // 64)
-    mult = np.empty((8 * n_words, 8))
-    mult_y = mult.reshape(-1)[:y.size]
-    for k in range(k0, k1):
+    mult = np.empty((8 * n_words, 8)) if k_single < k1 else None
+    for k in range(k_single, k1):      # the fewer than eight steps left
         # byte j of the little-endian words holds the signs of agents 8j..8j+7
         signs = bitgen.random_raw(n_words).astype("<u8", copy=False).view(np.uint8)
         np.take(table, signs, axis=0, out=mult, mode="clip")
-        y *= mult_y
+        y *= mult.reshape(-1)[:y.size]
         y += params.rate_at(t0 + k * dt) * dt
-        if (k + 1) % _FINITE_CHECK_EVERY == 0 or k + 1 == k1:
-            _check_finite(y, t0 + (k + 1) * dt)
+    _check_finite(y, t0 + k1 * dt)
     return bitgen.state
 
 
@@ -151,18 +169,12 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     snapshot steps, each in [1, n_steps] (else ``DomainError``), and n_steps.
 
     The starting incomes must be finite (else ``NumericalError``) and
-    positive (else ``DomainError``); the scheme keeps them so.  The chunks
-    run one after another: ``workers`` is accepted and ignored, because
-    threads do not beat one thread on a step this short.  Measured on a
-    2-vCPU Xeon (Python 3.11, numpy 2.4):
-
-    - whole-chunk threads, each running its chunks over all steps with no
-      per-step barrier, ran 10^5 agents x 500 steps at 0.95x one thread
-      (0.101 -> 0.106 s), with bit-identical results;
-    - on 2 threads the step's numpy calls scale as: ``random_raw`` 0.57-0.65x,
-      ``take`` 1.22-1.59x, the multiply 0.83-1.02x, the add 0.77-0.80x;
-    - two processes do run in parallel, so the limit is not the CPU quota
-      but the GIL handoff between numpy calls of 3-24 us each.
+    positive (else ``DomainError``); the scheme keeps them so.  With
+    ``workers`` > 1 the chunks run whole in min(workers, chunks) threads.
+    Blocks of eight steps restart at each output step, so an output step
+    not a multiple of eight after the previous one changes the later path,
+    though not its law.  10^5 agents x 500 steps take 24-38 ms on one
+    thread, 23-31 ms on two and 71-93 ms step by step (2-vCPU Xeon).
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
@@ -177,15 +189,22 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     bounds = _chunk_bounds(pop.n_agents)
     # one income array; each chunk steps its slice in place up to the next snapshot
     incomes, states, k0 = pop.incomes.copy(), pop.rng_states, 0
+    slices = [incomes[lo:hi] for lo, hi, _ in zip(bounds[:-1], bounds[1:], states, strict=True)]
     out = []
-    for k1 in sorted(snap_steps | {n_steps}):
-        states = tuple(_advance_chunk(incomes[lo:hi], state, params, pop.time, k0, k1)
-                       for lo, hi, state in zip(bounds[:-1], bounds[1:], states, strict=True))
-        out.append(AgentPopulation(
-            incomes=incomes if k1 == n_steps else incomes.copy(),
-            time=pop.time + k1 * params.dt, seed=pop.seed,
-            step_index=pop.step_index + k1, rng_states=states))
-        k0 = k1
+    with contextlib.ExitStack() as stack:
+        chunk_map = map
+        if workers > 1 and len(slices) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            chunk_map = stack.enter_context(ThreadPoolExecutor(min(workers, len(slices)))).map
+        for k1 in sorted(snap_steps | {n_steps}):
+            def advance(y, state, k0=k0, k1=k1):
+                return _advance_chunk(y, state, params, pop.time, k0, k1)
+            states = tuple(chunk_map(advance, slices, states))
+            out.append(AgentPopulation(
+                incomes=incomes if k1 == n_steps else incomes.copy(),
+                time=pop.time + k1 * params.dt, seed=pop.seed,
+                step_index=pop.step_index + k1, rng_states=states))
+            k0 = k1
     return out
 
 
@@ -215,7 +234,7 @@ def run(n_agents: int, params: LangevinParams, t_end: float, init, seed: int,
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    if not all(0.0 < t <= t_end + 1e-9 for t in snapshot_times):
+    if not all(0.0 < t <= t_end + 1e-9 * params.dt for t in snapshot_times):
         raise DomainError("snapshot times must lie in (0, t_end]")
     n_steps = max(1, math.ceil(t_end / params.dt - 1e-9))
     snap_steps = [min(n_steps, max(1, math.ceil(t / params.dt - 1e-9)))

@@ -62,6 +62,13 @@ class TestSmoke:
         assert (out / "histograms.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_simulate_snapshot_at_t_end(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--agents", 2000, "--t-end", 0.5, "--dt", 5e-3,
+                       "--snapshot-times", 0.5, "--out-dir", out, "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [row["t"] for row in report["ks_by_time"]] == pytest.approx([0.5])
+
     def test_collapse_on_sample_files(self, tmp_path):
         out = tmp_path / "col"
         rc = run_cli("collapse", "--rounds", SAMPLE_ROUNDS,
@@ -325,6 +332,9 @@ class TestExitCodes:
         (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", 0], 3),
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
           "--snapshot-times", 0], 3),
+        # the slack past --t-end is a fraction of the step: 5e-10 is 490 steps past it
+        (["simulate", "--agents", 2000, "--t-end", 1e-11, "--dt", 1e-12,
+          "--snapshot-times", 5e-10], 3),
         # an extreme grid scale overflows or divides by zero in the FP operator
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e300], 4),
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e-300], 4),

@@ -20,6 +20,12 @@ from incomedyn.errors import DomainError, NumericalError
 DIST = distlib.SteadyStateIPDF(1.6, 1.6)
 
 
+def stream_states(pop):
+    """The chunks' SFC64 states as plain lists, so that two can be compared."""
+    return [(s["state"]["state"].tolist(), s["has_uint32"], s["uinteger"])
+            for s in pop.rng_states]
+
+
 def make_params(**kw):
     base = dict(M=1.6, labour_rate=1.6, dt=2e-3)
     base.update(kw)
@@ -81,8 +87,11 @@ class TestDeterminism:
         params = make_params()
         runs = {w: simulate.run(70_000, params, 0.05, 1.0, seed=3, workers=w)[-1]
                 for w in (1, 2, 4, 8)}
+        # 70,000 agents make three chunks, so 2, 4 and 8 workers run threads
+        assert len(runs[1].rng_states) == 3
         for w in (2, 4, 8):
             assert np.array_equal(runs[1].incomes, runs[w].incomes), w
+            assert stream_states(runs[1]) == stream_states(runs[w]), w
 
     def test_same_seed_bit_identical(self):
         params = make_params()
@@ -101,6 +110,16 @@ class TestDeterminism:
         via_run = simulate.run(1_000, params, 2 * params.dt, 1.0, seed=5)[-1]
         assert np.array_equal(via_step.incomes, via_run.incomes)
         assert via_step.step_index == 2
+
+    def test_two_blocks_equal_one_run(self):
+        # eight steps, then eight more from the returned streams, are one 16-step run
+        params = make_params()
+        pop0 = simulate.init_population(1_000, DIST, seed=6)
+        once = simulate.run_steps(pop0, params, 8)[-1]
+        twice = simulate.run_steps(once, params, 8)[-1]
+        whole = simulate.run_steps(pop0, params, 16)[-1]
+        assert np.array_equal(twice.incomes, whole.incomes)
+        assert stream_states(twice) == stream_states(whole)
 
     def test_stream_ids_follow_chunks(self):
         # agents [0, n // 2) draw from stream 0 and the rest from stream 1
@@ -166,6 +185,33 @@ class TestStepMoments:
                             snapshot_times=[0.25, 0.5, 1.0])
         for pop in pops:
             assert pop.incomes.min() > 0.0
+
+
+class TestEightStepBlocks:
+    """Eight steps run as one affine map per random byte: byte a of the
+    chunk's draw drives agent a, and its bit i the increment of step i.
+    Oracle: the same eight weak Euler steps taken one at a time."""
+
+    Y0 = (1e-3, 1.0, 37.0, 1e6)
+
+    @pytest.mark.parametrize("rate", [1.6, lambda t: 1.0 + 100.0 * t])
+    def test_block_equals_eight_explicit_steps(self, rate):
+        params = make_params(labour_rate=rate)
+        n = 2**14
+        pop = simulate.AgentPopulation(incomes=np.resize(self.Y0, n), time=0.25, seed=2)
+        bitgen = np.random.SFC64()
+        bitgen.state = pop.rng_states[0]
+        b = bitgen.random_raw(n // 8).astype("<u8").view(np.uint8)
+        # every byte meets every starting income
+        for i in range(len(self.Y0)):
+            assert np.unique(b[i::len(self.Y0)]).size == 256
+        y = pop.incomes.copy()
+        for i in range(8):
+            xi = np.where((b >> i) & 1, 1.0, -1.0)
+            c = rate(0.25 + i * params.dt) if callable(rate) else rate
+            y = y * (1.0 - 1.6 * params.dt + math.sqrt(2.0 * params.dt) * xi) + c * params.dt
+        got = simulate.run_steps(pop, params, 8)[-1].incomes
+        np.testing.assert_allclose(got, y, rtol=4e-15, atol=0.0)
 
 
 class TestEulerChainMoments:
@@ -297,6 +343,13 @@ class TestNanDetection:
         big = simulate.AgentPopulation(incomes=np.full(64, 1.79e308), time=0.0, seed=0)
         with pytest.raises(NumericalError), np.errstate(over="ignore"):
             simulate.run_steps(big, make_params(), 1)
+        # and so it is when eight steps run as one block, and in threads
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            simulate.run_steps(big, make_params(), 8)
+        two_chunks = simulate.AgentPopulation(
+            incomes=np.full(simulate.CHUNK_SIZE + 1, 1.79e308), time=0.0, seed=0)
+        with pytest.raises(NumericalError):
+            simulate.run_steps(two_chunks, make_params(), 8, workers=2)
 
     def test_nonpositive_income_is_a_domain_error(self):
         for value in (0.0, -1.0):
