@@ -332,9 +332,6 @@ class TestExitCodes:
         (["evolve", "--t-end", 0.5, "--cells", 100, "--snapshot-times", 0], 3),
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3,
           "--snapshot-times", 0], 3),
-        # the slack past --t-end is a fraction of the step: 5e-10 is 490 steps past it
-        (["simulate", "--agents", 2000, "--t-end", 1e-11, "--dt", 1e-12,
-          "--snapshot-times", 5e-10], 3),
         # an extreme grid scale overflows or divides by zero in the FP operator
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e300], 4),
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e-300], 4),
@@ -348,6 +345,9 @@ class TestExitCodes:
         (["modes", "--A2", 1e300], 4),
         # a comma in a round id would split its CSV cell
         (["synth", "--n", 10, "--round-id", "a,b"], 3),
+        # the slack past --t-end is a fraction of the step: 5e-10 is 490 steps past it
+        (["simulate", "--agents", 2000, "--t-end", 1e-11, "--dt", 1e-12,
+          "--snapshot-times", 5e-10], 3),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
