@@ -51,23 +51,18 @@ class TestSmoke:
     def test_simulate(self, tmp_path):
         out = tmp_path / "sim"
         rc = run_cli("simulate", "--agents", 30_000, "--t-end", 6.0,
-                     "--dt", 5e-3, "--snapshot-times", "3.0",
+                     "--dt", 5e-3, "--snapshot-times", "3.0,6.0",
                      "--init", "equilibrium", "--seed", 11,
                      "--out-dir", out, "--quiet")
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["final_ks"] < 0.02
+        # a snapshot at --t-end is accepted and written once
+        assert [row["t"] for row in report["ks_by_time"]] == pytest.approx([3.0, 6.0])
         assert report["increments"] == "two_point"
         assert report["exact_law_hill_density_exponent"] == pytest.approx(3.2949, abs=1e-4)
         assert (out / "histograms.csv").exists()
         assert (out / "manifest.json").exists()
-
-    def test_simulate_snapshot_at_t_end(self, tmp_path):
-        out = tmp_path / "sim"
-        assert run_cli("simulate", "--agents", 2000, "--t-end", 0.5, "--dt", 5e-3,
-                       "--snapshot-times", 0.5, "--out-dir", out, "--quiet") == 0
-        report = json.loads((out / "report.json").read_text())
-        assert [row["t"] for row in report["ks_by_time"]] == pytest.approx([0.5])
 
     def test_collapse_on_sample_files(self, tmp_path):
         out = tmp_path / "col"

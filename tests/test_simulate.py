@@ -83,7 +83,9 @@ class TestDeterministicLimit:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        # threads are capped by the CPU count; claim eight so that any host runs them
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
         params = make_params()
         runs = {w: simulate.run(70_000, params, 0.05, 1.0, seed=3, workers=w)[-1]
                 for w in (1, 2, 4, 8)}
@@ -120,6 +122,10 @@ class TestDeterminism:
         whole = simulate.run_steps(pop0, params, 16)[-1]
         assert np.array_equal(twice.incomes, whole.incomes)
         assert stream_states(twice) == stream_states(whole)
+        # a snapshot eight steps in leaves the blocks aligned
+        snapped = simulate.run_steps(pop0, params, 16, snapshot_steps=[8])[-1]
+        assert np.array_equal(snapped.incomes, whole.incomes)
+        assert stream_states(snapped) == stream_states(whole)
 
     def test_stream_ids_follow_chunks(self):
         # agents [0, n // 2) draw from stream 0 and the rest from stream 1
