@@ -172,7 +172,7 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     The starting incomes must be finite (else ``NumericalError``) and
     positive (else ``DomainError``); the scheme keeps them so.  Chunks run
     whole in min(workers, chunks, CPUs) threads: on a 2-vCPU Xeon two raised
-    perfbench ``ensemble`` ops_per_gauge from 0.331 to 0.385 (10/10 pairs).
+    perfbench ``ensemble`` ops_per_gauge from 0.352 to 0.390 (10/10 pairs).
     Blocks of eight steps restart at each output step, so an output step
     not a multiple of eight after the previous one changes the later path,
     though not its law.
