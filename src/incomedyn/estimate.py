@@ -260,42 +260,35 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
                      unit_standard_errors=unit_se, pearson_chi2=chi2)
 
 
-@np.errstate(over="ignore")     # a non-finite RSS is refused by fit_monod
-def _monod_rss(x: np.ndarray, s: np.ndarray, k: float) -> tuple:
-    r = x / (k + x)
-    v = float(np.dot(s, r) / np.dot(r, r))
-    resid = s - v * r
-    return float(np.dot(resid, resid)), v
-
-
-def _monod_slope(x: np.ndarray, s: np.ndarray, k: float) -> float:
-    """Derivative of the profile RSS in u = log K at K = ``k``.
+def _monod_profile(x: np.ndarray, s: np.ndarray, k: float) -> tuple:
+    """Profile RSS, V and the RSS's derivative in u = log K at K = ``k``.
 
     With r = x / (K + x) and V = s.r / r.r, dr/du = -r (1 - r) and V is
     stationary (envelope theorem), so dRSS/du = 2 V sum (s - V r) r (1 - r).
     """
     r = x / (k + x)
-    v = float(np.dot(s, r) / np.dot(r, r))
-    return 2.0 * v * float(np.dot(s - v * r, r * (1.0 - r)))
+    v = float(s.dot(r) / r.dot(r))
+    resid = s - v * r
+    return float(resid.dot(resid)), v, 2.0 * v * float(resid.dot(r * (1.0 - r)))
 
 
+# overflow in a profile leaves a non-finite RSS, refused below; the state is
+# set once per fit, as entering it costs about a fifth of a profile evaluation
+@np.errstate(over="ignore")
 def fit_monod(rnd: BandedDistribution) -> MonodFit:
     """Fit the consumption curve to per-band cereal expenditures.
 
     K minimises the profile RSS over u = log K in [log(min income / 10),
-    log(max income * 10)].  When the profile slope ``_monod_slope`` is
-    negative at the lower end and positive at the upper end, K is its root
-    by Brent's method (xtol 1e-12 in log K); otherwise K is whichever end
-    has the smaller RSS.  A log K within 1e-6 of either end is flagged as
-    ``k_at_boundary``.  ``evaluations`` counts slope and RSS evaluations.
+    log(max income * 10)].  When the profile slope is negative at the lower
+    end and positive at the upper end, K is its root by Brent's method
+    (xtol 1e-12 in log K); otherwise K is whichever end has the smaller
+    RSS.  A log K within 1e-6 of either end is flagged as
+    ``k_at_boundary``.  ``evaluations`` counts ``_monod_profile`` calls.
     """
     if len(rnd.bands) < 3:
         raise DataError(f"round {rnd.round_id}: Monod fit needs at least 3 bands")
-    cereal = [b.mean_cereal_expenditure for b in rnd.bands]
-    if any(c is None for c in cereal):
-        raise DataError(f"round {rnd.round_id}: cereal expenditure missing")
+    s = rnd.cereal
     x = rnd.representative_incomes()
-    s = np.asarray(cereal, dtype=float)
     if not (s > 0.0).any():
         raise DataError(f"round {rnd.round_id}: cereal expenditures all zero")
     lo = math.log(x.min() / 10.0)
@@ -303,25 +296,25 @@ def fit_monod(rnd: BandedDistribution) -> MonodFit:
 
     # brentq re-evaluates the ends; the cache keeps that from costing twice
     @functools.lru_cache(maxsize=None)
+    def profile(u):
+        return _monod_profile(x, s, math.exp(u))
+
     def slope(u):
-        return _monod_slope(x, s, math.exp(u))
+        return profile(u)[2]
 
     if slope(lo) < 0.0 < slope(hi):
         from scipy.optimize import brentq
         u = brentq(slope, lo, hi, xtol=1e-12)
-        rss, v_hat = _monod_rss(x, s, math.exp(u))
-        n_rss = 1
     else:
-        rss_lo, rss_hi = _monod_rss(x, s, math.exp(lo)), _monod_rss(x, s, math.exp(hi))
-        (rss, v_hat), u = (rss_lo, lo) if rss_lo[0] <= rss_hi[0] else (rss_hi, hi)
-        n_rss = 2
+        u = lo if profile(lo)[0] <= profile(hi)[0] else hi
+    rss, v_hat, _ = profile(u)
     if not math.isfinite(rss):
         raise NumericalError(f"round {rnd.round_id}: Monod residual sum of squares is {rss}")
     if not v_hat > 0.0:
         raise DataError(f"round {rnd.round_id}: saturation level fit is nonpositive")
     return MonodFit(V=v_hat, K=math.exp(u), rss=rss,
                     k_at_boundary=(u - lo) < 1e-6 or (hi - u) < 1e-6,
-                    evaluations=slope.cache_info().misses + n_rss)
+                    evaluations=profile.cache_info().misses)
 
 
 class PiecewiseLinear:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import distlib, fpsolve
 from .errors import DataError, DomainError, NumericalError
-from .estimate import FitResult, MonodFit, labour_rate_series
+from .estimate import FitResult, MonodFit
 from .survey import BandedDistribution
 
 STRICT_TOL = 1e-12
@@ -89,12 +89,7 @@ def cd_index_direct(rnd: BandedDistribution, monod: MonodFit) -> float:
     saturation level V; over-saturated bands contribute zero rather than
     offsetting others' deprivation.
     """
-    total = 0.0
-    for i, b in enumerate(rnd.bands):
-        if b.mean_cereal_expenditure is None:
-            raise DataError(f"round {rnd.round_id}: band {i} lacks cereal expenditure")
-        total += b.population_share * max(0.0, monod.V - b.mean_cereal_expenditure)
-    return total
+    return float(np.dot(rnd.shares, np.maximum(0.0, monod.V - rnd.cereal)))
 
 
 def cd_index_banded(rnd: BandedDistribution, V: float, K: float) -> float:
@@ -166,9 +161,9 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
     """All five indices per round.
 
     The model CD index uses a common shape M (the mean of the per-round fits
-    unless ``pooled_M`` is given) with the scale set by the labour-rate
-    series at the round's date — the quasi-static reading of a slowly
-    drifting economy.  Inputs must be aligned per round.
+    unless ``pooled_M`` is given) and offset, with the round's own scale
+    C0 = M (mean income - offset), its labour rate in the quasi-static reading
+    of a slowly drifting economy.  Rows are in year order, then input order.
     """
     if not (len(rounds) == len(fits) == len(monods)):
         raise DataError(
@@ -182,11 +177,13 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
     m_common = float(pooled_M) if pooled_M is not None else float(
         np.mean([f.M for f in fits]))
     off_common = float(np.mean([f.offset for f in fits]))
-    rate = labour_rate_series(rounds, m_common, offset=off_common)
     rows = []
     diag_rounds = []
     for rnd, fit, mono in zip(rounds, fits, monods):
-        c_t = rate(rnd.year)
+        mean_model = rnd.mean_income() - off_common
+        if not mean_model > 0.0:
+            raise DataError(f"round {rnd.round_id}: mean income below the offset")
+        c_t = m_common * mean_model
         dist = distlib.SteadyStateIPDF(m_common, c_t, off_common)
         hci, pg, spg = fgt_indices(rnd, z)
         pcd_d = cd_index_direct(rnd, mono)

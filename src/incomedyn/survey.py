@@ -116,6 +116,14 @@ class BandedDistribution:
     def edges(self) -> np.ndarray:
         return _frozen([self.bands[0].lower] + [b.upper for b in self.bands])
 
+    @cached_property
+    def cereal(self) -> np.ndarray:
+        """Per-band mean cereal expenditure; a band without one is a ``DataError``."""
+        for i, b in enumerate(self.bands):
+            if b.mean_cereal_expenditure is None:
+                raise DataError(f"round {self.round_id}: band {i} lacks cereal expenditure")
+        return _frozen([b.mean_cereal_expenditure for b in self.bands])
+
     @property
     def has_open_band(self) -> bool:
         return self.bands[-1].is_open

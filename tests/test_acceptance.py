@@ -244,7 +244,7 @@ def _identical_trees(a: Path, b: Path) -> bool:
     return all(filecmp.cmp(a / n, b / n, shallow=False) for n in names_a)
 
 
-def test_criterion_11_cli_determinism(tmp_path):
+def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
     base_dir = Path(__file__).resolve().parent.parent / "sample_data"
     sample_rounds = str(base_dir / "rounds.csv")
     sample_deflators = str(base_dir / "deflators.csv")
@@ -273,7 +273,11 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert same, f"{name}: rerun not byte-identical"
     w1 = tmp_path / "sim_w1"
     w4 = tmp_path / "sim_w4"
-    base = commands["simulate"]
+    # 70,000 agents make three chunks, and threads are capped by the CPU
+    # count: claim eight so that --workers 4 runs threads on any host
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    base = ["simulate", "--agents", "70000", "--t-end", "0.05", "--dt", "5e-3",
+            "--seed", "3"]
     assert cli_main(base + ["--workers", "1", "--out-dir", str(w1), "--quiet"]) == 0
     assert cli_main(base + ["--workers", "4", "--out-dir", str(w4), "--quiet"]) == 0
     workers_same = _identical_trees(w1, w4)

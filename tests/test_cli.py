@@ -88,6 +88,14 @@ class TestSmoke:
             assert fit["converged"] and fit["iterations"] <= 6
             assert len(fit["unit_standard_errors"]) == 2
             assert fit["pearson_chi2"] >= 0.0
+        # a fitted offset adds its own standard error and stays at or above 0
+        out = tmp_path / "fit-offset"
+        assert run_cli("fit", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+                       "--collapse-to", 1.0, "--fit-offset", "--out-dir", out,
+                       "--quiet") == 0
+        for fit in json.loads((out / "fit_report.json").read_text())["fits"]:
+            assert len(fit["unit_standard_errors"]) == 3
+            assert fit["offset"] >= 0.0
 
     def test_indices_on_sample_files(self, tmp_path):
         out = tmp_path / "idx"
@@ -104,6 +112,35 @@ class TestSmoke:
             assert {"iterations", "n_evaluations", "unit_standard_errors",
                     "pearson_chi2"} <= set(rnd["fit"])
             assert 0 < rnd["monod"]["evaluations"] <= 16
+        out = tmp_path / "pooled"
+        assert run_cli("indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+                       "--line", 40.0, "--fix-offset", 8.0, "--pooled-M", 1.7,
+                       "--out-dir", out, "--quiet") == 0
+        assert json.loads((out / "diagnostics.json").read_text())["pooled_M"] == 1.7
+
+    def test_indices_on_one_round_warns_nothing(self, tmp_path, recwarn):
+        assert run_cli(*synth_args(tmp_path / "sy")) == 0
+        out = tmp_path / "idx"
+        assert run_cli("indices", "--rounds", tmp_path / "sy" / "rounds.csv",
+                       "--line", 0.5, "--out-dir", out, "--quiet") == 0
+        assert len((out / "indices.csv").read_text().splitlines()) == 2
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_indices_of_rounds_sharing_a_year(self, tmp_path):
+        # each round gets its own row, rounds of one year in input order
+        rows = []
+        for round_id, n in (("b", 200_000), ("a", 100_000)):
+            out = tmp_path / round_id
+            assert run_cli(*synth_args(out, n=n), "--round-id", round_id) == 0
+            rows.extend((out / "rounds.csv").read_text().splitlines(keepends=True)[1:])
+        both = tmp_path / "rounds.csv"
+        both.write_text(_ROUNDS_HEADER + "".join(rows))
+        out = tmp_path / "idx"
+        assert run_cli("indices", "--rounds", both, "--line", 0.5,
+                       "--out-dir", out, "--quiet") == 0
+        lines = (out / "indices.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [["b", "2000"], ["a", "2000"]]
+        assert lines[0] != lines[1]
 
     @pytest.mark.parametrize("scale, atol", [(1e5, 1e-12), (1e9, 1e-12), (1e160, 1e-12)],
                              ids=["100000.0", "1000000000.0", "1e+160"])
@@ -137,7 +174,7 @@ class TestSmoke:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["final_l1_to_steady"] < 1e-3
-        assert report["mass_drift_per_unit_time"] < 1e-10
+        assert report["mass_change"] < 12 * 1e-10
         assert report["residual_on_grid"] < 1e-5
 
     def test_evolve_of_a_tiny_span_takes_a_step(self, tmp_path):
@@ -149,18 +186,20 @@ class TestSmoke:
                        "--snapshot-times", 1e-13, "--out-dir", out, "--quiet") == 0
         report = json.loads((out / "report.json").read_text())
         assert report["steps"] == 1
+        assert report["mass_change"] < 1e-14
         rows = [line.split(",") for line in
                 (out / "convergence.csv").read_text().splitlines()[1:]]
         assert [float(t) for t, _ in rows] == [0.0, 1e-13]
 
-    def test_synth_then_fit_round_trip(self, tmp_path):
+    def test_synth_then_fit_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sy"
         rc = run_cli(*synth_args(out))
         assert rc == 0
         out2 = tmp_path / "fit2"
-        rc = run_cli("fit", "--rounds", out / "rounds.csv", "--out-dir", out2,
-                     "--quiet")
+        # without --quiet the command prints its one-line summary
+        rc = run_cli("fit", "--rounds", out / "rounds.csv", "--out-dir", out2)
         assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [f"fit: 1 rounds -> {out2}"]
         fit = json.loads((out2 / "fit_report.json").read_text())["fits"][0]
         assert fit["M"] == pytest.approx(1.6, abs=0.1)
         assert fit["C0"] == pytest.approx(1.6, abs=0.1)
@@ -343,6 +382,8 @@ class TestExitCodes:
         # the slack past --t-end is a fraction of the step: 5e-10 is 490 steps past it
         (["simulate", "--agents", 2000, "--t-end", 1e-11, "--dt", 1e-12,
           "--snapshot-times", 5e-10], 3),
+        # at M = 2 the n = 0 minus branch has a pole, so a nonzero A1 is refused
+        (["modes", "--M", 2, "--A1", 1], 3),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code

@@ -321,17 +321,17 @@ class TestFitMonod:
 
     @staticmethod
     def curve_data(rnd):
-        return (rnd.representative_incomes(),
-                np.array([b.mean_cereal_expenditure for b in rnd.bands]))
+        return rnd.representative_incomes(), rnd.cereal
 
     def test_slope_matches_central_difference_of_rss(self):
         x, s = self.curve_data(self.noisy_round(0))
         h = 1e-5
         for k in (0.05, 0.2, 0.45, 1.3, 20.0):
             u = math.log(k)
-            diff = (estimate._monod_rss(x, s, math.exp(u + h))[0]
-                    - estimate._monod_rss(x, s, math.exp(u - h))[0]) / (2.0 * h)
-            assert estimate._monod_slope(x, s, k) == pytest.approx(diff, rel=1e-7, abs=1e-14)
+            diff = (estimate._monod_profile(x, s, math.exp(u + h))[0]
+                    - estimate._monod_profile(x, s, math.exp(u - h))[0]) / (2.0 * h)
+            assert estimate._monod_profile(x, s, k)[2] == pytest.approx(
+                diff, rel=1e-7, abs=1e-14)
 
     def test_proportional_consumption_pins_K_to_upper_boundary(self):
         # s = 0.3 y is the K -> inf limit of the curve: the RSS falls all the way up
@@ -351,9 +351,9 @@ class TestFitMonod:
         x, s = self.curve_data(rnd)
         r = x / (fit.K + x)
         roundoff = 1e-14 * 2.0 * fit.V * np.dot(np.abs(s), r * (1.0 - r))
-        assert abs(estimate._monod_slope(x, s, fit.K)) <= roundoff
+        assert abs(estimate._monod_profile(x, s, fit.K)[2]) <= roundoff
         for k in (fit.K * (1.0 - 1e-6), fit.K * (1.0 + 1e-6)):
-            assert fit.rss <= estimate._monod_rss(x, s, k)[0]
+            assert fit.rss <= estimate._monod_profile(x, s, k)[0]
 
     def test_evaluation_count_on_the_criterion_6_round(self):
         fit = estimate.fit_monod(make_round(seed=500))

@@ -81,6 +81,9 @@ class TestLoaders:
         path = write_rounds_csv(tmp_path / "r.csv", rows)
         rnd = survey.load_rounds(path)[0]
         assert all(b.mean_cereal_expenditure is None for b in rnd.bands)
+        # the cereal column is read only when used, and names the first band without one
+        with pytest.raises(DataError, match="round r1: band 0 lacks cereal expenditure"):
+            rnd.cereal
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -278,9 +281,10 @@ class TestRepresentativeIncomes:
 def test_band_arrays_are_built_once_and_read_only():
     rnd = survey.synth_round(DIST, EDGES, 10**4, seed=10, monod=(0.4, 0.5))
     assert rnd.edges is rnd.edges and rnd.shares is rnd.shares
-    assert rnd.knots is rnd.knots
+    assert rnd.knots is rnd.knots and rnd.cereal is rnd.cereal
     np.testing.assert_array_equal(rnd.edges, EDGES)
-    for arr in (rnd.edges, rnd.shares, rnd.knots):
+    np.testing.assert_array_equal(rnd.cereal, [b.mean_cereal_expenditure for b in rnd.bands])
+    for arr in (rnd.edges, rnd.shares, rnd.knots, rnd.cereal):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
