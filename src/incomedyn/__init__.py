@@ -9,17 +9,14 @@ index that needs no poverty line.
 __version__ = "0.1.0"
 
 from .distlib import (
-    Moment,
     SteadyStateIPDF,
     ipdf_cdf,
     ipdf_density,
-    ipdf_mean,
-    ipdf_moment,
     ipdf_sample,
     reg_upper_incomplete_gamma,
 )
 from .errors import DataError, DomainError, IncomedynError, NumericalError
-from .estimate import FitResult, MonodFit, PiecewiseLinear, fit_ipdf, fit_monod, labour_rate_series
+from .estimate import FitResult, MonodFit, fit_ipdf, fit_monod
 from .fpsolve import (
     EigenMode,
     GridDensity,
@@ -60,7 +57,6 @@ from .survey import (
     collapse_rescale,
     deflate,
     empirical_cdf,
-    empirical_ipdf,
     load_deflators,
     load_rounds,
     save_rounds,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
@@ -161,33 +160,6 @@ def ipdf_hill_exponent(dist: SteadyStateIPDF, tail_fraction: float) -> float:
     x_q = gammaincinv(a, tail_fraction)
     ak = a + np.arange(int(x_q + 40.0 * math.sqrt(x_q)) + 60)
     return tail_fraction / float(np.sum(gammainc(ak, x_q) / ak)) + 1.0
-
-
-def ipdf_mean(dist: SteadyStateIPDF) -> float:
-    """Mean income C0 * Gamma(M) / Gamma(M+1) = C0 / M."""
-    return dist.scale_C0 / dist.shape_M
-
-
-class Moment(NamedTuple):
-    """Raw moment value with an explicit finiteness flag.
-
-    The k-th raw moment exists only for k < M + 1; callers must branch on
-    ``finite`` instead of relying on an infinity sentinel.
-    """
-
-    value: float
-    finite: bool
-
-
-def ipdf_moment(dist: SteadyStateIPDF, k: int) -> Moment:
-    """k-th raw moment: C0^k * Gamma(M+1-k) / Gamma(M+1), finite iff k < M+1."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"moment order must be a positive integer, got {k}")
-    m, c0 = dist.shape_M, dist.scale_C0
-    if k >= m + 1.0:
-        return Moment(math.nan, False)
-    log_val = k * math.log(c0) + math.lgamma(m + 1.0 - k) - math.lgamma(m + 1.0)
-    return Moment(math.exp(log_val), True)
 
 
 def ipdf_sample(dist: SteadyStateIPDF, n: int, seed) -> np.ndarray:

@@ -21,19 +21,14 @@ which takes at most 4 of them on the criterion-6 and sample rounds;
 ``MAX_EVALUATIONS`` bounds the iterations and ``n_evaluations`` counts
 likelihood evaluations.  The same information gives the fit's standard
 errors.
-
-The labour-rate series ties fitted rounds together: under the quasi-static
-assumption the rate at a round's date is M times its mean model income,
-interpolated linearly between rounds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -316,43 +311,3 @@ def fit_monod(rnd: BandedDistribution) -> MonodFit:
                     k_at_boundary=(u - lo) < 1e-6 or (hi - u) < 1e-6,
                     evaluations=profile.cache_info().misses)
 
-
-class PiecewiseLinear:
-    """Piecewise-linear function of time, held constant beyond the end knots."""
-
-    def __init__(self, times: Sequence[float], values: Sequence[float]):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.size == 0 or t.size != v.size:
-            raise DataError("times and values must match and be nonempty")
-        if (np.diff(t) <= 0.0).any():
-            raise DataError("knot times must be strictly increasing")
-        self.times = t
-        self.values = v
-
-    def __call__(self, t):
-        out = np.interp(t, self.times, self.values)
-        return float(out) if np.ndim(t) == 0 else out
-
-
-def labour_rate_series(rounds: Sequence[BandedDistribution], M: float,
-                       offset: float = 0.0) -> PiecewiseLinear:
-    """Quasi-static labour rate C(t) = M * (mean income - offset) per round,
-    linearly interpolated between round years."""
-    if not rounds:
-        raise DataError("labour rate series needs at least one round")
-    if not M > 0.0:
-        raise DomainError(f"M must be > 0, got {M}")
-    ordered = sorted(rounds, key=lambda r: r.year)
-    times = [r.year for r in ordered]
-    if len(set(times)) != len(times):
-        raise DataError("rounds must have distinct years")
-    values = []
-    for rnd in ordered:
-        mean_model = rnd.mean_income() - offset
-        if not mean_model > 0.0:
-            raise DataError(f"round {rnd.round_id}: mean income below the offset")
-        values.append(M * mean_model)
-    if len(ordered) == 1:
-        warnings.warn("single round: labour rate series is constant")
-    return PiecewiseLinear(times, values)

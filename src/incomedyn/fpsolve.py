@@ -2,13 +2,13 @@
 
 The density obeys the flux-form equation
 
-    df/dt = d/dy { [(M+2) y - C(t)] f + y^2 df/dy }
+    df/dt = d/dy { [(M+2) y - C] f + y^2 df/dy }
 
 discretized here as a conservative finite volume scheme on a log-spaced
 grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit,
 variable-step BDF2 time stepping (Hairer & Wanner, Solving ODEs II, V.1).
 Every step solves a tridiagonal I - beta L, LU-factored (LAPACK
-``dgttrf``) once per (beta, C), by one ``dgttrs`` solve from those
+``dgttrf``) once per beta, by one ``dgttrs`` solve from those
 factors; LAPACK loads on the first factorisation, not at import.  Zero-flux
 boundaries conserve the trapezoidal mass exactly, and the discrete steady
 state matches the closed-form stationary law to O(h^2).  No linear
@@ -331,17 +331,17 @@ def solve_banded(factors: functools.partial, rhs: np.ndarray) -> np.ndarray:
 BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 
 
-def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
+def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
            snapshot_times: Sequence[float] = (), stats: dict = None) -> list:
     """Evolve a density to t_end; returns one state per distinct output
     time, in time order, the last at the end.  The output times are the
     snapshot times and t_end.
 
-    Variable-step BDF2 on the Chang-Cooper operator L; the labour rate may
-    be a constant or a callable of time.  Each interval between output times
-    is split into the fewest equal steps of at most ``dt`` (to a relative
-    1e-9, so that rounding adds no step), and at least one; the steps land
-    on every output time.  With omega = h / h_prev, a step solves
+    Variable-step BDF2 on the Chang-Cooper operator L at the constant
+    labour rate C.  Each interval between output times is split into the
+    fewest equal steps of at most ``dt`` (to a relative 1e-9, so that
+    rounding adds no step), and at least one; the steps land on every
+    output time.  With omega = h / h_prev, a step solves
 
         (I - beta L) f+ = ((1 + omega)^2 f - omega^2 f_prev) / (1 + 2 omega),
         beta = h (1 + omega) / (1 + 2 omega).
@@ -350,12 +350,11 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     whose omega exceeds 1 + sqrt(2), the zero-stability limit.  A BDF2 step
     whose density dips below -1e-12 (or is NaN) is retaken by backward
     Euler, which keeps it nonnegative (module docstring); if that dips too,
-    the result is a ``NumericalError``.  I - beta L depends only on
-    (beta, C): it is built and factored once per pair, and a two-entry
-    ``functools.lru_cache`` keeps the factors of the last two pairs, so a
-    backward Euler step among BDF2 steps does not evict theirs.  Each solve
-    is one ``solve_banded`` call.  Zero-flux boundaries conserve mass to
-    solver roundoff.
+    the result is a ``NumericalError``.  L is built once; I - beta L is
+    factored once per beta, and a two-entry ``functools.lru_cache`` keeps
+    the factors of the last two, so a backward Euler step among BDF2 steps
+    does not evict theirs.  Each solve is one ``solve_banded`` call.
+    Zero-flux boundaries conserve mass to solver roundoff.
 
     ``dt`` defaults to 0.25 / (M + 2).  A step above 0.5 / (M + 2)
     under-resolves the fastest drift scale and is refused with a suggestion.
@@ -365,6 +364,8 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
+    if not C > 0.0:
+        raise DomainError(f"labour rate must be > 0, got {C}")
     if not f0.time < t_end < math.inf:
         raise DomainError(f"t_end must be finite and exceed the initial time, got {t_end}")
     dt_max, dt_default = 0.5 / (M + 2.0), 0.25 / (M + 2.0)
@@ -378,14 +379,11 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
     if not all(f0.time < t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")
 
-    y = f0.grid
+    op = _FluxOperator(f0.grid, M, C)
     f, f_prev, h_prev, t = f0.values, None, 0.0, f0.time
     states = []
     steps = backward_euler_steps = 0
-
-    @functools.lru_cache(maxsize=2)
-    def factored(beta: float, c_val: float):
-        return _FluxOperator(y, M, c_val).implicit_factors(beta)
+    factored = functools.lru_cache(maxsize=2)(op.implicit_factors)
 
     for target in sorted({*snap_times, float(t_end)}):
         t0, span = t, target - t
@@ -393,20 +391,17 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
         h = span / n
         for k in range(1, n + 1):
             t = target if k == n else t0 + k * h
-            c_val = C_of_t(t) if callable(C_of_t) else float(C_of_t)
-            if not c_val > 0.0:
-                raise DomainError(f"labour rate must stay positive, got C({t})={c_val}")
             omega = h / h_prev if h_prev else math.inf
             bdf2 = omega <= BDF2_MAX_RATIO
             if bdf2:
                 d = 1.0 + 2.0 * omega
                 rhs = (1.0 + omega) ** 2 / d * f
                 rhs -= omega ** 2 / d * f_prev
-                f_new = solve_banded(factored(h * (1.0 + omega) / d, c_val), rhs)
+                f_new = solve_banded(factored(h * (1.0 + omega) / d), rhs)
                 fmin = f_new.min()
             if not (bdf2 and fmin >= -1e-12):     # a NaN fails this test too
                 backward_euler_steps += 1
-                f_new = solve_banded(factored(h, c_val), f)
+                f_new = solve_banded(factored(h), f)
                 fmin = f_new.min()
                 if not fmin >= -1e-12:
                     raise NumericalError(f"density minimum {fmin:g} at t={t:g}")
@@ -414,7 +409,7 @@ def evolve(f0: GridDensity, M: float, C_of_t, t_end: float, dt: float = None,
                 np.maximum(f_new, 0.0, out=f_new)
             f_prev, f, h_prev = f, f_new, h
             steps += 1
-        states.append(GridDensity(y, f, t))
+        states.append(GridDensity(f0.grid, f, t))
     if stats is not None:
         stats.update(steps=steps, factorisations=factored.cache_info().misses,
                      backward_euler_steps=backward_euler_steps)

@@ -2,8 +2,8 @@
 
 FGT indices (headcount, poverty gap, squared poverty gap) need a poverty
 line z; a banded round is read as uniform density between its
-``BandedDistribution.knots``, the one uniform-density reading the survey
-module's empirical CDF and density share.
+``BandedDistribution.knots``, the one uniform-density reading, which the
+survey module's empirical CDF shares.
 
 The consumption-deprivation (CD) index needs no line: deprivation at income
 y is V K / (K + y), the shortfall of cereal consumption from its saturation

@@ -8,8 +8,8 @@ collapse).  A round is read as uniform density within each band, the open
 band at an effective width from a power-law fit to the last two closed
 bands; ``BandedDistribution.knots`` is the one implementation of that
 reading, and the round fits its tail once, for the knots and for the open
-band's representative income.  The empirical CDF and density here and the
-banded poverty indices all read ``knots``, so they stay self-consistent.
+band's representative income.  The empirical CDF here and the banded
+poverty indices both read ``knots``, so they stay self-consistent.
 
 CSV schemas
 -----------
@@ -362,7 +362,7 @@ def collapse_rescale(rnd: BandedDistribution, target_mean: float) -> BandedDistr
 
 
 # ---------------------------------------------------------------------------
-# empirical distributions
+# empirical distribution
 # ---------------------------------------------------------------------------
 
 def empirical_cdf(rnd: BandedDistribution):
@@ -373,20 +373,6 @@ def empirical_cdf(rnd: BandedDistribution):
     cum = np.concatenate([[0.0], np.cumsum(rnd.shares)])
     cum[-1] = 1.0
     return lambda y: np.interp(y, knots, cum, left=0.0, right=1.0)
-
-
-def empirical_ipdf(rnd: BandedDistribution):
-    """Piecewise-constant density, share / width on each band between
-    ``rnd.knots`` and zero outside them; a 0-d input gives a float."""
-    if len(rnd.bands) < 2:
-        raise DataError(f"round {rnd.round_id}: need at least 2 bands for a density")
-    knots = rnd.knots
-    dens = np.append(rnd.shares / np.diff(knots), 0.0)
-
-    def ipdf(y):
-        out = dens[np.searchsorted(knots, y, "right") - 1]
-        return out if out.ndim else float(out)
-    return ipdf
 
 
 # ---------------------------------------------------------------------------

@@ -374,59 +374,3 @@ class TestFitMonod:
         with pytest.raises(DataError, match="at least 3"):
             estimate.fit_monod(rnd)
 
-
-class TestLabourRateSeries:
-    def _round_with_mean(self, rid, year, mean):
-        bands = (survey.Band(0.0, mean, 0.5, mean * 0.6, None),
-                 survey.Band(mean, 4 * mean, 0.5, mean * 1.4, None))
-        return survey.BandedDistribution(round_id=rid, year=year, bands=bands)
-
-    def test_two_round_interpolation(self):
-        rounds = [self._round_with_mean("a", 1970.0, 1.0),
-                  self._round_with_mean("b", 1980.0, 2.0)]
-        rate = estimate.labour_rate_series(rounds, M=1.6)
-        assert rate(1970.0) == pytest.approx(1.6)
-        assert rate(1980.0) == pytest.approx(3.2)
-        assert rate(1975.0) == pytest.approx(2.4)
-
-    def test_constant_means_constant_rate(self):
-        rounds = [self._round_with_mean("a", 1970.0, 1.5),
-                  self._round_with_mean("b", 1980.0, 1.5)]
-        rate = estimate.labour_rate_series(rounds, M=2.0)
-        for t in (1970.0, 1974.0, 1980.0):
-            assert rate(t) == pytest.approx(3.0)
-
-    def test_single_round_warns(self):
-        with pytest.warns(UserWarning, match="constant"):
-            rate = estimate.labour_rate_series(
-                [self._round_with_mean("a", 1970.0, 1.0)], M=1.6)
-        assert rate(1990.0) == pytest.approx(1.6)
-
-    def test_recovers_drifting_rate_from_synthetic_rounds(self):
-        # rounds generated at drifting C0; fitted means reproduce C(t) at knots
-        years = [1970.0, 1975.0, 1980.0]
-        c0s = [1.6, 2.0, 2.4]
-        rounds = []
-        for year, c0 in zip(years, c0s):
-            d = distlib.SteadyStateIPDF(1.6, c0, 0.0)
-            edges = np.concatenate([[0.0], np.geomspace(0.2, 10.0, 17), [np.inf]])
-            rounds.append(survey.synth_round(d, edges, 10**6, seed=int(year),
-                                             monod=(0.3, 0.5), year=year,
-                                             round_id=f"y{year:.0f}"))
-        rate = estimate.labour_rate_series(rounds, M=1.6, offset=0.0)
-        for year, c0 in zip(years, c0s):
-            # quasi-static identification: C = M * mean = C0 up to binning error
-            assert rate(year) == pytest.approx(c0, rel=0.02)
-
-    def test_offset_enters_mean(self):
-        rounds = [self._round_with_mean("a", 1970.0, 1.0),
-                  self._round_with_mean("b", 1980.0, 2.0)]
-        rate = estimate.labour_rate_series(rounds, M=1.6, offset=0.15)
-        assert rate(1970.0) == pytest.approx(1.6 * 0.85)
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            estimate.labour_rate_series([], M=1.6)
-        with pytest.raises(DomainError):
-            estimate.labour_rate_series(
-                [self._round_with_mean("a", 1970.0, 1.0)], M=-1.0)

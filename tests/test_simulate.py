@@ -20,10 +20,13 @@ from incomedyn.errors import DomainError, NumericalError
 DIST = distlib.SteadyStateIPDF(1.6, 1.6)
 
 
+def state_key(state):
+    """An SFC64 state as plain lists, so that two can be compared."""
+    return state["state"]["state"].tolist(), state["has_uint32"], state["uinteger"]
+
+
 def stream_states(pop):
-    """The chunks' SFC64 states as plain lists, so that two can be compared."""
-    return [(s["state"]["state"].tolist(), s["has_uint32"], s["uinteger"])
-            for s in pop.rng_states]
+    return [state_key(s) for s in pop.rng_states]
 
 
 def make_params(**kw):
@@ -64,23 +67,6 @@ class TestDeterministicLimit:
         exact = 1.0 + 2.0 * math.exp(-1.6 * 2.0)
         assert pop.incomes[0] == pytest.approx(exact, rel=2e-3)
 
-    def test_time_dependent_rate_against_ode_quadrature(self):
-        # drifting economy, zero noise: y' = C(t) - M y solved by the
-        # integrating factor, C read at the step start (non-anticipating)
-        from scipy import integrate as _integrate
-
-        from incomedyn.estimate import PiecewiseLinear
-
-        rate = PiecewiseLinear([0.0, 2.0], [1.6, 3.2])
-        params = simulate.LangevinParams(M=1.6, labour_rate=rate, dt=1e-3,
-                                         noise_scale=0.0)
-        pop = simulate.run(1, params, 2.0, 1.0, seed=0)[-1]
-        m, t_end = 1.6, 2.0
-        conv, _ = _integrate.quad(
-            lambda s: math.exp(-m * (t_end - s)) * rate(s), 0.0, t_end)
-        exact = math.exp(-m * t_end) * 1.0 + conv
-        assert pop.incomes[0] == pytest.approx(exact, rel=2e-3)
-
 
 class TestDeterminism:
     def test_worker_count_invariance(self, monkeypatch):
@@ -114,16 +100,16 @@ class TestDeterminism:
         assert via_step.step_index == 2
 
     def test_two_blocks_equal_one_run(self):
-        # eight steps, then eight more from the returned streams, are one 16-step run
+        # sixteen steps, then sixteen more from the returned streams, are one 32-step run
         params = make_params()
         pop0 = simulate.init_population(1_000, DIST, seed=6)
-        once = simulate.run_steps(pop0, params, 8)[-1]
-        twice = simulate.run_steps(once, params, 8)[-1]
-        whole = simulate.run_steps(pop0, params, 16)[-1]
+        once = simulate.run_steps(pop0, params, 16)[-1]
+        twice = simulate.run_steps(once, params, 16)[-1]
+        whole = simulate.run_steps(pop0, params, 32)[-1]
         assert np.array_equal(twice.incomes, whole.incomes)
         assert stream_states(twice) == stream_states(whole)
-        # a snapshot eight steps in leaves the blocks aligned
-        snapped = simulate.run_steps(pop0, params, 16, snapshot_steps=[8])[-1]
+        # a snapshot sixteen steps in leaves the blocks aligned
+        snapped = simulate.run_steps(pop0, params, 32, snapshot_steps=[16])[-1]
         assert np.array_equal(snapped.incomes, whole.incomes)
         assert stream_states(snapped) == stream_states(whole)
 
@@ -193,6 +179,19 @@ class TestStepMoments:
             assert pop.incomes.min() > 0.0
 
 
+def explicit_steps(y, params, xi_rows):
+    """The weak Euler steps taken one at a time, one row of increments per step."""
+    y = np.array(y, dtype=float)
+    kick = math.sqrt(params.noise_scale ** 2 * params.dt)
+    for xi in xi_rows:
+        y = y * (1.0 - params.M * params.dt + kick * xi) + params.labour_rate * params.dt
+    return y
+
+
+def bit_signs(words, bit):
+    return np.where((words >> bit) & 1, 1.0, -1.0)
+
+
 class TestEightStepBlocks:
     """Eight steps run as one affine map per random byte: byte a of the
     chunk's draw drives agent a, and its bit i the increment of step i.
@@ -200,7 +199,7 @@ class TestEightStepBlocks:
 
     Y0 = (1e-3, 1.0, 37.0, 1e6)
 
-    @pytest.mark.parametrize("rate", [1.6, lambda t: 1.0 + 100.0 * t])
+    @pytest.mark.parametrize("rate", [1.6, 0.05])
     def test_block_equals_eight_explicit_steps(self, rate):
         params = make_params(labour_rate=rate)
         n = 2**14
@@ -211,13 +210,56 @@ class TestEightStepBlocks:
         # every byte meets every starting income
         for i in range(len(self.Y0)):
             assert np.unique(b[i::len(self.Y0)]).size == 256
-        y = pop.incomes.copy()
-        for i in range(8):
-            xi = np.where((b >> i) & 1, 1.0, -1.0)
-            c = rate(0.25 + i * params.dt) if callable(rate) else rate
-            y = y * (1.0 - 1.6 * params.dt + math.sqrt(2.0 * params.dt) * xi) + c * params.dt
+        y = explicit_steps(pop.incomes, params, (bit_signs(b, i) for i in range(8)))
         got = simulate.run_steps(pop, params, 8)[-1].incomes
         np.testing.assert_allclose(got, y, rtol=4e-15, atol=0.0)
+
+
+class TestSixteenStepBlocks:
+    """Sixteen steps run as one affine map per random 16-bit word u = lo +
+    256 hi: word a of the chunk's draw drives agent a, bit i of u the
+    increment of step i.  The n mod 16 steps left run as one eight-step
+    block if eight or more are left, then one at a time.  Oracle: the same
+    weak Euler steps taken one at a time, from the same stream."""
+
+    Y0 = TestEightStepBlocks.Y0
+
+    def test_tables_equal_sixteen_explicit_steps_for_every_word(self):
+        params = make_params()
+        _, ((p16, s16, width), _) = simulate._step_tables(params)
+        assert width == 16 and p16.size == s16.size == 2**16
+        # one read-only set of tables serves every call with equal parameters
+        assert simulate._step_tables(make_params()) is simulate._step_tables(params)
+        assert not (p16.flags.writeable or s16.flags.writeable)
+        words = np.arange(2**16)
+        for y0 in self.Y0:
+            y = explicit_steps(np.full(words.size, y0), params,
+                               (bit_signs(words, i) for i in range(16)))
+            np.testing.assert_allclose(p16 * y0 + s16, y, rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n_steps", [36, 40, 44, 47])
+    def test_blocks_and_leftover_steps_equal_explicit_steps(self, n_steps):
+        # two sixteen-step blocks, then n mod 16 = 4, 8, 12 or 15 steps left
+        params = make_params()
+        n = 1000
+        pop = simulate.AgentPopulation(incomes=np.resize(self.Y0, n), time=0.25, seed=4)
+        bitgen = np.random.SFC64()
+        bitgen.state = pop.rng_states[0]
+        rows = []
+        for _ in range(n_steps // 16):
+            u = bitgen.random_raw(n // 4).astype("<u8").view("<u2")
+            rows += [bit_signs(u, i) for i in range(16)]
+        if n_steps % 16 >= 8:
+            b = bitgen.random_raw(n // 8).astype("<u8").view(np.uint8)
+            rows += [bit_signs(b, i) for i in range(8)]
+        for _ in range(n_steps % 8):
+            # one bit per agent: bit i of byte j is agent 8 j + i
+            b = bitgen.random_raw(-(-n // 64)).astype("<u8").view(np.uint8)
+            rows.append(bit_signs(np.repeat(b, 8)[:n], np.arange(n) % 8))
+        y = explicit_steps(pop.incomes, params, rows)
+        got = simulate.run_steps(pop, params, n_steps)[-1]
+        np.testing.assert_allclose(got.incomes, y, rtol=1e-14, atol=0.0)
+        assert stream_states(got) == [state_key(bitgen.state)]
 
 
 class TestEulerChainMoments:
@@ -349,13 +391,21 @@ class TestNanDetection:
         big = simulate.AgentPopulation(incomes=np.full(64, 1.79e308), time=0.0, seed=0)
         with pytest.raises(NumericalError), np.errstate(over="ignore"):
             simulate.run_steps(big, make_params(), 1)
-        # and so it is when eight steps run as one block, and in threads
-        with pytest.raises(NumericalError), np.errstate(over="ignore"):
-            simulate.run_steps(big, make_params(), 8)
+        # and so it is when eight or sixteen steps run as one block, and in threads
         two_chunks = simulate.AgentPopulation(
             incomes=np.full(simulate.CHUNK_SIZE + 1, 1.79e308), time=0.0, seed=0)
-        with pytest.raises(NumericalError):
-            simulate.run_steps(two_chunks, make_params(), 8, workers=2)
+        for n_steps in (8, 16):
+            with pytest.raises(NumericalError), np.errstate(over="ignore"):
+                simulate.run_steps(big, make_params(), n_steps)
+            with pytest.raises(NumericalError):
+                simulate.run_steps(two_chunks, make_params(), n_steps, workers=2)
+
+    def test_overflow_is_caught_every_256_steps(self):
+        # a long run stops at the first check after the overflow, at step
+        # 256, not at its end
+        big = simulate.AgentPopulation(incomes=np.full(64, 1.79e308), time=0.0, seed=0)
+        with pytest.raises(NumericalError, match=r"t=0\.512 "):
+            simulate.run_steps(big, make_params(), 1000)
 
     def test_nonpositive_income_is_a_domain_error(self):
         for value in (0.0, -1.0):
