@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from . import distlib, fpsolve
+from . import distlib
 from .errors import DataError, DomainError, NumericalError
 from .estimate import FitResult, MonodFit
 from .survey import BandedDistribution
@@ -100,42 +100,32 @@ def cd_index_banded(rnd: BandedDistribution, V: float, K: float) -> float:
     return float(np.dot(rnd.shares, V * K / (K + y)))
 
 
-def cd_index_model(density: Union[distlib.SteadyStateIPDF, fpsolve.GridDensity],
-                   V: float, K: float) -> float:
+def cd_index_model(density: distlib.SteadyStateIPDF, V: float, K: float) -> float:
     """Population-average deprivation V K / (K + y) over observed income y.
 
-    For the closed-form law, y is its offset plus model income; the average
-    of K / (K + y), a fraction in (0, 1) free of V, is evaluated by adaptive
+    Here y is the law's offset plus model income; the average of
+    K / (K + y), a fraction in (0, 1) free of V, is evaluated by adaptive
     quadrature after u = C0 / (y - offset), to an error estimate of at most
     1e-9, and then scaled by V, so neither the integrand nor the tolerance
     depends on the monetary frame (a non-finite result is a
     ``NumericalError``); scipy's ``quad`` is imported at this one call site,
-    so commands without this index never load ``scipy.integrate``.  A grid
-    density, of model income, must carry unit mass to 1e-6 and is
-    integrated by the trapezoidal rule.
+    so commands without this index never load ``scipy.integrate``.
     """
     if not (V > 0.0 and K > 0.0):
         raise DomainError("V and K must be positive")
-    if isinstance(density, distlib.SteadyStateIPDF):
-        m, c0, off = density.shape_M, density.scale_C0, density.offset_ymin
-        lognorm = math.lgamma(m + 1.0)
+    m, c0, off = density.shape_M, density.scale_C0, density.offset_ymin
+    lognorm = math.lgamma(m + 1.0)
 
-        def integrand(u):
-            return K / (K + off + c0 / u) * math.exp(m * math.log(u) - u - lognorm)
+    def integrand(u):
+        return K / (K + off + c0 / u) * math.exp(m * math.log(u) - u - lognorm)
 
-        from scipy.integrate import quad
-        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-        if not (math.isfinite(val) and math.isfinite(err)):
-            raise NumericalError(f"CD quadrature gave {val:g} with error estimate {err:g}")
-        if err > 1e-9:
-            raise DataError(f"CD quadrature error {err:g} above tolerance")
-        return float(V * val)
-    grid = density
-    mass = grid.mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise DataError(f"grid density mass {mass:.8g} is off unity by more than 1e-6")
-    cd = V * K / (K + grid.grid)
-    return float(np.trapezoid(cd * grid.values, grid.grid))
+    from scipy.integrate import quad
+    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise NumericalError(f"CD quadrature gave {val:g} with error estimate {err:g}")
+    if err > 1e-9:
+        raise DataError(f"CD quadrature error {err:g} above tolerance")
+    return float(V * val)
 
 
 @dataclass(frozen=True)

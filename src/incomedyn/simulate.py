@@ -15,11 +15,12 @@ continuum).  Under the dt guards the multiplier exceeds
 1 - 0.1 - sqrt(0.05) > 0.67, so incomes stay above C dt with no floor.
 
 Chunk model: ceil(n / CHUNK_SIZE) chunks whose sizes differ by at most one
-agent, each with its own slice of the incomes and seeded SFC64 stream, where
-one random 16-bit word u = lo + 256 hi per agent (bit i of lo for step i,
-bit i of hi for step 8 + i) picks the composed map of sixteen steps,
-y -> P16[u] y + S16[u].  The partition depends only on n, so results are
-bit-identical for any worker count.
+agent, each with its own slice of the incomes and seeded SFC64 stream.  A
+chunk runs its steps in blocks of sixteen and one last block of the r < 16
+left, if any: per block, one random 16-bit word per agent, with bit i for
+step i, picks the composed map of the block's r steps, y -> P_r[w] y + S_r[w]
+for the word's low r bits w.  The partition depends only on n, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ CHUNK_SIZE = 32768      # largest chunk
 INCREMENTS = "two_point"    # the law of xi, recorded in reports
 # periodic overflow sweep; incomes stay positive, so overflow is the only failure
 _FINITE_CHECK_EVERY = 256
-# row b, column i: the increment xi, +1 if bit i of byte b is set, else -1
-_SIGNS = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -121,23 +120,23 @@ def _check_finite(y: np.ndarray, t: float) -> None:
 
 @lru_cache(maxsize=1)
 def _step_tables(params: LangevinParams) -> tuple:
-    """(T, blocks): T[b, i] is the multiplier of step i under byte b, and
-    each (P, S, width) in ``blocks`` composes ``width`` steps: the word w
-    drawn for an agent maps y -> P[w] y + S[w].  Eight steps per byte, and
-    sixteen per word w = lo + 256 hi, byte lo first.  Building them takes
-    about 0.3 ms on a 2-vCPU Xeon, ten times a one-step call on 1000
-    agents, so a call with the previous call's parameters reuses them."""
+    """(P, S), 2**17 entries each: row r = 1..16, at [2**r, 2**(r + 1)),
+    composes r steps, so that an r-bit word w, bit i for step i, maps
+    y -> P[2**r + w] y + S[2**r + w].  Row r + 1 is row r followed by step
+    r, on the top bit.  Building them takes about 0.7 ms on a 2-vCPU Xeon,
+    twenty times a one-step call on 1000 agents, so a call with the
+    previous call's parameters reuses them."""
     dt = params.dt
-    table = (1.0 - params.M * dt) + params.noise_scale * math.sqrt(dt) * _SIGNS
-    p, s, c_dt = table.prod(axis=1), np.zeros(256), params.labour_rate * dt
-    for m in table.T:       # S by Horner's rule over the steps
-        s = s * m + c_dt
-    # row hi, column lo: y -> P[hi] (P[lo] y + S[lo]) + S[hi]
-    p16 = np.multiply.outer(p, p).reshape(-1)
-    s16 = (np.multiply.outer(p, s) + s[:, None]).reshape(-1)
-    for a in (table, p, s, p16, s16):
+    m = (1.0 - params.M * dt) + params.noise_scale * math.sqrt(dt) * np.array([-1.0, 1.0])
+    p, s = np.ones(2 ** 17), np.zeros(2 ** 17)      # row 0, at [1, 2): no step
+    for r in range(16):
+        lo, hi = 1 << r, 2 << r
+        np.multiply.outer(m, p[lo:hi], out=p[hi:2 * hi].reshape(2, lo))
+        np.multiply.outer(m, s[lo:hi], out=s[hi:2 * hi].reshape(2, lo))
+        s[hi:2 * hi] += params.labour_rate * dt
+    for a in (p, s):
         a.setflags(write=False)     # shared by every chunk, thread and later call
-    return table, ((p16, s16, 16), (p, s, 8))
+    return p, s
 
 
 @np.errstate(over="ignore")     # an overflow is refused by the finite check
@@ -147,31 +146,25 @@ def _advance_chunk(params: LangevinParams, tables: tuple, t0: float, k0: int,
     its SFC64 state; returns the RNG state at step k1."""
     bitgen = np.random.SFC64()
     bitgen.state = rng_state
-    dt, (table, blocks), n = params.dt, tables, y.size
+    (p, s), n = tables, y.size
     k, buf = k0, np.empty(n)
-    # blocks of sixteen steps, then one of eight if eight or more are left;
-    # word a of the little-endian draw drives agent a, bit i step k + i
-    for p, s, width in blocks:
-        while k1 - k >= width:
-            raw = bitgen.random_raw(-(-n * width // 64)).astype("<u8", copy=False)
-            # take converts a narrow index on every call; convert it once
-            w = raw.view(f"<u{width // 8}")[:n].astype(np.intp)
-            np.take(p, w, out=buf, mode="clip")
-            y *= buf
-            np.take(s, w, out=buf, mode="clip")
-            y += buf
-            k += width
-            if k // _FINITE_CHECK_EVERY > (k - width) // _FINITE_CHECK_EVERY:
-                _check_finite(y, t0 + k * dt)
-    n_words = -(-n // 64)
-    mult = np.empty((8 * n_words, 8)) if k < k1 else None
-    for k in range(k, k1):      # the fewer than eight steps left
-        # byte j of the little-endian words holds the signs of agents 8j..8j+7
-        signs = bitgen.random_raw(n_words).astype("<u8", copy=False).view(np.uint8)
-        np.take(table, signs, axis=0, out=mult, mode="clip")
-        y *= mult.reshape(-1)[:n]
-        y += params.labour_rate * dt
-    _check_finite(y, t0 + k1 * dt)
+    while k < k1:
+        width = min(16, k1 - k)
+        row = slice(1 << width, 2 << width)
+        # word a of the little-endian draw drives agent a, its bit i step k + i;
+        # take converts a narrow index on every call, so convert it once
+        u = bitgen.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
+        if width < 16:
+            u &= (1 << width) - 1
+        w = u.astype(np.intp)
+        np.take(p[row], w, out=buf, mode="clip")
+        y *= buf
+        np.take(s[row], w, out=buf, mode="clip")
+        y += buf
+        k += width
+        if k // _FINITE_CHECK_EVERY > (k - width) // _FINITE_CHECK_EVERY:
+            _check_finite(y, t0 + k * params.dt)
+    _check_finite(y, t0 + k1 * params.dt)
     return bitgen.state
 
 
@@ -185,9 +178,9 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     positive (else ``DomainError``); the scheme keeps them so.  Chunks run
     whole in min(workers, chunks, CPUs) threads: on a 2-vCPU Xeon two raised
     perfbench ``ensemble`` ops_per_gauge from 0.550 to 0.710 (10/10 pairs).
-    Sixteen steps run per random 16-bit word, and these blocks restart at
-    each output step, so an output step not a multiple of sixteen after the
-    previous one changes the later path, though not its law.
+    Up to sixteen steps run per random 16-bit word, and these blocks restart
+    at each output step, so an output step not a multiple of sixteen after
+    the previous one changes the later path, though not its law.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from incomedyn import cli, distlib, estimate, fpsolve, poverty, survey
+from incomedyn import cli, distlib, estimate, poverty, survey
 from incomedyn.errors import DataError, DomainError
 
 DIST = distlib.SteadyStateIPDF(1.6, 1.6, 0.15)
@@ -179,20 +179,6 @@ class TestCDIndexModel:
             k = rng.uniform(0.1, 3.0)
             val = poverty.cd_index_model(distlib.SteadyStateIPDF(m, c0), v, k)
             assert 0.0 <= val <= v
-
-    def test_grid_density_input(self):
-        d = distlib.SteadyStateIPDF(1.6, 1.6)
-        grid = fpsolve.log_grid(1.6, 1.6, 3000)
-        gd = fpsolve.density_on_grid(d, grid)
-        val_grid = poverty.cd_index_model(gd, 1.0, 0.5)
-        val_quad = poverty.cd_index_model(d, 1.0, 0.5)
-        assert val_grid == pytest.approx(val_quad, abs=1e-4)
-
-    def test_unnormalized_grid_rejected(self):
-        grid = fpsolve.log_grid(1.6, 1.6, 500)
-        gd = fpsolve.GridDensity(grid, np.ones_like(grid))
-        with pytest.raises(DataError, match="mass"):
-            poverty.cd_index_model(gd, 1.0, 0.5)
 
     def test_banded_model_within_binning_error_of_quadrature(self):
         rnd = make_round(seed=5, n=10**7)

@@ -92,11 +92,13 @@ class TestDeterminism:
     def test_step_equals_run(self):
         params = make_params()
         pop0 = simulate.init_population(1_000, 1.0, seed=5)
-        # the second step resumes from the RNG states the first returned
+        # the second step resumes from the RNG states the first returned;
+        # blocks restart at an output step, so this is a run with one at step 1
         once = simulate.run_steps(pop0, params, 1)[0]
         via_step = simulate.run_steps(once, params, 1)[0]
-        via_run = simulate.run(1_000, params, 2 * params.dt, 1.0, seed=5)[-1]
+        via_run = simulate.run_steps(pop0, params, 2, snapshot_steps=[1])[-1]
         assert np.array_equal(via_step.incomes, via_run.incomes)
+        assert stream_states(via_step) == stream_states(via_run)
         assert via_step.step_index == 2
 
     def test_two_blocks_equal_one_run(self):
@@ -192,70 +194,44 @@ def bit_signs(words, bit):
     return np.where((words >> bit) & 1, 1.0, -1.0)
 
 
-class TestEightStepBlocks:
-    """Eight steps run as one affine map per random byte: byte a of the
-    chunk's draw drives agent a, and its bit i the increment of step i.
-    Oracle: the same eight weak Euler steps taken one at a time."""
+class TestSixteenStepBlocks:
+    """Up to sixteen steps run as one affine map per random 16-bit word:
+    word a of the chunk's draw drives agent a, and bit i of its low r bits
+    the increment of step i of an r-step block.  Sixteen-step blocks run
+    first, then one block of the n mod 16 steps left.  Oracle: the same weak
+    Euler steps taken one at a time, from the same stream."""
 
     Y0 = (1e-3, 1.0, 37.0, 1e6)
 
     @pytest.mark.parametrize("rate", [1.6, 0.05])
-    def test_block_equals_eight_explicit_steps(self, rate):
+    def test_tables_equal_explicit_steps_for_every_width_and_word(self, rate):
         params = make_params(labour_rate=rate)
-        n = 2**14
-        pop = simulate.AgentPopulation(incomes=np.resize(self.Y0, n), time=0.25, seed=2)
-        bitgen = np.random.SFC64()
-        bitgen.state = pop.rng_states[0]
-        b = bitgen.random_raw(n // 8).astype("<u8").view(np.uint8)
-        # every byte meets every starting income
-        for i in range(len(self.Y0)):
-            assert np.unique(b[i::len(self.Y0)]).size == 256
-        y = explicit_steps(pop.incomes, params, (bit_signs(b, i) for i in range(8)))
-        got = simulate.run_steps(pop, params, 8)[-1].incomes
-        np.testing.assert_allclose(got, y, rtol=4e-15, atol=0.0)
-
-
-class TestSixteenStepBlocks:
-    """Sixteen steps run as one affine map per random 16-bit word u = lo +
-    256 hi: word a of the chunk's draw drives agent a, bit i of u the
-    increment of step i.  The n mod 16 steps left run as one eight-step
-    block if eight or more are left, then one at a time.  Oracle: the same
-    weak Euler steps taken one at a time, from the same stream."""
-
-    Y0 = TestEightStepBlocks.Y0
-
-    def test_tables_equal_sixteen_explicit_steps_for_every_word(self):
-        params = make_params()
-        _, ((p16, s16, width), _) = simulate._step_tables(params)
-        assert width == 16 and p16.size == s16.size == 2**16
+        p, s = tables = simulate._step_tables(params)
+        assert p.size == s.size == 2**17
         # one read-only set of tables serves every call with equal parameters
-        assert simulate._step_tables(make_params()) is simulate._step_tables(params)
-        assert not (p16.flags.writeable or s16.flags.writeable)
-        words = np.arange(2**16)
-        for y0 in self.Y0:
-            y = explicit_steps(np.full(words.size, y0), params,
-                               (bit_signs(words, i) for i in range(16)))
-            np.testing.assert_allclose(p16 * y0 + s16, y, rtol=4e-15, atol=0.0)
+        assert simulate._step_tables(make_params(labour_rate=rate)) is tables
+        assert not (p.flags.writeable or s.flags.writeable)
+        for r in range(1, 17):
+            words = np.arange(2**r)
+            row = slice(2**r, 2**(r + 1))
+            for y0 in self.Y0:
+                y = explicit_steps(np.full(words.size, y0), params,
+                                   (bit_signs(words, i) for i in range(r)))
+                np.testing.assert_allclose(p[row] * y0 + s[row], y, rtol=4e-15, atol=0.0)
 
-    @pytest.mark.parametrize("n_steps", [36, 40, 44, 47])
+    @pytest.mark.parametrize("n_steps", [1, 4, 8, 15, 36, 40, 44, 47])
     def test_blocks_and_leftover_steps_equal_explicit_steps(self, n_steps):
-        # two sixteen-step blocks, then n mod 16 = 4, 8, 12 or 15 steps left
         params = make_params()
         n = 1000
         pop = simulate.AgentPopulation(incomes=np.resize(self.Y0, n), time=0.25, seed=4)
         bitgen = np.random.SFC64()
         bitgen.state = pop.rng_states[0]
         rows = []
-        for _ in range(n_steps // 16):
+        # n // 16 sixteen-step blocks, then one block of the n mod 16 steps left
+        widths = [16] * (n_steps // 16) + ([n_steps % 16] if n_steps % 16 else [])
+        for width in widths:
             u = bitgen.random_raw(n // 4).astype("<u8").view("<u2")
-            rows += [bit_signs(u, i) for i in range(16)]
-        if n_steps % 16 >= 8:
-            b = bitgen.random_raw(n // 8).astype("<u8").view(np.uint8)
-            rows += [bit_signs(b, i) for i in range(8)]
-        for _ in range(n_steps % 8):
-            # one bit per agent: bit i of byte j is agent 8 j + i
-            b = bitgen.random_raw(-(-n // 64)).astype("<u8").view(np.uint8)
-            rows.append(bit_signs(np.repeat(b, 8)[:n], np.arange(n) % 8))
+            rows += [bit_signs(u, i) for i in range(width)]
         y = explicit_steps(pop.incomes, params, rows)
         got = simulate.run_steps(pop, params, n_steps)[-1]
         np.testing.assert_allclose(got.incomes, y, rtol=1e-14, atol=0.0)
