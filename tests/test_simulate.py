@@ -194,6 +194,29 @@ def bit_signs(words, bit):
     return np.where((words >> bit) & 1, 1.0, -1.0)
 
 
+class TestEightStepBlocks:
+    """Eight steps run as one block of the one block path: the low byte of
+    word a of the chunk's draw drives agent a, and its bit i the increment
+    of step i.  Oracle: the same eight weak Euler steps taken one at a time."""
+
+    Y0 = (1e-3, 1.0, 37.0, 1e6)
+
+    @pytest.mark.parametrize("rate", [1.6, 0.05])
+    def test_block_equals_eight_explicit_steps(self, rate):
+        params = make_params(labour_rate=rate)
+        n = 2**14
+        pop = simulate.AgentPopulation(incomes=np.resize(self.Y0, n), time=0.25, seed=2)
+        bitgen = np.random.SFC64()
+        bitgen.state = pop.rng_states[0]
+        b = bitgen.random_raw(n // 4).astype("<u8").view("<u2") & 0xFF
+        # every low byte meets every starting income
+        for i in range(len(self.Y0)):
+            assert np.unique(b[i::len(self.Y0)]).size == 256
+        y = explicit_steps(pop.incomes, params, (bit_signs(b, i) for i in range(8)))
+        got = simulate.run_steps(pop, params, 8)[-1].incomes
+        np.testing.assert_allclose(got, y, rtol=4e-15, atol=0.0)
+
+
 class TestSixteenStepBlocks:
     """Up to sixteen steps run as one affine map per random 16-bit word:
     word a of the chunk's draw drives agent a, and bit i of its low r bits
@@ -201,16 +224,25 @@ class TestSixteenStepBlocks:
     first, then one block of the n mod 16 steps left.  Oracle: the same weak
     Euler steps taken one at a time, from the same stream."""
 
-    Y0 = (1e-3, 1.0, 37.0, 1e6)
+    Y0 = TestEightStepBlocks.Y0
+
+    def test_tables_equal_sixteen_explicit_steps_for_every_word(self):
+        params = make_params()
+        p, s = tables = simulate._step_tables(params)
+        assert p.size == s.size == 2**17
+        # one read-only set of tables serves every call with equal parameters
+        assert simulate._step_tables(make_params()) is tables
+        assert not (p.flags.writeable or s.flags.writeable)
+        words = np.arange(2**16)
+        for y0 in self.Y0:
+            y = explicit_steps(np.full(words.size, y0), params,
+                               (bit_signs(words, i) for i in range(16)))
+            np.testing.assert_allclose(p[2**16:] * y0 + s[2**16:], y, rtol=4e-15, atol=0.0)
 
     @pytest.mark.parametrize("rate", [1.6, 0.05])
     def test_tables_equal_explicit_steps_for_every_width_and_word(self, rate):
         params = make_params(labour_rate=rate)
-        p, s = tables = simulate._step_tables(params)
-        assert p.size == s.size == 2**17
-        # one read-only set of tables serves every call with equal parameters
-        assert simulate._step_tables(make_params(labour_rate=rate)) is tables
-        assert not (p.flags.writeable or s.flags.writeable)
+        p, s = simulate._step_tables(params)
         for r in range(1, 17):
             words = np.arange(2**r)
             row = slice(2**r, 2**(r + 1))
