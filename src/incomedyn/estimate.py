@@ -15,7 +15,7 @@ probabilities.  theta is always (M, C0, offset); a fixed offset is held by
 the same mask that holds a fitted one at its bound 0.  J is closed-form in
 C0 and the offset; only the shape derivative is a central difference of Q
 in its first argument, so one incomplete-gamma call on the shapes
-(M + 1, M + 1 +- h) gives a point's likelihood and its Jacobian together.
+(M + 1, M + 1 +- h) gives a point's likelihood, score and information.
 Iterations stop once the Newton decrement g^T I^-1 g falls below 1e-15,
 which takes at most 4 of them on the criterion-6 and sample rounds;
 ``MAX_EVALUATIONS`` bounds the iterations and ``n_evaluations`` counts
@@ -91,24 +91,49 @@ class MonodFit:
     evaluations: int = 0
 
 
-def _band_values(rnd: BandedDistribution, theta: np.ndarray) -> tuple:
+def _evaluate(rnd: BandedDistribution, theta: np.ndarray, c0_ref: float) -> tuple:
     """Everything the fit needs at one point theta = (M, C0, offset), from
-    one incomplete-gamma call: the log likelihood ``ll``, the band
-    probabilities ``p``, the edge arguments x = C0 / (edge - offset) and
-    ``q``, the CDF Q at every edge for the shapes (a, a + h, a - h), a row
-    each, where a = M + 1 and h is the central-difference step of
-    ``_scoring``.  ``band_log_likelihood`` documents ``ll`` and ``p``."""
-    a = theta[0] + 1.0
+    one incomplete-gamma call: the log likelihood ``ll`` and the band
+    probabilities ``p`` that ``band_log_likelihood`` documents, the
+    Jacobian J = dp/dphi, the score J^T (s / p) and the Fisher information
+    J^T diag(1 / p) J per household.
+
+    phi is (M, C0 / c0_ref, offset), with a row of J for each, whether the
+    fit holds the offset fixed or not.  C0 is scored relative to ``c0_ref``,
+    so its row is c0_ref dp/dC0 and the information stays near unit scale in
+    any monetary frame; in absolute C0 its entries would scale as 1 / C0^2.
+    With x = C0 / (edge - offset) and a = M + 1, the CDF Q(a, x) at an edge
+    has x dQ/dx = -x^a e^-x / Gamma(a), which gives its C0 and offset
+    derivatives exactly; dQ/da is a central difference of Q at the shapes
+    a +- h, evaluated in the same call as Q(a, x).  J differentiates the
+    normalised p = diff(Q) / T, T = Q at the last edge minus Q at the first,
+    so the conditioning on the covered range is exact.  The log likelihood
+    floors p at ``_P_FLOOR`` and is flat below it, so bands with a smaller p
+    add nothing to the score or the information.
+    """
+    a, c0 = theta[0] + 1.0, theta[1]
     h = _SHAPE_STEP * a
     x = distlib.observed_argument(distlib.SteadyStateIPDF(*theta), rnd.edges)
     q = distlib.reg_upper_incomplete_gamma(np.array([[a], [a + h], [a - h]]), x)
     p = q[0, 1:] - q[0, :-1]
     total = p.sum()
     if total <= 0.0:
-        return -math.inf, np.full(p.size, 1.0 / p.size), x, q
+        return (-math.inf, np.full(p.size, 1.0 / p.size), np.zeros((3, p.size)),
+                np.zeros(3), np.zeros((3, 3)))
     p = p / total
     ll = float(np.dot(rnd.shares, np.log(np.maximum(p, _P_FLOOR))))
-    return ll, p, x, q
+    inner = np.isfinite(x) & (x > 0.0)
+    xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
+    xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
+    d_cdf = np.array([(q[1] - q[2]) / (2.0 * h),
+                      -xg * (c0_ref / c0),
+                      -xg * np.where(inner, x, 0.0) / c0])
+    jac = (d_cdf[:, 1:] - d_cdf[:, :-1]
+           - (d_cdf[:, -1] - d_cdf[:, 0])[:, None] * p) / (q[0, -1] - q[0, 0])
+    w = np.divide(1.0, p, out=np.zeros(p.size), where=p >= _P_FLOOR)
+    score = jac @ (rnd.shares * w)
+    info = (jac * w) @ jac.T
+    return ll, p, jac, score, info
 
 
 def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
@@ -120,42 +145,7 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     are conditioned on the range the bands cover, so expected shares always
     sum to one.  Parameters outside the law's domain are a ``DomainError``.
     """
-    return _band_values(rnd, np.array([M, C0, offset], dtype=float))[:2]
-
-
-def _scoring(rnd: BandedDistribution, theta: np.ndarray, p: np.ndarray,
-             x: np.ndarray, q: np.ndarray, c0_ref: float) -> tuple:
-    """Jacobian J = dp/dphi of the band probabilities p at theta, the score
-    J^T (s / p) and the Fisher information J^T diag(1 / p) J per household,
-    from the values ``_band_values`` returned at theta.
-
-    theta is (M, C0, offset) and phi is (M, C0 / c0_ref, offset), with a
-    row of J for each, whether the fit holds the offset fixed or not.  C0 is
-    scored relative to ``c0_ref``, so its row is c0_ref dp/dC0 and the
-    information stays near unit scale in any monetary frame; in absolute C0
-    its entries would scale as 1 / C0^2.  With x = C0 / (edge - offset) and
-    a = M + 1, the CDF Q(a, x) at an edge has x dQ/dx = -x^a e^-x / Gamma(a),
-    which gives its C0 and offset derivatives exactly; dQ/da is a central
-    difference of the rows of ``q``.  J differentiates the normalised
-    p = diff(Q) / T, T = Q at the last edge minus Q at the first, so the
-    conditioning on the covered range is exact.  Bands with p = 0 add
-    nothing to the score or the information.
-    """
-    a, c0 = theta[0] + 1.0, theta[1]
-    inner = np.isfinite(x) & (x > 0.0)
-    xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
-    xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
-    h = _SHAPE_STEP * a
-    d_cdf = np.array([(q[1] - q[2]) / (2.0 * h),
-                      -xg * (c0_ref / c0),
-                      -xg * np.where(inner, x, 0.0) / c0])
-    total = q[0, -1] - q[0, 0]
-    jac = (d_cdf[:, 1:] - d_cdf[:, :-1]
-           - (d_cdf[:, -1] - d_cdf[:, 0])[:, None] * p) / total
-    w = np.divide(1.0, p, out=np.zeros(p.size), where=p > 0.0)
-    score = jac @ (rnd.shares * w)
-    info = (jac * w) @ jac.T
-    return jac, score, info
+    return _evaluate(rnd, np.array([M, C0, offset], dtype=float), C0)[:2]
 
 
 def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFSET) -> FitResult:
@@ -166,7 +156,7 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     ``fix_offset``, or, when it is fitted, at 0.15 x mean income, or at half
     the lowest upper edge of a populated band when that is lower.  Each
     iteration solves (J^T diag(1/p) J) delta = J^T (s/p) over the free
-    parameters, with C0 relative to its start value (``_scoring``), so the
+    parameters, with C0 relative to its start value (``_evaluate``), so the
     fitted M does not depend on the rounds' monetary frame, and halves the
     step until the log likelihood does not drop and M and C0 stay positive;
     an offset a step takes below zero is set to zero.  One mask holds the
@@ -174,14 +164,12 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     while its score points below zero.  The fit has converged when the
     Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
 
-    Each point is evaluated once, by ``_band_values``, and scored by
-    ``_scoring`` only once it is accepted, so a rejected trial costs one
-    incomplete-gamma call and no Jacobian.  ``MAX_EVALUATIONS`` is the
-    budget of scoring iterations; ``n_evaluations`` counts evaluated
-    points, step halvings included, and ``iterations`` the steps taken.
-    ``converged=False`` with the best point so far if the budget runs out,
-    the information matrix is singular, or no halved step keeps the
-    likelihood from dropping.
+    Each point, a rejected trial included, is evaluated and scored by one
+    ``_evaluate`` call.  ``MAX_EVALUATIONS`` is the budget of scoring
+    iterations; ``n_evaluations`` counts evaluated points, step halvings
+    included, and ``iterations`` the steps taken.  ``converged=False`` with
+    the best point so far if the budget runs out, the information matrix is
+    singular, or no halved step keeps the likelihood from dropping.
 
     Raises ``DataError`` for fewer than 4 bands or when the fixed offset
     lies at or above the upper edge of a band with a positive share, and
@@ -209,10 +197,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     theta = np.array([1.6, 1.6 * mean_model, offset0])
     # steps and standard errors are in phi = (M, C0 / c0_ref, offset)
     scale = np.array([1.0, theta[1], 1.0])
-    ll, p, x, q = _band_values(rnd, theta)
+    ll, p, _, score, info = _evaluate(rnd, theta, scale[1])
     n_eval, iterations, converged = 1, 0, False
     while True:
-        _, score, info = _scoring(rnd, theta, p, x, q, scale[1])
         # a fixed offset is never free; a fitted one is held at its bound 0
         # while its score points below zero
         free = fitted & [True, True, not (theta[2] == 0.0 and score[2] <= 0.0)]
@@ -233,20 +220,22 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             trial = theta + t * scale * step
             trial[2] = max(trial[2], 0.0)
             if trial[0] > 0.0 and trial[1] > 0.0:
-                values = _band_values(rnd, trial)
+                values = _evaluate(rnd, trial, scale[1])
                 n_eval += 1
                 if values[0] >= ll:
                     break
             t *= 0.5
         else:
             break
-        theta, (ll, p, x, q) = trial, values
+        theta, (ll, p, _, score, info) = trial, values
         iterations += 1
     try:
-        unit_se = tuple(float(v) for v in scale[fitted]
-                        * np.sqrt(np.diag(np.linalg.inv(info[fitted][:, fitted]))))
+        var = np.diag(np.linalg.inv(info[fitted][:, fitted]))
     except np.linalg.LinAlgError:
-        unit_se = (math.nan,) * int(fitted.sum())
+        var = np.full(int(fitted.sum()), math.nan)
+    # a negative variance is roundoff in a numerically singular information
+    unit_se = tuple(float(v) for v in scale[fitted] * np.sqrt(
+        var, out=np.full(var.size, math.nan), where=var >= 0.0))
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
                                   where=p > 0.0)))
     return FitResult(M=float(theta[0]), C0=float(theta[1]), offset=float(theta[2]),

@@ -153,33 +153,27 @@ def eigenmode_eval(mode: EigenMode, y):
     return float(out) if scalar else out
 
 
-def _central_diff(f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (y[2:] - y[:-2])
-    out[0] = (f[1] - f[0]) / (y[1] - y[0])
-    out[-1] = (f[-1] - f[-2]) / (y[-1] - y[-2])
-    return out
-
-
 @np.errstate(all="ignore")  # a non-finite operator value is checked below
 def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray) -> float:
     """Relative residual of L[g] = omega * g on the grid, L the spatial operator.
 
-    L[g] = d/dy{ [(M+2) y - c] g + y^2 g' } is discretized with central
-    differences; the returned value is max |L[g] - omega g| over the interior,
-    normalized by the largest of the operator's component magnitudes.  Reported
-    rather than asserted: the mode family satisfies the relation analytically,
-    so this measures the discretization error of the check itself.  An
-    operator value that overflows is a ``NumericalError``.
+    L[g] = d/dy{ [(M+2) y - c] g + y^2 g' } is discretized with
+    ``np.gradient``'s central differences, second order on a non-uniform
+    grid and one-sided at the ends; the returned value is
+    max |L[g] - omega g| over the interior, normalized by the largest of the
+    operator's component magnitudes.  Reported rather than asserted: the mode
+    family satisfies the relation analytically, so this measures the
+    discretization error of the check itself.  An operator value that
+    overflows is a ``NumericalError``.
     """
     y = np.asarray(grid, dtype=float)
     if y.size < 16:
         raise DomainError("residual grid needs at least 16 points")
     g = eigenmode_eval(mode, y)
     adv = ((M + 2.0) * y - mode.c) * g
-    dif = y ** 2 * _central_diff(g, y)
-    t1 = _central_diff(adv, y)
-    t2 = _central_diff(dif, y)
+    dif = y ** 2 * np.gradient(g, y)
+    t1 = np.gradient(adv, y)
+    t2 = np.gradient(dif, y)
     lg = t1 + t2
     if not np.isfinite(lg).all():
         raise NumericalError(f"L[g] overflows on the grid for mode n={mode.n}")

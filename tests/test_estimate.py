@@ -153,9 +153,24 @@ class TestFitIPDF:
         rnd = make_round(seed=700)
         held = estimate.fit_ipdf(rnd, fix_offset=0.0)
         theta = np.array([held.M, held.C0, held.offset])
-        _, p, x, q = estimate._band_values(rnd, theta)
-        assert estimate._scoring(rnd, theta, p, x, q, held.C0)[1][2] > 0.0
+        assert estimate._evaluate(rnd, theta, held.C0)[3][2] > 0.0
         assert held.offset == 0.0 and len(held.unit_standard_errors) == 2
+
+    @pytest.mark.parametrize("mean, fix_offset", [(1.0, 0.15), (1.1, None)])
+    def test_one_populated_band_fits_without_numpy_warnings(self, mean, fix_offset):
+        # every household in [0.794, 1.414): the fit drives the other bands'
+        # probabilities below the likelihood floor, where they get no weight
+        # (1 / p overflowed on a subnormal p), and the free fit's information
+        # turns numerically singular (a negative variance is a NaN standard
+        # error); the suite makes any RuntimeWarning an error
+        edges = np.concatenate([[0.0], np.geomspace(0.25, 8.0, 7), [np.inf]])
+        rnd = survey.BandedDistribution("one", 2000.0, tuple(
+            survey.Band(lo, up, float(i == 3), {3: mean, 7: 12.0}.get(i), None)
+            for i, (lo, up) in enumerate(zip(edges[:-1], edges[1:]))))
+        fit = estimate.fit_ipdf(rnd, fix_offset=fix_offset)
+        assert -1e-10 < fit.log_likelihood <= 0.0
+        assert fit.per_band_expected_shares[3] == pytest.approx(1.0, abs=1e-10)
+        assert fit.per_band_expected_shares.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScoring:
@@ -178,9 +193,8 @@ class TestScoring:
     def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
         rnd = make_round(n=10**5, seed=51, edges=self.ROUNDS[edges])
         theta = np.array([1.9, 1.4, 0.1 if fit_offset else 0.15])
-        _, p, x, q = estimate._band_values(rnd, theta)
         for c0_ref in (1.0, 2.5):
-            jac, score, info = estimate._scoring(rnd, theta, p, x, q, c0_ref)
+            _, _, jac, score, info = estimate._evaluate(rnd, theta, c0_ref)
             for i, unit in enumerate((1.0, c0_ref, 1.0)):
                 h = 1e-5 * theta[i]
                 up, down = theta.copy(), theta.copy()
