@@ -234,8 +234,8 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     except np.linalg.LinAlgError:
         var = np.full(int(fitted.sum()), math.nan)
     # a negative variance is roundoff in a numerically singular information
-    unit_se = tuple(float(v) for v in scale[fitted] * np.sqrt(
-        var, out=np.full(var.size, math.nan), where=var >= 0.0))
+    unit_se = tuple(float(s) * math.sqrt(v) if v >= 0.0 else math.nan
+                    for s, v in zip(scale[fitted], var))
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
                                   where=p > 0.0)))
     return FitResult(M=float(theta[0]), C0=float(theta[1]), offset=float(theta[2]),
