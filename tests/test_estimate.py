@@ -159,10 +159,9 @@ class TestFitIPDF:
     @pytest.mark.parametrize("mean, fix_offset", [(1.0, 0.15), (1.1, None)])
     def test_one_populated_band_fits_without_numpy_warnings(self, mean, fix_offset):
         # every household in [0.794, 1.414): the fit drives the other bands'
-        # probabilities below the likelihood floor, where they get no weight
-        # (1 / p overflowed on a subnormal p), and the free fit's information
-        # turns numerically singular (a negative variance is a NaN standard
-        # error); the suite makes any RuntimeWarning an error
+        # probabilities to subnormal values below the likelihood floor, and
+        # the free fit's information turns numerically singular; the suite
+        # makes any RuntimeWarning an error
         edges = np.concatenate([[0.0], np.geomspace(0.25, 8.0, 7), [np.inf]])
         rnd = survey.BandedDistribution("one", 2000.0, tuple(
             survey.Band(lo, up, float(i == 3), {3: mean, 7: 12.0}.get(i), None)
