@@ -37,10 +37,11 @@ def reg_upper_incomplete_gamma(a, x):
     call evaluates several shapes at the same points.  Two scalars give a
     float.  Q(a, 0) = 1 and Q(a, inf) = 0.
     """
-    if not (np.asarray(a) > 0.0).all():      # also rejects NaN
+    # a minimum is NaN if any element is, and the checks are then refused
+    if not np.asarray(a).min(initial=math.inf) > 0.0:
         raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
     arr = np.asarray(x, dtype=float)
-    if not (arr >= 0.0).all():      # also rejects NaN
+    if not arr.min(initial=math.inf) >= 0.0:
         raise DomainError("incomplete gamma requires x >= 0")
     out = gammaincc(a, arr)
     return float(out) if out.ndim == 0 else out
@@ -64,8 +65,8 @@ class SteadyStateIPDF:
             raise DomainError(f"shape_M must be > 0, got {self.shape_M}")
         if not self.scale_C0 > 0.0:
             raise DomainError(f"scale_C0 must be > 0, got {self.scale_C0}")
-        if self.offset_ymin < 0.0:
-            raise DomainError(f"offset_ymin must be >= 0, got {self.offset_ymin}")
+        if not 0.0 <= self.offset_ymin < math.inf:
+            raise DomainError(f"offset_ymin must be finite and >= 0, got {self.offset_ymin}")
 
 
 def _check_positive_income(y):

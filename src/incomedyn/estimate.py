@@ -11,16 +11,19 @@ The binned likelihood is maximised by Fisher scoring (Rao 1948; McDonald &
 Ransom 1979 for grouped income data): Newton steps on the multinomial
 likelihood with the expected information J^T diag(1/p) J in place of the
 Hessian, where J = dp/dtheta holds the derivatives of the band
-probabilities.  theta is always (M, C0, offset); a fixed offset is held by
-the same mask that holds a fitted one at its bound 0.  J is closed-form in
-C0 and the offset; only the shape derivative is a central difference of Q
-in its first argument, so one incomplete-gamma call on the shapes
-(M + 1, M + 1 +- h) gives a point's likelihood, score and information.
+probabilities.  theta is always (M, C0, offset), scored as (M, C0 / c,
+offset / c) with c the start C0, so that the information is near unit
+scale in any monetary frame; a fixed offset is held out of the step as a
+fitted one is at its bound 0.  J is closed-form in C0 and the offset; only the shape
+derivative is a central difference of Q in its first argument, so one
+incomplete-gamma call on the shapes (M + 1, M + 1 +- h) gives a point's
+likelihood, score and information.  The step solves the free 2 x 2 or
+3 x 3 block of the information in closed form, by its adjugate.
 Iterations stop once the Newton decrement g^T I^-1 g falls below 1e-15,
 which takes at most 4 of them on the criterion-6 and sample rounds;
 ``MAX_EVALUATIONS`` bounds the iterations and ``n_evaluations`` counts
-likelihood evaluations.  The same information gives the fit's standard
-errors.
+likelihood evaluations.  The inverse of the same information gives the
+fit's standard errors.
 """
 
 from __future__ import annotations
@@ -91,49 +94,64 @@ class MonodFit:
     evaluations: int = 0
 
 
-def _evaluate(rnd: BandedDistribution, theta: np.ndarray, c0_ref: float) -> tuple:
+def _evaluate(rnd: BandedDistribution, theta, c0_ref: float) -> tuple:
     """Everything the fit needs at one point theta = (M, C0, offset), from
     one incomplete-gamma call: the log likelihood ``ll`` and the band
     probabilities ``p`` that ``band_log_likelihood`` documents, the
     Jacobian J = dp/dphi, the score J^T (s / p) and the Fisher information
     J^T diag(1 / p) J per household.
 
-    phi is (M, C0 / c0_ref, offset), with a row of J for each, whether the
-    fit holds the offset fixed or not.  C0 is scored relative to ``c0_ref``,
-    so its row is c0_ref dp/dC0 and the information stays near unit scale in
-    any monetary frame; in absolute C0 its entries would scale as 1 / C0^2.
+    phi is (M, C0 / c0_ref, offset / c0_ref), with a row of J for each,
+    whether the fit holds the offset fixed or not.  C0 and the offset are
+    scored relative to ``c0_ref``, so their rows are c0_ref dp/dC0 and
+    c0_ref dp/doffset, and the information stays near unit scale in any
+    monetary frame; in absolute units its entries would scale as 1 / C0^2.
     With x = C0 / (edge - offset) and a = M + 1, the CDF Q(a, x) at an edge
     has x dQ/dx = -x^a e^-x / Gamma(a), which gives its C0 and offset
     derivatives exactly; dQ/da is a central difference of Q at the shapes
-    a +- h, evaluated in the same call as Q(a, x).  J differentiates the
-    normalised p = diff(Q) / T, T = Q at the last edge minus Q at the first,
-    so the conditioning on the covered range is exact.  The log likelihood
-    floors p at ``_P_FLOOR`` and is flat below it, so bands with a smaller p
-    add nothing to the score or the information.
+    a +- h, evaluated in the same call as Q(a, x).  x is computed only on
+    the edges above the offset and below an open top edge; it is inf
+    (Q = 0) at and below the offset and 0 (Q = 1) at an infinite edge,
+    where all three derivatives vanish.  J differentiates the normalised
+    p = diff(Q) / T, T = Q at the last edge minus Q at the first, so the
+    conditioning on the covered range is exact.  The log likelihood floors
+    p at ``_P_FLOOR`` and is flat below it, so bands with a smaller p add
+    nothing to the score or the information.
     """
-    a, c0 = theta[0] + 1.0, theta[1]
+    m, c0, off = theta
+    distlib.SteadyStateIPDF(m, c0, off)          # the law's domain checks
+    a = m + 1.0
     h = _SHAPE_STEP * a
-    x = distlib.observed_argument(distlib.SteadyStateIPDF(*theta), rnd.edges)
+    edges = rnd.edges
+    lo = edges.searchsorted(off, "right")
+    hi = edges.size - rnd.has_open_band
+    x = np.empty(edges.size)
+    x[:lo] = math.inf
+    x[hi:] = 0.0
+    xs = x[lo:hi]
+    np.divide(c0, edges[lo:hi] - off, out=xs)
     q = distlib.reg_upper_incomplete_gamma(np.array([[a], [a + h], [a - h]]), x)
-    p = q[0, 1:] - q[0, :-1]
+    cdf = q[0]
+    p = cdf[1:] - cdf[:-1]
     total = p.sum()
     if total <= 0.0:
         return (-math.inf, np.full(p.size, 1.0 / p.size), np.zeros((3, p.size)),
                 np.zeros(3), np.zeros((3, 3)))
-    p = p / total
-    ll = float(np.dot(rnd.shares, np.log(np.maximum(p, _P_FLOOR))))
-    inner = np.isfinite(x) & (x > 0.0)
-    xg = np.zeros(x.size)          # x^a e^-x / Gamma(a) = -x dQ/dx
-    xg[inner] = np.exp(a * np.log(x[inner]) - x[inner] - math.lgamma(a))
-    d_cdf = np.array([(q[1] - q[2]) / (2.0 * h),
-                      -xg * (c0_ref / c0),
-                      -xg * np.where(inner, x, 0.0) / c0])
-    jac = (d_cdf[:, 1:] - d_cdf[:, :-1]
-           - (d_cdf[:, -1] - d_cdf[:, 0])[:, None] * p) / (q[0, -1] - q[0, 0])
+    p /= total
+    ll = float(rnd.shares @ np.log(np.maximum(p, _P_FLOOR)))
+    d_cdf = np.zeros(q.shape)
+    np.subtract(q[1], q[2], out=d_cdf[0])
+    d_cdf[0] /= 2.0 * h
+    c0_row = d_cdf[1, lo:hi]       # -(c0_ref / C0) x^a e^-x / Gamma(a)
+    np.exp(a * np.log(xs) - xs - math.lgamma(a), out=c0_row)
+    c0_row *= -c0_ref / c0
+    np.multiply(c0_row, xs, out=d_cdf[2, lo:hi])
+    jac = d_cdf[:, 1:] - d_cdf[:, :-1]
+    jac -= np.multiply.outer(d_cdf[:, -1] - d_cdf[:, 0], p)
+    jac /= cdf[-1] - cdf[0]
     w = np.divide(1.0, p, out=np.zeros(p.size), where=p >= _P_FLOOR)
-    score = jac @ (rnd.shares * w)
-    info = (jac * w) @ jac.T
-    return ll, p, jac, score, info
+    jac_w = jac * w
+    return ll, p, jac, jac_w @ rnd.shares, jac_w @ jac.T
 
 
 def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
@@ -143,9 +161,34 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     Band probabilities are differences of the observed-income CDF at the band
     edges; bands at or below the offset carry zero mass.  The probabilities
     are conditioned on the range the bands cover, so expected shares always
-    sum to one.  Parameters outside the law's domain are a ``DomainError``.
+    sum to one.  Parameters outside the law's domain (M or C0 not positive,
+    an offset that is negative or not finite) are a ``DomainError``.
     """
-    return _evaluate(rnd, np.array([M, C0, offset], dtype=float), C0)[:2]
+    return _evaluate(rnd, (M, C0, offset), C0)[:2]
+
+
+def _inverse(info: list, n: int) -> Optional[list]:
+    """Inverse of the leading n x n block, n = 2 or 3, of the symmetric 3 x 3
+    ``info`` (a list of rows of floats), as its adjugate over its
+    determinant, with zero rows and columns for the parameters outside the
+    block.  None when the determinant is not positive: an information
+    matrix is positive semidefinite, so such a block is singular to working
+    precision.  A non-finite entry gives non-finite entries."""
+    if n == 2:
+        (f00, f01, _), (_, f11, _) = info[:2]
+        det = f00 * f11 - f01 * f01
+        if not det > 0.0:
+            return None
+        return [[f11 / det, -f01 / det, 0.0], [-f01 / det, f00 / det, 0.0], [0.0, 0.0, 0.0]]
+    (f00, f01, f02), (_, f11, f12), (_, _, f22) = info
+    c00, c01, c02 = f11 * f22 - f12 * f12, f02 * f12 - f01 * f22, f01 * f12 - f02 * f11
+    det = f00 * c00 + f01 * c01 + f02 * c02
+    if not det > 0.0:
+        return None
+    c11, c12, c22 = f00 * f22 - f02 * f02, f01 * f02 - f00 * f12, f00 * f11 - f01 * f01
+    return [[c00 / det, c01 / det, c02 / det],
+            [c01 / det, c11 / det, c12 / det],
+            [c02 / det, c12 / det, c22 / det]]
 
 
 def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFSET) -> FitResult:
@@ -156,13 +199,14 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     ``fix_offset``, or, when it is fitted, at 0.15 x mean income, or at half
     the lowest upper edge of a populated band when that is lower.  Each
     iteration solves (J^T diag(1/p) J) delta = J^T (s/p) over the free
-    parameters, with C0 relative to its start value (``_evaluate``), so the
-    fitted M does not depend on the rounds' monetary frame, and halves the
-    step until the log likelihood does not drop and M and C0 stay positive;
-    an offset a step takes below zero is set to zero.  One mask holds the
-    offset: a fixed one is never free, a fitted one is held at its bound 0
-    while its score points below zero.  The fit has converged when the
-    Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
+    parameters, with C0 and the offset relative to the start C0
+    (``_evaluate``), so the fit does not depend on the rounds' monetary
+    frame; the 2 x 2 or 3 x 3 system is solved in closed form
+    (``_inverse``).  The step is halved until the log likelihood does not
+    drop and M and C0 stay positive; an offset a step takes below zero is
+    set to zero.  The offset is free only when it is fitted and not held at
+    its bound 0 while its score points below zero.  The fit has converged
+    when the Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
 
     Each point, a rejected trial included, is evaluated and scored by one
     ``_evaluate`` call.  ``MAX_EVALUATIONS`` is the budget of scoring
@@ -180,10 +224,10 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             f"round {rnd.round_id}: {len(rnd.bands)} bands under-identify the fit; "
             "need at least 4")
     mean = rnd.mean_income()
-    fitted = np.array([True, True, fix_offset is None])
+    fit_offset = fix_offset is None
     # an offset at or above this band's upper edge leaves it no model mass
     first = next(b for b in rnd.bands if b.population_share > 0.0)
-    if fix_offset is None:
+    if fit_offset:
         offset0 = 0.15 * mean if 0.15 * mean < first.upper else 0.5 * first.upper
     else:
         offset0 = float(fix_offset)
@@ -193,53 +237,53 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         raise DataError(
             f"round {rnd.round_id}: offset {offset0:.6g} leaves the populated band "
             f"[{first.lower:.6g}, {first.upper:.6g}] with no model mass")
-    mean_model = max(mean - offset0, 0.05 * mean)
-    theta = np.array([1.6, 1.6 * mean_model, offset0])
-    # steps and standard errors are in phi = (M, C0 / c0_ref, offset)
-    scale = np.array([1.0, theta[1], 1.0])
-    ll, p, _, score, info = _evaluate(rnd, theta, scale[1])
+    m, off = 1.6, offset0
+    # steps and standard errors are in phi = (M, C0 / c0_ref, offset / c0_ref)
+    c0 = c0_ref = 1.6 * max(mean - offset0, 0.05 * mean)
+    ll, p, _, score, info = _evaluate(rnd, (m, c0, off), c0_ref)
     n_eval, iterations, converged = 1, 0, False
     while True:
+        g = score.tolist()
         # a fixed offset is never free; a fitted one is held at its bound 0
         # while its score points below zero
-        free = fitted & [True, True, not (theta[2] == 0.0 and score[2] <= 0.0)]
-        step = np.zeros(theta.size)
-        try:
-            step[free] = np.linalg.solve(info[free][:, free], score[free])
-        except np.linalg.LinAlgError:
+        free = 3 if fit_offset and not (off == 0.0 and g[2] <= 0.0) else 2
+        inv = _inverse(info.tolist(), free)
+        if inv is None:
             break
-        if not np.isfinite(step).all():
+        step = [r[0] * g[0] + r[1] * g[1] + r[2] * g[2] for r in inv]
+        decrement = step[0] * g[0] + step[1] * g[1] + step[2] * g[2]
+        # a non-finite step leaves the decrement non-finite
+        if not math.isfinite(decrement):
             break
-        if float(score @ step) < DECREMENT_TOL:
+        if decrement < DECREMENT_TOL:
             converged = True
             break
         if iterations == MAX_EVALUATIONS:
             break
         t = 1.0
         while t >= _MIN_STEP:
-            trial = theta + t * scale * step
-            trial[2] = max(trial[2], 0.0)
+            tc = t * c0_ref
+            trial = (m + t * step[0], c0 + tc * step[1], max(off + tc * step[2], 0.0))
             if trial[0] > 0.0 and trial[1] > 0.0:
-                values = _evaluate(rnd, trial, scale[1])
+                values = _evaluate(rnd, trial, c0_ref)
                 n_eval += 1
                 if values[0] >= ll:
                     break
             t *= 0.5
         else:
             break
-        theta, (ll, p, _, score, info) = trial, values
+        (m, c0, off), (ll, p, _, score, info) = trial, values
         iterations += 1
-    try:
-        var = np.diag(np.linalg.inv(info[fitted][:, fitted]))
-    except np.linalg.LinAlgError:
-        var = np.full(int(fitted.sum()), math.nan)
+    n_fit = 3 if fit_offset else 2
+    inv = _inverse(info.tolist(), n_fit)
+    var = [math.nan] * n_fit if inv is None else [inv[i][i] for i in range(n_fit)]
     # a negative variance is roundoff in a numerically singular information
-    unit_se = tuple(float(s) * math.sqrt(v) if v >= 0.0 else math.nan
-                    for s, v in zip(scale[fitted], var))
+    unit_se = tuple(s * math.sqrt(v) if v >= 0.0 else math.nan
+                    for s, v in zip((1.0, c0_ref, c0_ref), var))
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
                                   where=p > 0.0)))
-    return FitResult(M=float(theta[0]), C0=float(theta[1]), offset=float(theta[2]),
-                     log_likelihood=ll, converged=converged, n_evaluations=n_eval,
+    return FitResult(M=m, C0=c0, offset=off, log_likelihood=ll,
+                     converged=converged, n_evaluations=n_eval,
                      per_band_expected_shares=p, iterations=iterations,
                      unit_standard_errors=unit_se, pearson_chi2=chi2)
 

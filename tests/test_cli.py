@@ -167,6 +167,28 @@ class TestSmoke:
                        "--quiet") == 0
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160], ids=["1e-160", "1e+160"])
+    def test_fitted_offset_does_not_depend_on_the_monetary_frame(self, tmp_path, recwarn,
+                                                                 scale):
+        """A fitted-offset fit of the sample rounds in a frame ``scale`` times
+        the unit frame converges without a warning.  M and its standard error
+        match the unit frame's, and C0, the offset and their standard errors
+        scale with the frame.  The fit scores both C0 and the offset relative
+        to the start C0; an absolute offset entry of the information, of
+        order 1 / C0^2, would be subnormal at 1e160 and overflow at 1e-160."""
+        def fits(collapse_to):
+            out = tmp_path / f"{collapse_to:g}"
+            assert run_cli("fit", "--rounds", SAMPLE_ROUNDS, "--collapse-to", collapse_to,
+                           "--fit-offset", "--out-dir", out, "--quiet") == 0
+            reports = json.loads((out / "fit_report.json").read_text())["fits"]
+            assert all(r["converged"] for r in reports)
+            return np.array([[r["M"], r["C0"], r["offset"], *r["unit_standard_errors"]]
+                             for r in reports], dtype=float)
+
+        frame = np.array([1.0, scale, scale, 1.0, scale, scale])
+        np.testing.assert_allclose(fits(scale) / frame, fits(1.0), rtol=1e-8, atol=0.0)
+        assert [str(w.message) for w in recwarn] == []
+
     def test_evolve(self, tmp_path):
         out = tmp_path / "ev"
         rc = run_cli("evolve", "--cells", 800, "--t-end", 12.0,

@@ -385,8 +385,9 @@ class TestValidation:
             distlib.SteadyStateIPDF(0.0, 1.0)
         with pytest.raises(DomainError):
             distlib.SteadyStateIPDF(1.0, -1.0)
-        with pytest.raises(DomainError):
-            distlib.SteadyStateIPDF(1.0, 1.0, -0.1)
+        for offset in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="offset_ymin"):
+                distlib.SteadyStateIPDF(1.0, 1.0, offset)
 
     def test_offset_stored_not_applied(self):
         plain = distlib.SteadyStateIPDF(1.6, 1.6)

@@ -10,6 +10,7 @@ the spread of fits over replicate rounds for the standard errors.
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ class TestFitIPDF:
         assert len(fixed.unit_standard_errors) == 2
         assert len(free.unit_standard_errors) == 3
 
+    @pytest.mark.parametrize("seed", range(600, 620))
+    def test_evaluation_counts_on_criterion_6_rounds(self, seed):
+        # the per-fit cost rests on these counts: a cheaper iteration must
+        # not come with more of them
+        rnd = make_round(seed=seed)
+        fixed = estimate.fit_ipdf(rnd, fix_offset=0.15)
+        free = estimate.fit_ipdf(rnd, fix_offset=None)
+        assert fixed.converged and free.converged
+        assert fixed.n_evaluations <= 3 and free.n_evaluations <= 5
+
     def test_report_writes_an_unavailable_standard_error_as_null(self):
         fit = estimate.fit_ipdf(make_round(n=10**4, seed=48))
         report = replace(fit, unit_standard_errors=(math.nan, 0.5)).report()
@@ -112,6 +123,14 @@ class TestFitIPDF:
     def test_offset_outside_the_domain_rejected(self, offset):
         with pytest.raises(DomainError, match="offset"):
             estimate.fit_ipdf(make_round(n=10**4, seed=48), fix_offset=offset)
+
+    @pytest.mark.parametrize("params", [
+        (0.0, 1.6, 0.15), (1.6, -1.0, 0.15), (1.6, 1.6, -0.1),
+        (1.6, 1.6, math.nan), (1.6, 1.6, math.inf)],
+        ids=["M 0", "C0 -1", "offset -0.1", "offset nan", "offset inf"])
+    def test_likelihood_outside_the_domain_rejected(self, params):
+        with pytest.raises(DomainError):
+            estimate.band_log_likelihood(make_round(n=10**4, seed=48), *params)
 
     def test_offset_above_a_populated_band_rejected(self):
         # band [0, 0.25] holds households; an offset of 0.3 gives it no mass
@@ -167,6 +186,10 @@ class TestFitIPDF:
             survey.Band(lo, up, float(i == 3), {3: mean, 7: 12.0}.get(i), None)
             for i, (lo, up) in enumerate(zip(edges[:-1], edges[1:]))))
         fit = estimate.fit_ipdf(rnd, fix_offset=fix_offset)
+        # the likelihood has no maximum at finite M: the fit stops short of
+        # it, and the free fit's information is singular
+        assert not fit.converged
+        assert np.isnan(fit.unit_standard_errors).all() == (fix_offset is None)
         assert -1e-10 < fit.log_likelihood <= 0.0
         assert fit.per_band_expected_shares[3] == pytest.approx(1.0, abs=1e-10)
         assert fit.per_band_expected_shares.sum() == pytest.approx(1.0, abs=1e-12)
@@ -185,8 +208,9 @@ class TestScoring:
     }
 
     # theta always holds the offset, so all three rows are checked at both
-    # offsets: the default fixed 0.15 and 0.1; C0 is scored relative to
-    # c0_ref, absolute at 1, so its row is c0_ref times dp/dC0
+    # offsets: the default fixed 0.15 and 0.1; C0 and the offset are scored
+    # relative to c0_ref, absolute at 1, so their rows are c0_ref times
+    # dp/dC0 and dp/doffset
     @pytest.mark.parametrize("fit_offset", [False, True])
     @pytest.mark.parametrize("edges", ["open", "closed"])
     def test_jacobian_and_score_match_central_differences(self, edges, fit_offset):
@@ -194,7 +218,7 @@ class TestScoring:
         theta = np.array([1.9, 1.4, 0.1 if fit_offset else 0.15])
         for c0_ref in (1.0, 2.5):
             _, _, jac, score, info = estimate._evaluate(rnd, theta, c0_ref)
-            for i, unit in enumerate((1.0, c0_ref, 1.0)):
+            for i, unit in enumerate((1.0, c0_ref, c0_ref)):
                 h = 1e-5 * theta[i]
                 up, down = theta.copy(), theta.copy()
                 up[i] += h
@@ -238,6 +262,39 @@ class TestScoring:
         for factors in itertools.product((-1e-4, 0.0, 1e-4), repeat=fitted):
             scale = np.pad(factors, (0, theta.size - fitted))
             assert fit.log_likelihood >= ll(theta * (1.0 + scale))
+
+    @staticmethod
+    def deflated_sample_rounds():
+        root = Path(__file__).resolve().parent.parent / "sample_data"
+        table = survey.load_deflators(root / "deflators.csv")
+        return [survey.deflate(r, table) for r in survey.load_rounds(root / "rounds.csv")]
+
+    @pytest.mark.parametrize("source", ["criterion 6", "sample"])
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_standard_errors_match_a_lapack_inverse(self, monkeypatch, source, fitted):
+        # the closed-form inverse of the fit against numpy's inverse of the
+        # information _evaluate gives at the fitted point, scaled back from
+        # phi = (M, C0 / c0_ref, offset / c0_ref) with the fit's own c0_ref
+        if source == "sample":
+            rounds, fix = self.deflated_sample_rounds(), 8.0
+        else:
+            rounds, fix = [make_round(seed=600 + i) for i in range(20)], 0.15
+        refs = []
+        evaluate = estimate._evaluate
+
+        def spy(rnd, theta, c0_ref):
+            refs.append(c0_ref)
+            return evaluate(rnd, theta, c0_ref)
+
+        monkeypatch.setattr(estimate, "_evaluate", spy)
+        for rnd in rounds:
+            fit = estimate.fit_ipdf(rnd, fix_offset=None if fitted else fix)
+            assert fit.converged
+            n = 3 if fitted else 2
+            info = evaluate(rnd, (fit.M, fit.C0, fit.offset), refs[-1])[4]
+            scale = np.array([1.0, refs[-1], refs[-1]])[:n]
+            lapack = scale * np.sqrt(np.diag(np.linalg.inv(info[:n, :n])))
+            np.testing.assert_allclose(fit.unit_standard_errors, lapack, rtol=1e-12, atol=0)
 
     def test_standard_errors_and_chi2_match_replicate_spread(self):
         # 200 criterion-6 rounds: the spread of the fitted parameters over
