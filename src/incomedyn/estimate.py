@@ -4,8 +4,10 @@ Two fits per round: the income law (shape M, scale C0, starvation offset)
 by binned maximum likelihood, and the saturating consumption curve
 s(y) = V y / (K + y) by least squares.  V is linear given K and solved in
 closed form, which leaves a profile RSS in u = log K (variable projection:
-Golub & Pereyra 1973); K is the root of its exact slope, found by Brent's
-method (Brent 1973, ch. 4).
+Golub & Pereyra 1973); K is the root of its exact slope, found by Newton's
+method on the exact curvature, safeguarded by bisection (Press et al.,
+Numerical Recipes, sec. 9.4), from the closed-form K of the curve
+multiplied by K + y, which is exact on noiseless data.
 
 The binned likelihood is maximised by Fisher scoring (Rao 1948; McDonald &
 Ransom 1979 for grouped income data): Newton steps on the multinomial
@@ -28,7 +30,6 @@ fit's standard errors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -45,6 +46,9 @@ DECREMENT_TOL = 1e-15          # Newton decrement g^T I^-1 g that counts as conv
 _MIN_STEP = 2.0 ** -40         # step halvings stop below this fraction of a full step
 _SHAPE_STEP = 1e-5             # relative step of the central difference in M
 _P_FLOOR = 1e-300
+_MONOD_XTOL = 1e-9             # a Newton step in log K below this is the last one
+_MONOD_STATIONARY = 1e-15      # a profile slope below this fraction of its scale is a root
+_MONOD_MAX_EVALUATIONS = 100   # profile evaluations allowed in the Newton search
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ class FitResult:
     ``unit_standard_errors`` are the square roots of the diagonal of the
     inverse Fisher information per household of the fitted parameters, in
     the order (M, C0, offset), without the offset when it is fixed: with n
-    households the standard errors are these over sqrt(n).  ``pearson_chi2``
+    households the standard errors are these over sqrt(n); they are NaN
+    when the fit has not converged.  ``pearson_chi2``
     is sum_b (share_b - p_b)^2 / p_b; n times it is asymptotically
     chi-square with (bands - 1 - fitted parameters) degrees of freedom.
     """
@@ -212,8 +217,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     ``_evaluate`` call.  ``MAX_EVALUATIONS`` is the budget of scoring
     iterations; ``n_evaluations`` counts evaluated points, step halvings
     included, and ``iterations`` the steps taken.  ``converged=False`` with
-    the best point so far if the budget runs out, the information matrix is
-    singular, or no halved step keeps the likelihood from dropping.
+    the best point so far, and NaN standard errors, if the budget runs out,
+    the information matrix is singular, or no halved step keeps the
+    likelihood from dropping.
 
     Raises ``DataError`` for fewer than 4 bands or when the fixed offset
     lies at or above the upper edge of a band with a positive share, and
@@ -275,7 +281,8 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         (m, c0, off), (ll, p, _, score, info) = trial, values
         iterations += 1
     n_fit = 3 if fit_offset else 2
-    inv = _inverse(info.tolist(), n_fit)
+    # a point that is not a maximum has no standard errors
+    inv = _inverse(info.tolist(), n_fit) if converged else None
     var = [math.nan] * n_fit if inv is None else [inv[i][i] for i in range(n_fit)]
     # a negative variance is roundoff in a numerically singular information
     unit_se = tuple(s * math.sqrt(v) if v >= 0.0 else math.nan
@@ -289,58 +296,99 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
 
 
 def _monod_profile(x: np.ndarray, s: np.ndarray, k: float) -> tuple:
-    """Profile RSS, V and the RSS's derivative in u = log K at K = ``k``.
+    """Profile RSS, V, the RSS's first and second derivatives in u = log K,
+    and the first derivative's scale, at K = ``k``.
 
-    With r = x / (K + x) and V = s.r / r.r, dr/du = -r (1 - r) and V is
-    stationary (envelope theorem), so dRSS/du = 2 V sum (s - V r) r (1 - r).
+    With r = x / (K + x), t = r (1 - r) and V = s.r / r.r, dr/du = -t,
+    dt/du = -(1 - 2 r) t and V is stationary (envelope theorem), so with
+    e = s - V r the slope is g = 2 V e.t.  V' = dV/du = (V r.t - e.t) / r.r,
+    and g' = 2 V' e.t + 2 V (V t.t - V' r.t - e.(t (1 - 2 r))).  The scale
+    2 V s.t = 2 V (e.t + V r.t) is what the slope's terms sum to in
+    magnitude (s >= 0), so its roundoff is a small multiple of 1e-16 of it.
     """
     r = x / (k + x)
-    v = float(s.dot(r) / r.dot(r))
-    resid = s - v * r
-    return float(resid.dot(resid)), v, 2.0 * v * float(resid.dot(r * (1.0 - r)))
+    t = r * (1.0 - r)
+    rr = r.dot(r)
+    v = float(s.dot(r) / rr)
+    e = s - v * r
+    et, rt = float(e.dot(t)), float(r.dot(t))
+    dv = float((v * rt - et) / rr)
+    curvature = 2.0 * dv * et + 2.0 * v * (v * float(t.dot(t)) - dv * rt - et
+                                           + 2.0 * float(e.dot(r * t)))
+    return float(e.dot(e)), v, 2.0 * v * et, curvature, 2.0 * v * (et + v * rt)
 
 
-# overflow in a profile leaves a non-finite RSS, refused below; the state is
-# set once per fit, as entering it costs about a fifth of a profile evaluation
-@np.errstate(over="ignore")
 def fit_monod(rnd: BandedDistribution) -> MonodFit:
     """Fit the consumption curve to per-band cereal expenditures.
 
     K minimises the profile RSS over u = log K in [log(min income / 10),
     log(max income * 10)].  When the profile slope is negative at the lower
-    end and positive at the upper end, K is its root by Brent's method
-    (xtol 1e-12 in log K); otherwise K is whichever end has the smaller
-    RSS.  A log K within 1e-6 of either end is flagged as
-    ``k_at_boundary``.  ``evaluations`` counts ``_monod_profile`` calls.
+    end and positive at the upper end, K is its root by Newton's method on
+    u, safeguarded by bisection (Press et al., Numerical Recipes, sec. 9.4,
+    ``rtsafe``); otherwise K is whichever end has the smaller RSS.  A log K
+    within 1e-6 of either end is flagged as ``k_at_boundary``.
+
+    Newton starts from the K of the linear least-squares problem
+    s K - V x = -s x (the curve multiplied by K + x), which is exact on a
+    noiseless round, or from the middle of the bracket when that K is not
+    positive or lies outside it.  A Newton step that leaves the bracket
+    where the slope changes sign, or a curvature that is not positive,
+    takes a bisection instead.  The search stops at a slope within
+    ``_MONOD_STATIONARY`` of its scale, or after evaluating the point a
+    step below ``_MONOD_XTOL`` in log K reaches, which Newton's quadratic
+    convergence puts at roundoff.  ``evaluations`` counts
+    ``_monod_profile`` calls.
     """
     if len(rnd.bands) < 3:
         raise DataError(f"round {rnd.round_id}: Monod fit needs at least 3 bands")
     s = rnd.cereal
     x = rnd.representative_incomes()
-    if not (s > 0.0).any():
+    s_max, x_max = float(s.max()), float(x.max())
+    if not s_max > 0.0:
         raise DataError(f"round {rnd.round_id}: cereal expenditures all zero")
+    # the search runs on s and x over their maxima, so that no square in it
+    # overflows or turns subnormal in any monetary frame; V, K and the RSS
+    # scale back in Python floats, where an overflow gives inf
+    s, x = s / s_max, x / x_max
     lo = math.log(x.min() / 10.0)
     hi = math.log(x.max() * 10.0)
-
-    # brentq re-evaluates the ends; the cache keeps that from costing twice
-    @functools.lru_cache(maxsize=None)
-    def profile(u):
-        return _monod_profile(x, s, math.exp(u))
-
-    def slope(u):
-        return profile(u)[2]
-
-    if slope(lo) < 0.0 < slope(hi):
-        from scipy.optimize import brentq
-        u = brentq(slope, lo, hi, xtol=1e-12)
+    at_lo = _monod_profile(x, s, math.exp(lo))
+    at_hi = _monod_profile(x, s, math.exp(hi))
+    evaluations = 2
+    if at_lo[2] < 0.0 < at_hi[2]:
+        sx = s * x
+        ss, xs, xx = float(s.dot(s)), float(s.dot(x)), float(x.dot(x))
+        det = ss * xx - xs * xs
+        k0 = (xs * float(x.dot(sx)) - float(s.dot(sx)) * xx) / det if det > 0.0 else math.nan
+        u = math.log(k0) if 0.0 < k0 < math.inf else math.nan
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+        # the slope is < 0 at a and > 0 at b
+        a, b, last = lo, hi, False
+        for _ in range(_MONOD_MAX_EVALUATIONS):
+            rss, v_hat, slope, curvature, scale = _monod_profile(x, s, math.exp(u))
+            evaluations += 1
+            if last or abs(slope) <= _MONOD_STATIONARY * scale:
+                break
+            if slope < 0.0:
+                a = u
+            else:
+                b = u
+            step = slope / curvature if curvature > 0.0 else math.inf
+            # a tiny step may cross the end just set; it is the last one
+            if abs(step) < _MONOD_XTOL:
+                u, last = u - step, True
+            elif a < u - step < b:
+                u -= step
+            else:
+                u = 0.5 * (a + b)
     else:
-        u = lo if profile(lo)[0] <= profile(hi)[0] else hi
-    rss, v_hat, _ = profile(u)
+        u, (rss, v_hat, *_) = (lo, at_lo) if at_lo[0] <= at_hi[0] else (hi, at_hi)
+    rss = rss * s_max * s_max
     if not math.isfinite(rss):
         raise NumericalError(f"round {rnd.round_id}: Monod residual sum of squares is {rss}")
     if not v_hat > 0.0:
         raise DataError(f"round {rnd.round_id}: saturation level fit is nonpositive")
-    return MonodFit(V=v_hat, K=math.exp(u), rss=rss,
+    return MonodFit(V=v_hat * s_max, K=math.exp(u) * x_max, rss=rss,
                     k_at_boundary=(u - lo) < 1e-6 or (hi - u) < 1e-6,
-                    evaluations=profile.cache_info().misses)
-
+                    evaluations=evaluations)

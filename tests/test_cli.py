@@ -620,8 +620,12 @@ def test_every_numeric_option_keeps_the_exit_code_contract(
     # a line far above every band: everyone is poor with unit gaps
     ("--line", "1e300", 0),
     # squared residuals of the rescaled cereal column overflow
+    ("--collapse-to", "1e200", 4),
     ("--collapse-to", "1e300", 4),
-], ids=["line", "collapse-to"])
+    ("--collapse-to", "1e305", 4),
+    # ten times the highest income is within a factor 2 of the largest float
+    ("--collapse-to", "1e307", 4),
+], ids=["line", "collapse-to-1e200", "collapse-to", "collapse-to-1e305", "collapse-to-1e307"])
 def test_extreme_indices_option_prints_no_warning(tmp_path, option, value, code):
     out = tmp_path / "o"
     done = fresh_process("-m", "incomedyn", "indices", *CONTRACT_BASE["indices"],
