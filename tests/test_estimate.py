@@ -459,8 +459,9 @@ class TestFitMonod:
         assert not fit.k_at_boundary
 
     def test_fit_does_not_depend_on_the_monetary_frame(self):
-        # the search runs on data over its maxima: frames whose squares
-        # overflow or turn subnormal give the unit frame's K and V
+        # the search runs on data over its maxima, so frames from 1e-300,
+        # where squares of the data are subnormal, to 1e150 give the unit
+        # frame's K and V
         rnd = self.noisy_round(0)
         unit = estimate.fit_monod(rnd)
         for scale in (1e-300, 1e-160, 1e-100, 1e100, 1e150):
