@@ -16,6 +16,7 @@ import pytest
 import incomedyn
 from incomedyn import cli, fpsolve, simulate, survey
 from incomedyn.cli import build_parser, main
+from test_poverty import quad_gamma_ratio_mean
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
 SAMPLE_ROUNDS = str(_SAMPLE_DIR / "rounds.csv")
@@ -117,6 +118,26 @@ class TestSmoke:
                        "--line", 40.0, "--fix-offset", 8.0, "--pooled-M", 1.7,
                        "--out-dir", out, "--quiet") == 0
         assert json.loads((out / "diagnostics.json").read_text())["pooled_M"] == 1.7
+
+    def test_indices_at_a_large_pooled_M(self, tmp_path):
+        """At M = 200 each round's model CD index matches the quadrature
+        oracle; adaptive quadrature on (0, inf) missed the gamma peak there
+        and wrote about 1e-29."""
+        out = tmp_path / "idx"
+        assert run_cli("indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+                       "--line", 40.0, "--fix-offset", 8.0, "--pooled-M", 200,
+                       "--out-dir", out, "--quiet") == 0
+        rows = (out / "indices.csv").read_text().splitlines()[1:]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert len(rows) == len(diag["rounds"]) == 3
+        for row, rnd in zip(rows, diag["rounds"]):
+            v, k = rnd["monod"]["V"], rnd["monod"]["K"]
+            b = k + diag["pooled_offset"]
+            expected = v * k / b * quad_gamma_ratio_mean(200.0, rnd["labour_rate"] / b)
+            pcd_model = float(row.split(",")[-1])
+            assert pcd_model > 1.0
+            assert pcd_model == pytest.approx(expected, rel=1e-9)
+            assert rnd["cd_quadrature_error"] <= 1e-12
 
     def test_indices_on_one_round_warns_nothing(self, tmp_path, recwarn):
         assert run_cli(*synth_args(tmp_path / "sy")) == 0
@@ -406,6 +427,12 @@ class TestExitCodes:
           "--snapshot-times", 5e-10], 3),
         # at M = 2 the n = 0 minus branch has a pole, so a nonzero A1 is refused
         (["modes", "--M", 2, "--A1", 1], 3),
+        # the gamma peak of the model CD index at M = 1e5 is narrower than the
+        # finest step of its rule, and at 1e306 its weights' exponent
+        # overflows; at 1e307 the model scale C0 = M (mean - offset) overflows
+        *[(["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+            "--line", 40.0, "--fix-offset", 8.0, "--pooled-M", pooled_m], code)
+          for pooled_m, code in ((1e5, 3), (1e306, 3), (1e307, 4))],
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
@@ -472,14 +499,16 @@ def probe_fresh_process(*argv, runs=1) -> dict:
     ["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3],
     ["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
     ["fit", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS],
+    ["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+     "--line", 40.0, "--fix-offset", 8.0],
     ["evolve", "--t-end", 0.5, "--cells", 100],
     ["synth", "--n", 1000],
     ["modes", "--n-max", 1, "--grid-points", 50],
 ], ids=lambda argv: argv[0] if argv else "import")
-def test_only_indices_loads_scipy_integrate_or_optimize(tmp_path, argv):
-    """Cold start: the quadrature and root finder load at their call sites,
-    which only the CD index and the Monod fit of ``indices`` reach, and
-    importing the CLI builds no parser."""
+def test_no_command_loads_scipy_integrate_or_optimize(tmp_path, argv):
+    """Cold start: the CD index has its own quadrature rule and the Monod
+    fit its own root finder, so no command loads scipy.integrate or
+    scipy.optimize, and importing the CLI builds no parser."""
     out = ["--out-dir", tmp_path / "o", "--quiet"] if argv else []
     probe = probe_fresh_process(*argv, *out, runs=1 if argv else 0)
     assert probe["scipy"] == []
@@ -561,15 +590,12 @@ print(json.dumps(loaded))
 """
 
 
-@pytest.mark.parametrize("commands", [
-    ["simulate", "collapse", "fit", "synth", "modes", "evolve"],
-    ["indices"],
-], ids=["evolve-last", "indices"])
-def test_only_evolve_and_indices_load_scipy_linalg(tmp_path, commands):
+def test_only_evolve_loads_scipy_linalg(tmp_path):
     """Cold start: ``evolve`` imports LAPACK where it factors a matrix, and
-    ``indices`` loads scipy.linalg through its quadrature and root finder.
-    One fresh process imports the package and runs ``commands`` in turn;
-    scipy.linalg must first appear after ``evolve`` or ``indices``."""
+    no other command loads scipy.linalg.  One fresh process imports the
+    package and runs every command in turn, ``evolve`` last; scipy.linalg
+    must first appear after ``evolve``."""
+    commands = ["simulate", "collapse", "fit", "indices", "synth", "modes", "evolve"]
     argv = [[c, *map(str, CONTRACT_BASE[c]), "--out-dir", str(tmp_path / c), "--quiet"]
             for c in commands]
     done = fresh_process("-c", _LINALG_PROBE, json.dumps(argv))
