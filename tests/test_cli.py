@@ -590,17 +590,21 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_evolve_loads_scipy_linalg(tmp_path):
+@pytest.mark.parametrize("commands, after", [
+    (["simulate", "collapse", "fit", "indices", "synth", "modes", "evolve"], [True]),
+    (["indices"], [False]),
+], ids=["evolve-last", "indices"])
+def test_only_evolve_and_indices_load_scipy_linalg(tmp_path, commands, after):
     """Cold start: ``evolve`` imports LAPACK where it factors a matrix, and
-    no other command loads scipy.linalg.  One fresh process imports the
-    package and runs every command in turn, ``evolve`` last; scipy.linalg
-    must first appear after ``evolve``."""
-    commands = ["simulate", "collapse", "fit", "indices", "synth", "modes", "evolve"]
+    ``indices``, which once loaded scipy.linalg through its quadrature and
+    root finder, now loads it no more than any other command.  One fresh
+    process imports the package and runs ``commands`` in turn; scipy.linalg
+    may first appear only after ``evolve``."""
     argv = [[c, *map(str, CONTRACT_BASE[c]), "--out-dir", str(tmp_path / c), "--quiet"]
             for c in commands]
     done = fresh_process("-c", _LINALG_PROBE, json.dumps(argv))
     loaded = json.loads(done.stdout)
-    assert loaded == [False] * len(commands) + [True]
+    assert loaded == [False] * len(commands) + after
 
 
 def numeric_options(command: str) -> list:
