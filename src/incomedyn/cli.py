@@ -97,6 +97,9 @@ def cmd_collapse(args, out: Path) -> str:
     collapsed = _prepare_rounds(args, target)
     offset_abs = args.offset_frac * target
     c0 = args.M * (target - offset_abs)
+    if not math.isfinite(c0):
+        raise NumericalError(f"model scale C0 = M (target mean - offset) overflows at "
+                             f"M = {args.M:g}")
     knot_lo = min(min(b.lower for b in r.bands if b.lower > 0.0) for r in collapsed)
     knot_hi = max(max(b.upper for b in r.bands if not b.is_open) for r in collapsed)
     grid = np.geomspace(0.25 * knot_lo, 4.0 * knot_hi, args.grid_points)

@@ -61,10 +61,10 @@ class SteadyStateIPDF:
     offset_ymin: float = 0.0
 
     def __post_init__(self):
-        if not self.shape_M > 0.0:
-            raise DomainError(f"shape_M must be > 0, got {self.shape_M}")
-        if not self.scale_C0 > 0.0:
-            raise DomainError(f"scale_C0 must be > 0, got {self.scale_C0}")
+        if not 0.0 < self.shape_M < math.inf:
+            raise DomainError(f"shape_M must be finite and > 0, got {self.shape_M}")
+        if not 0.0 < self.scale_C0 < math.inf:
+            raise DomainError(f"scale_C0 must be finite and > 0, got {self.scale_C0}")
         if not 0.0 <= self.offset_ymin < math.inf:
             raise DomainError(f"offset_ymin must be finite and >= 0, got {self.offset_ymin}")
 

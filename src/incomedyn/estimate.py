@@ -19,8 +19,8 @@ scale in any monetary frame; a fixed offset is held out of the step as a
 fitted one is at its bound 0.  J is closed-form in C0 and the offset; only the shape
 derivative is a central difference of Q in its first argument, so one
 incomplete-gamma call on the shapes (M + 1, M + 1 +- h) gives a point's
-likelihood, score and information.  The step solves the free 2 x 2 or
-3 x 3 block of the information in closed form, by its adjugate.
+likelihood, score and information.  The step solves one 3 x 3 system by
+its adjugate, with a held offset's row and column masked to the identity.
 Iterations stop once the Newton decrement g^T I^-1 g falls below 1e-15,
 which takes at most 4 of them on the criterion-6 and sample rounds;
 ``MAX_EVALUATIONS`` bounds the iterations and ``n_evaluations`` counts
@@ -172,20 +172,17 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     return _evaluate(rnd, (M, C0, offset), C0)[:2]
 
 
-def _inverse(info: list, n: int) -> Optional[list]:
-    """Inverse of the leading n x n block, n = 2 or 3, of the symmetric 3 x 3
-    ``info`` (a list of rows of floats), as its adjugate over its
-    determinant, with zero rows and columns for the parameters outside the
-    block.  None when the determinant is not positive: an information
-    matrix is positive semidefinite, so such a block is singular to working
-    precision.  A non-finite entry gives non-finite entries."""
-    if n == 2:
-        (f00, f01, _), (_, f11, _) = info[:2]
-        det = f00 * f11 - f01 * f01
-        if not det > 0.0:
-            return None
-        return [[f11 / det, -f01 / det, 0.0], [-f01 / det, f00 / det, 0.0], [0.0, 0.0, 0.0]]
+def _inverse(info: list, held: bool) -> Optional[list]:
+    """Inverse of the symmetric 3 x 3 ``info`` (a list of rows of floats),
+    as its adjugate over its determinant.  A ``held`` offset takes its row
+    and column from the identity matrix, and its entry of the inverse is
+    zero, so the (M, C0) block is inverted alone.  None when the
+    determinant is not positive: an information matrix is positive
+    semidefinite, so such a matrix is singular to working precision.  A
+    non-finite entry gives None or non-finite entries."""
     (f00, f01, f02), (_, f11, f12), (_, _, f22) = info
+    if held:
+        f02, f12, f22 = 0.0, 0.0, 1.0
     c00, c01, c02 = f11 * f22 - f12 * f12, f02 * f12 - f01 * f22, f01 * f12 - f02 * f11
     det = f00 * c00 + f01 * c01 + f02 * c02
     if not det > 0.0:
@@ -193,7 +190,7 @@ def _inverse(info: list, n: int) -> Optional[list]:
     c11, c12, c22 = f00 * f22 - f02 * f02, f01 * f02 - f00 * f12, f00 * f11 - f01 * f01
     return [[c00 / det, c01 / det, c02 / det],
             [c01 / det, c11 / det, c12 / det],
-            [c02 / det, c12 / det, c22 / det]]
+            [c02 / det, c12 / det, 0.0 if held else c22 / det]]
 
 
 def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFSET) -> FitResult:
@@ -203,15 +200,15 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     start M = 1.6, C0 = 1.6 x (mean income - offset), with the offset at
     ``fix_offset``, or, when it is fitted, at 0.15 x mean income, or at half
     the lowest upper edge of a populated band when that is lower.  Each
-    iteration solves (J^T diag(1/p) J) delta = J^T (s/p) over the free
-    parameters, with C0 and the offset relative to the start C0
-    (``_evaluate``), so the fit does not depend on the rounds' monetary
-    frame; the 2 x 2 or 3 x 3 system is solved in closed form
-    (``_inverse``).  The step is halved until the log likelihood does not
-    drop and M and C0 stay positive; an offset a step takes below zero is
-    set to zero.  The offset is free only when it is fitted and not held at
-    its bound 0 while its score points below zero.  The fit has converged
-    when the Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
+    iteration solves (J^T diag(1/p) J) delta = J^T (s/p), with C0 and the
+    offset relative to the start C0 (``_evaluate``), so the fit does not
+    depend on the rounds' monetary frame; the one 3 x 3 system, a held
+    offset masked, is solved in closed form (``_inverse``).  The step is
+    halved until the log likelihood does not drop and M and C0 stay
+    positive and finite; an offset a step takes below zero is set to zero.
+    The offset is held when it is fixed, and when it is fitted and at its
+    bound 0 while its score points below zero.  The fit has converged when
+    the Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
 
     Each point, a rejected trial included, is evaluated and scored by one
     ``_evaluate`` call.  ``MAX_EVALUATIONS`` is the budget of scoring
@@ -250,10 +247,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     n_eval, iterations, converged = 1, 0, False
     while True:
         g = score.tolist()
-        # a fixed offset is never free; a fitted one is held at its bound 0
+        # a fixed offset is always held; a fitted one is held at its bound 0
         # while its score points below zero
-        free = 3 if fit_offset and not (off == 0.0 and g[2] <= 0.0) else 2
-        inv = _inverse(info.tolist(), free)
+        inv = _inverse(info.tolist(), not fit_offset or (off == 0.0 and g[2] <= 0.0))
         if inv is None:
             break
         step = [r[0] * g[0] + r[1] * g[1] + r[2] * g[2] for r in inv]
@@ -270,7 +266,8 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         while t >= _MIN_STEP:
             tc = t * c0_ref
             trial = (m + t * step[0], c0 + tc * step[1], max(off + tc * step[2], 0.0))
-            if trial[0] > 0.0 and trial[1] > 0.0:
+            # an M or C0 that is not positive and finite is outside the law's domain
+            if 0.0 < trial[0] < math.inf and 0.0 < trial[1] < math.inf:
                 values = _evaluate(rnd, trial, c0_ref)
                 n_eval += 1
                 if values[0] >= ll:
@@ -280,13 +277,14 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             break
         (m, c0, off), (ll, p, _, score, info) = trial, values
         iterations += 1
-    n_fit = 3 if fit_offset else 2
     # a point that is not a maximum has no standard errors
-    inv = _inverse(info.tolist(), n_fit) if converged else None
-    var = [math.nan] * n_fit if inv is None else [inv[i][i] for i in range(n_fit)]
-    # a negative variance is roundoff in a numerically singular information
+    inv = _inverse(info.tolist(), not fit_offset) if converged else None
+    var = [math.nan] * 3 if inv is None else [inv[i][i] for i in range(3)]
+    # a negative variance is roundoff in a numerically singular information;
+    # a fixed offset has none
+    scales = (1.0, c0_ref, c0_ref) if fit_offset else (1.0, c0_ref)
     unit_se = tuple(s * math.sqrt(v) if v >= 0.0 else math.nan
-                    for s, v in zip((1.0, c0_ref, c0_ref), var))
+                    for s, v in zip(scales, var))
     chi2 = float(np.sum(np.divide((rnd.shares - p) ** 2, p, out=np.zeros(p.size),
                                   where=p > 0.0)))
     return FitResult(M=m, C0=c0, offset=off, log_likelihood=ll,

@@ -316,7 +316,7 @@ def solve_banded(factors: functools.partial, rhs: np.ndarray) -> np.ndarray:
     ``evolve`` calls it through this module attribute once per step, and
     once more for a BDF2 step that it retakes by backward Euler.  perfbench
     counts its calls as steps (``fpsolve.evolve.steps``) until it reads the
-    count from ``evolve``'s report (ROADMAP item 1).
+    count from ``evolve``'s report (ROADMAP items 3 and 6).
     """
     return factors(rhs)[0]
 

@@ -205,6 +205,7 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
     unless ``pooled_M`` is given) and offset, with the round's own scale
     C0 = M (mean income - offset), its labour rate in the quasi-static reading
     of a slowly drifting economy.  Rows are in year order, then input order.
+    A scale that overflows is a ``NumericalError``.
     """
     if not (len(rounds) == len(fits) == len(monods)):
         raise DataError(
@@ -225,6 +226,9 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
         if not mean_model > 0.0:
             raise DataError(f"round {rnd.round_id}: mean income below the offset")
         c_t = m_common * mean_model
+        if not math.isfinite(c_t):
+            raise NumericalError(f"round {rnd.round_id}: model scale C0 = M (mean - offset) "
+                                 f"overflows at M = {m_common:g}")
         dist = distlib.SteadyStateIPDF(m_common, c_t, off_common)
         hci, pg, spg = fgt_indices(rnd, z)
         pcd_d = cd_index_direct(rnd, mono)

@@ -433,6 +433,9 @@ class TestExitCodes:
         *[(["indices", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
             "--line", 40.0, "--fix-offset", 8.0, "--pooled-M", pooled_m], code)
           for pooled_m, code in ((1e5, 3), (1e306, 3), (1e307, 4))],
+        # the model scale C0 = M (target mean - offset) of a collapse overflows
+        (["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+          "--M", 1e300, "--target-mean", 1e300], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code

@@ -385,6 +385,9 @@ class TestValidation:
             distlib.SteadyStateIPDF(0.0, 1.0)
         with pytest.raises(DomainError):
             distlib.SteadyStateIPDF(1.0, -1.0)
+        for shape, scale in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                distlib.SteadyStateIPDF(shape, scale)
         for offset in (-0.1, math.nan, math.inf):
             with pytest.raises(DomainError, match="offset_ymin"):
                 distlib.SteadyStateIPDF(1.0, 1.0, offset)

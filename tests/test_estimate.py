@@ -271,14 +271,17 @@ class TestScoring:
         table = survey.load_deflators(root / "deflators.csv")
         return [survey.deflate(r, table) for r in survey.load_rounds(root / "rounds.csv")]
 
-    @pytest.mark.parametrize("source", ["criterion 6", "sample"])
+    @pytest.mark.parametrize("source", ["criterion 6", "sample", "at bound"])
     @pytest.mark.parametrize("fitted", [False, True])
     def test_standard_errors_match_a_lapack_inverse(self, monkeypatch, source, fitted):
         # the closed-form inverse of the fit against numpy's inverse of the
         # information _evaluate gives at the fitted point, scaled back from
-        # phi = (M, C0 / c0_ref, offset / c0_ref) with the fit's own c0_ref
+        # phi = (M, C0 / c0_ref, offset / c0_ref) with the fit's own c0_ref;
+        # "at bound" is the round whose fitted offset converges at 0
         if source == "sample":
             rounds, fix = self.deflated_sample_rounds(), 8.0
+        elif source == "at bound":
+            rounds, fix = [make_round(offset=0.0, seed=700)], 0.0
         else:
             rounds, fix = [make_round(seed=600 + i) for i in range(20)], 0.15
         refs = []
@@ -297,6 +300,30 @@ class TestScoring:
             scale = np.array([1.0, refs[-1], refs[-1]])[:n]
             lapack = scale * np.sqrt(np.diag(np.linalg.inv(info[:n, :n])))
             np.testing.assert_allclose(fit.unit_standard_errors, lapack, rtol=1e-12, atol=0)
+
+    def test_inverse_masks_a_held_offset(self):
+        # held: the (M, C0) block's closed-form 2 x 2 inverse, bit for bit,
+        # with a zero third row and column; free: numpy's 3 x 3 inverse
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a = rng.standard_normal((3, 3))
+            info = a @ a.T + 0.1 * np.eye(3)
+            (f00, f01, _), (_, f11, _) = info[:2].tolist()
+            det = f00 * f11 - f01 * f01
+            held = estimate._inverse(info.tolist(), True)
+            assert [row[:2] for row in held[:2]] == [[f11 / det, -f01 / det],
+                                                     [-f01 / det, f00 / det]]
+            assert held[2] == [0.0] * 3 and [row[2] for row in held] == [0.0] * 3
+            free = np.array(estimate._inverse(info.tolist(), False))
+            np.testing.assert_allclose(free, np.linalg.inv(info), rtol=1e-12, atol=1e-12)
+        # a singular (M, C0) block, and a singular matrix whose block is not
+        singular_block = [[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.5, 1.0, 3.0]]
+        assert estimate._inverse(singular_block, True) is None
+        assert estimate._inverse(singular_block, False) is None
+        singular = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
+        assert estimate._inverse(singular, False) is None
+        assert estimate._inverse(singular, True) == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                     [0.0, 0.0, 0.0]]
 
     def test_standard_errors_and_chi2_match_replicate_spread(self):
         # 200 criterion-6 rounds: the spread of the fitted parameters over
