@@ -103,13 +103,9 @@ def cmd_collapse(args, out: Path) -> str:
     knot_lo = min(min(b.lower for b in r.bands if b.lower > 0.0) for r in collapsed)
     knot_hi = max(max(b.upper for b in r.bands if not b.is_open) for r in collapsed)
     grid = np.geomspace(0.25 * knot_lo, 4.0 * knot_hi, args.grid_points)
-    rows = []
-    curves = []
-    for rnd in collapsed:
-        cdf = survey.empirical_cdf(rnd)(grid)
-        curves.append(cdf)
-        rows.extend((rnd.round_id, y, c) for y, c in zip(grid, cdf))
-    survey.write_csv(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"], rows)
+    curves = [survey.empirical_cdf(rnd)(grid) for rnd in collapsed]
+    survey.write_curves(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"],
+                        [rnd.round_id for rnd in collapsed], grid, curves)
     dist = distlib.SteadyStateIPDF(args.M, c0, offset_abs)
     survey.write_csv(out / "model_cdf.csv", ["y", "cdf"],
                      zip(grid, distlib.observed_cdf(dist, grid)))
@@ -180,10 +176,8 @@ def cmd_evolve(args, out: Path) -> str:
     stats = {}
     all_snaps = [f0, *fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
                                      snapshot_times=times, stats=stats)]
-    # every snapshot lies on the one grid, so its text is made once
-    y_text = ["%.12g" % y for y in grid.tolist()]
-    survey.write_csv(out / "snapshots.csv", ["t", "y", "f"], itertools.chain.from_iterable(
-        zip(itertools.repeat("%.12g" % s.time), y_text, s.values.tolist()) for s in all_snaps))
+    survey.write_curves(out / "snapshots.csv", ["t", "y", "f"], [s.time for s in all_snaps],
+                        grid, [s.values for s in all_snaps])
     conv_rows = [(s.time, fpsolve.l1_distance(s, steady)) for s in all_snaps]
     survey.write_csv(out / "convergence.csv", ["t", "l1_to_steady"], conv_rows)
     _write_json(out / "report.json", {
@@ -213,10 +207,9 @@ def cmd_synth(args, out: Path) -> str:
 def cmd_modes(args, out: Path) -> str:
     # grid kept where the Kummer argument -C0/y stays within kummer_m's bound
     grid = np.geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
-    grid_values = grid.tolist()
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     params_report = []
-    curve_rows = []
+    curves = []
     residuals = []
     for n in range(args.n_max + 1):
         mode = fpsolve.eigenmode_params(n, args.M, A1=args.A1, A2=args.A2,
@@ -226,12 +219,11 @@ def cmd_modes(args, out: Path) -> str:
             "alpha_plus": mode.alpha_plus, "alpha_minus": mode.alpha_minus,
             "beta_plus": mode.beta_plus, "beta_minus": mode.beta_minus,
             "beta_minus_pole": mode.beta_minus_pole})
-        g = fpsolve.eigenmode_eval(mode, grid)
-        curve_rows.extend(zip(itertools.repeat(n), grid_values, g.tolist()))
+        curves.append(fpsolve.eigenmode_eval(mode, grid))
         residuals.append({"n": n, "relative_operator_residual":
-                          fpsolve.eigenmode_operator_residual(mode, args.M, grid)})
+                          fpsolve.eigenmode_operator_residual(mode, args.M, grid, curves[-1])})
     _write_json(out / "mode_params.json", {"modes": params_report})
-    survey.write_csv(out / "modes.csv", ["n", "y", "g"], curve_rows)
+    survey.write_curves(out / "modes.csv", ["n", "y", "g"], range(len(curves)), grid, curves)
     steady = fpsolve.steady_state_mode(args.M, args.C0)
     g0 = fpsolve.eigenmode_eval(steady, grid)
     ref = distlib.ipdf_density(dist, grid)

@@ -154,7 +154,8 @@ def eigenmode_eval(mode: EigenMode, y):
 
 
 @np.errstate(all="ignore")  # a non-finite operator value is checked below
-def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray) -> float:
+def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray,
+                                g: np.ndarray | None = None) -> float:
     """Relative residual of L[g] = omega * g on the grid, L the spatial operator.
 
     L[g] = d/dy{ [(M+2) y - c] g + y^2 g' } is discretized with
@@ -164,12 +165,13 @@ def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray) -> 
     operator's component magnitudes.  Reported rather than asserted: the mode
     family satisfies the relation analytically, so this measures the
     discretization error of the check itself.  An operator value that
-    overflows is a ``NumericalError``.
+    overflows is a ``NumericalError``.  ``g`` holds the mode's values on the
+    grid, ``eigenmode_eval(mode, grid)``, evaluated here when omitted.
     """
     y = np.asarray(grid, dtype=float)
     if y.size < 16:
         raise DomainError("residual grid needs at least 16 points")
-    g = eigenmode_eval(mode, y)
+    g = eigenmode_eval(mode, y) if g is None else g
     adv = ((M + 2.0) * y - mode.c) * g
     dif = y ** 2 * np.gradient(g, y)
     t1 = np.gradient(adv, y)

@@ -274,6 +274,21 @@ def write_csv(path, header: list, rows) -> None:
             fh.write((line * (len(cells) // len(first))) % cells)
 
 
+def write_curves(path, header: list, keys, grid, curves) -> None:
+    """A "key, y, value" file of curves on one shared grid, the bytes that
+    ``write_csv`` writes for the rows (key, y, value): the grid is formatted
+    once, each key is spliced into a line template (a ``str`` key as is,
+    with its "%" doubled, any other as "%.12g"), and each curve is written
+    by one ``%`` over its values, so only one curve's text is held."""
+    points = ["%.12g,%%.12g\n" % y for y in np.asarray(grid, dtype=float).tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for key, values in zip(keys, curves):
+            text = key.replace("%", "%%") if isinstance(key, str) else "%.12g" % key
+            fh.write((text + ",").join(["", *points])
+                     % tuple(np.asarray(values, dtype=float).tolist()))
+
+
 def save_rounds(path, rounds: Sequence[BandedDistribution]) -> None:
     """Write rounds in the rounds schema; a missing mean is an empty cell."""
     def optional(value):

@@ -566,6 +566,37 @@ def test_csv_blocks_match_a_row_by_row_write(tmp_path):
     assert path.read_text() == "id,n,x\n" + "".join("%s,%.12g,%.12g\n" % r for r in rows)
 
 
+@pytest.mark.parametrize("keys", [
+    ["r1", "NSS-15%d", "100%", "%s%%"],
+    [0, 7, -3, 10**13],
+    [0.0, 1 / 3, -2.5e-7, 1e300],
+], ids=["str", "int", "float"])
+def test_curves_match_write_csv_on_the_same_rows(tmp_path, keys):
+    grid = np.array([0.0, -0.0, 5e-324, 1e300, -1e300, 1 / 3])
+    curves = [np.array([0.0, -0.0, 5e-324, 1e300, -1e300, np.nan]),
+              np.array([np.inf, -np.inf, 1.0, 2.0 / 3, 1e-300, 7.0]),
+              np.arange(6.0), np.full(6, -0.0)]
+    for ks, cs, g in [(keys, curves, grid), (keys[:1], curves[:1], grid),
+                      (keys, [c[-1:] for c in curves], grid[-1:]),
+                      (keys[1:2], [curves[1][:1]], grid[:1])]:
+        survey.write_curves(tmp_path / "curves.csv", ["key", "y", "v"], ks, g, cs)
+        survey.write_csv(tmp_path / "rows.csv", ["key", "y", "v"],
+                         [(k, y, v) for k, c in zip(ks, cs) for y, v in zip(g, c)])
+        assert (tmp_path / "curves.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_percent_in_a_round_id_is_written_verbatim(tmp_path):
+    text = Path(SAMPLE_ROUNDS).read_text()
+    rounds = tmp_path / "rounds.csv"
+    rounds.write_text(text.replace("\nNSS-15,", "\nNSS-15%d,"))
+    out = tmp_path / "col"
+    assert run_cli("collapse", "--rounds", rounds, "--deflators", SAMPLE_DEFLATORS,
+                   "--out-dir", out, "--quiet") == 0
+    ids = [line.split(",")[0] for line in
+           (out / "collapsed_cdf.csv").read_text().splitlines()[1:]]
+    assert ids.count("NSS-15%d") == 200 and "NSS-15" not in ids
+
+
 # each command at a size that runs in milliseconds; a swept option is
 # appended after these, so its value is the one argparse keeps
 CONTRACT_BASE = {

@@ -126,6 +126,24 @@ class TestEigenmodes:
             r = fpsolve.eigenmode_operator_residual(mode, 1.6, grid)
             assert r < 1e-3, (n, r)
 
+    def test_residual_from_held_values_is_bit_identical(self):
+        grid = np.geomspace(1.6 / 600.0, 60.0 * 1.6, 1500)
+        modes = [fpsolve.eigenmode_params(n, 1.6, c=1.6) for n in range(3)]
+        modes.append(fpsolve.eigenmode_params(1, 1.6, A1=0.5, c=1.6))
+        for mode in modes:
+            g = fpsolve.eigenmode_eval(mode, grid)
+            held = fpsolve.eigenmode_operator_residual(mode, 1.6, grid, g)
+            assert held.hex() == fpsolve.eigenmode_operator_residual(mode, 1.6, grid).hex()
+
+    def test_modes_command_evaluates_each_mode_once(self, tmp_path, monkeypatch):
+        calls = []
+        kummer = fpsolve.kummer_m
+        monkeypatch.setattr(fpsolve, "kummer_m", lambda *a: calls.append(a) or kummer(*a))
+        assert cli.main(["modes", "--M", "1.6", "--C0", "1.6", "--n-max", "2",
+                         "--quiet", "--out-dir", str(tmp_path / "mo")]) == 0
+        # one per mode n = 0, 1, 2 and one for the steady-state check
+        assert len(calls) == 4
+
     def test_wrong_omega_residual_large(self):
         grid = np.geomspace(0.08, 20.0, 4000)
         mode = fpsolve.eigenmode_params(1, 1.6, A1=0.7, A2=0.3, c=1.6)
