@@ -205,7 +205,7 @@ def cmd_synth(args, out: Path) -> str:
 
 
 def cmd_modes(args, out: Path) -> str:
-    # grid kept where the Kummer argument -C0/y stays within kummer_m's bound
+    # from C0/600, where the stationary exp(-C0/y) is e^-600 (above its underflow), to 60 C0
     grid = np.geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     params_report = []
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cmd_evolve, "finite-volume density evolution", income_law)
     p.add_argument("--t-end", type=_POSITIVE, default=20.0)
     p.add_argument("--dt", type=_POSITIVE, default=None)
-    p.add_argument("--cells", type=_COUNT, default=2000)
+    # GridDensity's "grid must be 1-D with at least 8 nodes"
+    p.add_argument("--cells", type=_numbers("[8, inf)", int), default=2000)
     p.add_argument("--span", type=_numbers("(0, inf)", many=True, pair=True),
                    default="1e-3,1e3")
     p.add_argument("--init", choices=["steady", "bump"], default="bump")
@@ -358,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=_NONNEGATIVE, default=0.15)
     p.add_argument("--edges", type=_numbers("[0, inf)", many=True, last="[0, inf]"),
                    default="", help="comma-separated band edges (last may be inf)")
-    p.add_argument("--auto-bands", type=_COUNT, default=20)
+    # synth_round's "need at least 3 band edges (2 bands)"
+    p.add_argument("--auto-bands", type=_numbers("[2, inf)", int), default=20)
     p.add_argument("--n", type=_COUNT, required=True)
     # V <= K keeps cereal below total expenditure at every income
     p.add_argument("--V", type=_POSITIVE, default=0.4)
@@ -372,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_numbers("[0, inf)", int), default=2)
     p.add_argument("--A1", type=_FINITE, default=0.0)
     p.add_argument("--A2", type=_FINITE, default=1.0)
-    p.add_argument("--grid-points", type=_COUNT, default=1500)
+    # eigenmode_operator_residual's "residual grid needs at least 16 points"
+    p.add_argument("--grid-points", type=_numbers("[16, inf)", int), default=1500)
     return parser
 
 

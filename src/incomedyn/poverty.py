@@ -82,7 +82,7 @@ def fgt_indices(data: Union[np.ndarray, BandedDistribution], line) -> FGTIndices
     y = np.asarray(data, dtype=float)
     if y.size == 0:
         raise DataError("empty income sample")
-    if (y < 0.0).any():
+    if not (y >= 0.0).all():              # a NaN fails this test too
         raise DomainError("incomes must be nonnegative")
     return _fgt_sample(y, z)
 
@@ -309,7 +309,7 @@ def sen_axiom_check(incomes, index: str, perturbation, line=None,
     y = np.asarray(incomes, dtype=float).copy()
     if y.size < 2:
         raise DataError("need at least two agents")
-    if (y < 0.0).any():
+    if not (y >= 0.0).all():              # a NaN fails this test too
         raise DomainError("incomes must be nonnegative")
     index_of, z = _index_rule(index, line, monod)
     before = index_of(y)

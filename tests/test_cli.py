@@ -389,6 +389,11 @@ class TestExitCodes:
         ["simulate", "--agents", 4000, "--t-end", 0.05, "--sigma", 1.0],
         ["simulate", "--agents", 4000, "--t-end", 0.05, "--C", 1.6],
         ["evolve", "--t-end", 0.5, "--cells", 100, "--C", 1.6],
+        # counts below the library's own minimum: the residual grid's 16
+        # points, the evolver grid's 8 nodes and a round's 2 bands
+        ["modes", "--grid-points", 15],
+        ["evolve", "--cells", 7],
+        ["synth", "--n", 1000, "--auto-bands", 1],
     ])
     def test_invalid_option_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -443,7 +448,9 @@ class TestExitCodes:
         assert [str(w.message) for w in recwarn] == []
 
     def test_nan_density_is_a_numerical_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fpsolve, "solve_banded", lambda lu, f: np.full_like(f, np.nan))
+        # every solve from the factors of I - beta L gives (x, info) = (NaN, 0)
+        monkeypatch.setattr(fpsolve._FluxOperator, "implicit_factors",
+                            lambda self, beta: lambda f: (np.full_like(f, np.nan), 0))
         assert run_cli("evolve", "--t-end", 0.5, "--cells", 100,
                        "--out-dir", tmp_path / "o", "--quiet") == 4
         assert list(tmp_path.iterdir()) == []

@@ -130,6 +130,12 @@ class TestFGT:
         with pytest.raises(DomainError):
             poverty.fgt_indices(make_round(n=10**4), -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_nan_or_negative_income_is_a_domain_error(self, bad):
+        # a NaN income is no income: it would leave hci defined and pg NaN
+        with pytest.raises(DomainError, match="nonnegative"):
+            poverty.fgt_indices(np.array([0.5, bad, 2.0]), 1.0)
+
 
 class TestCDIndexDirect:
     def test_saturated_consumption_gives_zero(self):
@@ -370,6 +376,14 @@ class TestSenAxioms:
             poverty.sen_axiom_check(y, "pg", poverty.Transfer(0, 1, 0.6), line=1.0)
         with pytest.raises(DomainError):
             poverty.sen_axiom_check(y, "pg", poverty.Transfer(1, 0, 0.1), line=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_nan_or_negative_income_is_a_domain_error(self, bad):
+        # with a NaN the index is NaN before and after, and the check would
+        # record a violation of the axiom that no one's income made
+        y = np.array([0.5, bad, 2.0])
+        with pytest.raises(DomainError, match="nonnegative"):
+            poverty.sen_axiom_check(y, "pg", poverty.Reduce(0, 0.1), line=1.0)
 
     @pytest.mark.parametrize("index", ["hci", "pg", "spg", "pcd"])
     def test_missing_line_or_curve_is_a_domain_error(self, index):
