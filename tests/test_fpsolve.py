@@ -303,18 +303,18 @@ def backward_euler(f0, m, c0, times, dt):
     return out
 
 
-def wrap_solves(monkeypatch, wrap):
-    """Route evolve's solves through ``wrap(solve)``, where ``solve`` is the
-    solver bound to the factors that ``_FluxOperator.implicit_factors``
-    returns: it maps a right-hand side to (x, info)."""
+def count_solves(monkeypatch):
+    """A list that grows by one at each of evolve's solves.  Each solve is a
+    call of the solver that ``_FluxOperator.implicit_factors`` returns, bound
+    to the factors of I - beta L, which maps a right-hand side to (x, info)."""
+    calls = []
     factors = fpsolve._FluxOperator.implicit_factors
-    monkeypatch.setattr(fpsolve._FluxOperator, "implicit_factors",
-                        lambda self, beta: wrap(factors(self, beta)))
 
-
-def counting(calls):
-    """A ``wrap_solves`` wrapper that appends to ``calls`` at each solve."""
-    return lambda solve: lambda rhs: calls.append(1) or solve(rhs)
+    def counted(self, beta):
+        solve = factors(self, beta)
+        return lambda rhs: calls.append(1) or solve(rhs)
+    monkeypatch.setattr(fpsolve._FluxOperator, "implicit_factors", counted)
+    return calls
 
 
 def second_moment(d):
@@ -391,8 +391,7 @@ class TestEvolveSteps:
                             <= 0.75 * fpsolve.l1_distance(b, r)), (m, c0, cells, width, t)
 
     def test_one_solve_per_step(self, monkeypatch):
-        calls = []
-        wrap_solves(monkeypatch, counting(calls))
+        calls = count_solves(monkeypatch)
         stats = {}
         final = cli_sample_run(stats)[-1]
         assert final.time == 20.0
@@ -420,8 +419,7 @@ class TestEvolveSteps:
         """A narrow bump near the low-income edge, at a constant rate, drives
         plain BDF2 below the -1e-12 bound once on each of these grids: that
         step takes two solves, its BDF2 one and its backward Euler retake."""
-        calls = []
-        wrap_solves(monkeypatch, counting(calls))
+        calls = count_solves(monkeypatch)
         for m, c0, cells, dt, center, times, steps in [
                 (3.955, 1.831, 300, 0.0712, 0.139, [0.934, 2.13, 2.612], 44),
                 (3.79, 1.966, 100, 0.0798, 0.156, [0.291, 0.582, 0.717], 39)]:
@@ -457,7 +455,9 @@ class TestEvolveSteps:
 
     @pytest.mark.parametrize("value", [math.nan, -1e-6])
     def test_nan_or_negative_density_is_a_numerical_error(self, monkeypatch, value):
-        wrap_solves(monkeypatch, lambda solve: lambda f: (np.full_like(f, value), 0))
+        # every solve from the factors of I - beta L gives (x, info) = (value, 0)
+        monkeypatch.setattr(fpsolve._FluxOperator, "implicit_factors",
+                            lambda self, beta: lambda f: (np.full_like(f, value), 0))
         grid = fpsolve.log_grid(1.6, 1.6, 100)
         with pytest.raises(NumericalError):
             fpsolve.evolve(fpsolve.bump_density(grid, 2.0), 1.6, 1.6, 0.5)
