@@ -50,6 +50,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)``; an end that underflows to 0 or overflows,
+    as at a subnormal or huge ``--C0``, is a NumericalError."""
+    if not (lo > 0.0 and hi < math.inf):
+        raise NumericalError(f"log-spaced grid from {lo:g} to {hi:g} leaves the float range")
+    return np.geomspace(lo, hi, n)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -66,9 +74,13 @@ def cmd_simulate(args, out: Path) -> str:
     ks_rows = []
     for pop in snaps:
         y = pop.incomes
-        edges = np.geomspace(y.min(), y.max() * (1 + 1e-12), args.histogram_bins + 1)
+        edges = _geomspace(y.min(), y.max() * (1 + 1e-12), args.histogram_bins + 1)
         counts, _ = np.histogram(y, bins=edges)
-        dens = counts / (counts.sum() * np.diff(edges))
+        with np.errstate(over="ignore"):    # subnormal bin widths are refused below
+            dens = counts / (counts.sum() * np.diff(edges))
+        if not np.isfinite(dens).all():
+            raise NumericalError(f"histogram density overflows: bins as narrow as "
+                                 f"{np.diff(edges).min():g} at t={pop.time:g}")
         hist_rows.extend(zip(itertools.repeat(pop.time), edges[:-1], edges[1:],
                              counts.astype(float), dens))
         ks_rows.append((pop.time, simulate.ks_distance(y, lambda v: distlib.ipdf_cdf(dist, v))))
@@ -206,7 +218,7 @@ def cmd_synth(args, out: Path) -> str:
 
 def cmd_modes(args, out: Path) -> str:
     # from C0/600, where the stationary exp(-C0/y) is e^-600 (above its underflow), to 60 C0
-    grid = np.geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
+    grid = _geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     params_report = []
     curves = []

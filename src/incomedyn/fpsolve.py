@@ -7,6 +7,10 @@ The density obeys the flux-form equation
 discretized here as a conservative finite volume scheme on a log-spaced
 grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit,
 variable-step BDF2 time stepping (Hairer & Wanner, Solving ODEs II, V.1).
+Each interval between output times takes equal steps.  The first interval
+steps at ``dt``; each later one takes its step size from a BDF2 error
+estimate of the interval before, held under a tenth of the grid's own
+spatial error, so steps grow once the density has settled.
 Every step solves a tridiagonal I - beta L, LU-factored (LAPACK
 ``dgttrf``) once per beta, by one ``dgttrs`` solve from those
 factors; LAPACK loads on the first factorisation, not at import.  Zero-flux
@@ -27,6 +31,7 @@ the residual of the spatial operator on it; it projects no initial data.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -226,9 +231,14 @@ class GridDensity:
 
 def log_grid(M: float, C0: float, n_cells: int = 2000,
              span: tuple = (1e-3, 1e3)) -> np.ndarray:
-    """Log-spaced grid spanning ``span`` times the mean income C0/M."""
+    """Log-spaced grid spanning ``span`` times the mean income C0/M.  An end
+    that underflows to 0 or overflows is a ``NumericalError``."""
     scale = C0 / M
-    return np.geomspace(span[0] * scale, span[1] * scale, n_cells)
+    lo, hi = span[0] * scale, span[1] * scale
+    if not (lo > 0.0 and hi < math.inf):
+        raise NumericalError(f"grid ends {lo:g} and {hi:g} leave the float range "
+                             f"at C0={C0:g}, M={M:g}")
+    return np.geomspace(lo, hi, n_cells)
 
 
 def density_on_grid(dist: distlib.SteadyStateIPDF, grid: np.ndarray) -> GridDensity:
@@ -268,7 +278,7 @@ class _FluxOperator:
         e_in = edges[1:-1]               # interior edge positions
         d_edge = e_in ** 2
         a_edge = (M + 2.0) * e_in - c_value
-        w = a_edge * h / d_edge
+        w = self.w = a_edge * h / d_edge
         g = d_edge / h
         # the exponential-fitting weights B(+-w), B(w) = w / (exp(w) - 1)
         self.b_plus = 1.0 / exprel(w)    # weight on the left node
@@ -302,6 +312,13 @@ class _FluxOperator:
     def edge_fluxes(self, f: np.ndarray) -> np.ndarray:
         return self.g * (self.b_minus * f[1:] - self.b_plus * f[:-1])
 
+    def steady_state(self, grid: np.ndarray) -> np.ndarray:
+        """The scheme's zero-flux state on its grid, at unit trapezoidal mass:
+        f_j / f_(j-1) = b_plus_j / b_minus_j = exp(-w_j)."""
+        log_f = np.concatenate([[0.0], -np.cumsum(self.w)])
+        f = np.exp(log_f - log_f.max())
+        return f / np.trapezoid(f, grid)
+
 
 def solve_banded(factors: functools.partial, rhs: np.ndarray) -> np.ndarray:
     """One implicit step: solve (I - beta L) x = rhs from
@@ -317,6 +334,21 @@ def solve_banded(factors: functools.partial, rhs: np.ndarray) -> np.ndarray:
 
 # omega = h / h_prev above this loses zero-stability of variable-step BDF2
 BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
+# a BDF2 step's local error is about this times h^3 f''' (Hairer, Norsett &
+# Wanner, Solving ODEs I, III.2)
+BDF2_ERROR_CONSTANT = 2.0 / 9.0
+
+
+def _spatial_floor(op: _FluxOperator, grid: np.ndarray, M: float, C: float) -> float:
+    """L1 distance between the scheme's zero-flux steady state and the
+    closed-form stationary law sampled on the grid, both at unit mass: the
+    error no time step can remove.  0 when the law's mass on the grid is 0
+    or not finite."""
+    law = distlib.ipdf_density(distlib.SteadyStateIPDF(M, C), grid)
+    mass = np.trapezoid(law, grid)
+    if not 0.0 < mass < math.inf:
+        return 0.0
+    return float(np.trapezoid(np.abs(op.steady_state(grid) - law / mass), grid))
 
 
 def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
@@ -327,12 +359,22 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
 
     Variable-step BDF2 on the Chang-Cooper operator L at the constant
     labour rate C.  Each interval between output times is split into the
-    fewest equal steps of at most ``dt`` (to a relative 1e-9, so that
-    rounding adds no step), and at least one; the steps land on every
+    fewest equal steps of at most its step size (to a relative 1e-9, so
+    that rounding adds no step), and at least one; the steps land on every
     output time.  With omega = h / h_prev, a step solves
 
         (I - beta L) f+ = ((1 + omega)^2 f - omega^2 f_prev) / (1 + 2 omega),
         beta = h (1 + omega) / (1 + 2 omega).
+
+    The first interval's step size is ``dt``.  After an interval of k >= 3
+    steps of h, its accumulated time error is estimated from the third
+    difference of its last four states, k c L1(f_n - 3 f_n-1 + 3 f_n-2 - f_n-3)
+    with c the BDF2 error constant 2/9, and the next interval's step size
+    is h (tol / estimate)^(1/3), clipped to [dt, 2 h] (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4).  ``tol`` is a tenth of the grid's
+    ``_spatial_floor``, so the time error is kept below the error of the
+    grid itself.  The step size therefore never falls below ``dt`` and at
+    most doubles per output time.
 
     The first step is backward Euler (I - h L) f+ = f, and so is any step
     whose omega exceeds 1 + sqrt(2), the zero-stability limit.  A BDF2 step
@@ -344,11 +386,14 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
     does not evict theirs.  Each solve is one ``solve_banded`` call.
     Zero-flux boundaries conserve mass to solver roundoff.
 
-    ``dt`` defaults to 0.25 / (M + 2).  A step above 0.5 / (M + 2)
-    under-resolves the fastest drift scale and is refused with a suggestion.
-    If ``stats`` is a dict, it receives the counts ``steps``,
+    ``dt``, the first interval's step size and the smallest, defaults to
+    0.25 / (M + 2).  A ``dt`` above 0.5 / (M + 2) under-resolves the fastest
+    drift scale and is refused with a suggestion; a step size grown from
+    ``dt`` may pass that bound only as far as the error estimate allows.  If
+    ``stats`` is a dict, it receives the counts ``steps``,
     ``factorisations`` and ``backward_euler_steps`` (the start step, the
-    restarts after a ratio above the limit, and the retaken steps).
+    restarts after a ratio above the limit, and the retaken steps), and
+    ``interval_steps``, the step count of each output interval.
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
@@ -368,23 +413,26 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
         raise DomainError("snapshot times must lie within (time, t_end]")
 
     op = _FluxOperator(f0.grid, M, C)
-    f, f_prev, h_prev, t = f0.values, None, 0.0, f0.time
-    states = []
-    steps = backward_euler_steps = 0
+    tol = 0.1 * _spatial_floor(op, f0.grid, M, C)
+    recent = collections.deque([f0.values], maxlen=4)   # the last four states
+    h_prev, h_next, t = 0.0, dt, f0.time
+    states, interval_steps = [], []
+    backward_euler_steps = 0
     factored = functools.lru_cache(maxsize=2)(op.implicit_factors)
 
     for target in sorted({*snap_times, float(t_end)}):
         t0, span = t, target - t
-        n = max(1, math.ceil(span / dt - 1e-9))
+        n = max(1, math.ceil(span / h_next - 1e-9))
         h = span / n
         for k in range(1, n + 1):
             t = target if k == n else t0 + k * h
+            f = recent[-1]
             omega = h / h_prev if h_prev else math.inf
             bdf2 = omega <= BDF2_MAX_RATIO
             if bdf2:
                 d = 1.0 + 2.0 * omega
                 rhs = (1.0 + omega) ** 2 / d * f
-                rhs -= omega ** 2 / d * f_prev
+                rhs -= omega ** 2 / d * recent[-2]
                 f_new = solve_banded(factored(h * (1.0 + omega) / d), rhs)
                 fmin = f_new.min()
             if not (bdf2 and fmin >= -1e-12):     # a NaN fails this test too
@@ -395,11 +443,18 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
                     raise NumericalError(f"density minimum {fmin:g} at t={t:g}")
             if fmin < 0.0:
                 np.maximum(f_new, 0.0, out=f_new)
-            f_prev, f, h_prev = f, f_new, h
-            steps += 1
-        states.append(GridDensity(f0.grid, f, t))
+            recent.append(f_new)
+            h_prev = h
+        if n >= 3:
+            third = np.abs(np.diff(recent, 3, axis=0)[0])
+            estimate = n * BDF2_ERROR_CONSTANT * np.trapezoid(third, f0.grid)
+            growth = (tol / estimate) ** (1.0 / 3.0) if estimate > 0.0 else 2.0
+            h_next = min(2.0 * h, max(dt, h * growth))
+        interval_steps.append(n)
+        states.append(GridDensity(f0.grid, recent[-1], t))
     if stats is not None:
-        stats.update(steps=steps, factorisations=factored.cache_info().misses,
+        stats.update(steps=sum(interval_steps), interval_steps=interval_steps,
+                     factorisations=factored.cache_info().misses,
                      backward_euler_steps=backward_euler_steps)
     return states
 

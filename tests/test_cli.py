@@ -441,6 +441,13 @@ class TestExitCodes:
         # the model scale C0 = M (target mean - offset) of a collapse overflows
         (["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
           "--M", 1e300, "--target-mean", 1e300], 4),
+        # at the smallest subnormal C0 a log-spaced grid's lower end underflows
+        # to 0: simulate's histogram edges, evolve's grid and modes' grid
+        (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 5e-324], 4),
+        (["evolve", "--t-end", 0.5, "--cells", 100, "--C0", 5e-324], 4),
+        (["modes", "--C0", 5e-324], 4),
+        # at a subnormal C0 the histogram's bins are so narrow that its density overflows
+        (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 1e-310], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
