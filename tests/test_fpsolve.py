@@ -1,7 +1,8 @@
 """Tests for the finite-volume evolver and the Kummer-function eigenmodes.
 
-Oracles: the closed-form stationary law (distlib) for long-time limits; for
-the Kummer function (scipy's hyp1f1), the exact-rational series sum
+Oracles: the closed-form stationary law (distlib) for long-time limits;
+equal-step BDF2 at a small step (``bdf2_equal_steps``) for evolve's
+error-controlled steps; for the Kummer function (scipy's hyp1f1), the exact-rational series sum
 ``kummer_fraction_oracle`` at 120 terms over a random grid, the exponential
 identities M(a, a, z) = exp(z) and, past |z| = 700, M(1, 2, z) = expm1(z)/z;
 and a central-difference discretization of the spatial operator for the
