@@ -186,7 +186,7 @@ def cmd_evolve(args, out: Path) -> str:
         f0 = fpsolve.bump_density(grid, args.bump_center, args.bump_width)
     times = args.snapshot_times or list(np.linspace(args.t_end / 8.0, args.t_end, 8))
     stats = {}
-    all_snaps = [f0, *fpsolve.evolve(f0, args.M, args.C0, args.t_end, dt=args.dt,
+    all_snaps = [f0, *fpsolve.evolve(f0, args.M, args.C0, args.t_end,
                                      snapshot_times=times, stats=stats)]
     survey.write_curves(out / "snapshots.csv", ["t", "y", "f"], [s.time for s in all_snaps],
                         grid, [s.values for s in all_snaps])
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(cmd_evolve, "finite-volume density evolution", income_law)
     p.add_argument("--t-end", type=_POSITIVE, default=20.0)
-    p.add_argument("--dt", type=_POSITIVE, default=None)
     # GridDensity's "grid must be 1-D with at least 8 nodes"
     p.add_argument("--cells", type=_numbers("[8, inf)", int), default=2000)
     p.add_argument("--span", type=_numbers("(0, inf)", many=True, pair=True),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv, gammainccinv
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 
 def reg_upper_incomplete_gamma(a, x):
@@ -69,6 +69,9 @@ class SteadyStateIPDF:
             raise DomainError(f"offset_ymin must be finite and >= 0, got {self.offset_ymin}")
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 def _check_positive_income(y):
     arr = np.asarray(y, dtype=float)
     if np.isnan(arr).any() or not (arr > 0.0).all():
@@ -79,12 +82,17 @@ def _check_positive_income(y):
 def ipdf_density(dist: SteadyStateIPDF, y):
     """Density of the stationary law at income y (above the offset).
 
-    Vectorized over ``y``; nonpositive y is a domain error.
+    Vectorized over ``y``; nonpositive y is a domain error, and a density
+    past the float range, as near the mode at a subnormal C0, is a
+    ``NumericalError``.
     """
     arr = _check_positive_income(y)
     m, c0 = dist.shape_M, dist.scale_C0
     log_norm = (m + 1.0) * math.log(c0) - math.lgamma(m + 1.0)
-    out = np.exp(log_norm - c0 / arr - (m + 2.0) * np.log(arr))
+    log_out = log_norm - c0 / arr - (m + 2.0) * np.log(arr)
+    if np.max(log_out) > _LOG_FLOAT_MAX:
+        raise NumericalError(f"the density overflows at C0={c0:g}, M={m:g}")
+    out = np.exp(log_out)
     return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 

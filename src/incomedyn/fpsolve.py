@@ -5,20 +5,22 @@ The density obeys the flux-form equation
     df/dt = d/dy { [(M+2) y - C] f + y^2 df/dy }
 
 discretized here as a conservative finite volume scheme on a log-spaced
-grid with Chang-Cooper (exponentially fitted) edge fluxes and implicit,
-variable-step BDF2 time stepping (Hairer & Wanner, Solving ODEs II, V.1).
-Each interval between output times takes equal steps.  The first interval
-steps at ``dt``; each later one takes its step size from a BDF2 error
-estimate of the interval before, held under a tenth of the grid's own
-spatial error, so steps grow once the density has settled.
-Every step solves a tridiagonal I - beta L, LU-factored (LAPACK
-``dgttrf``) once per beta, by one ``dgttrs`` solve from those
-factors; LAPACK loads on the first factorisation, not at import.  Zero-flux
+grid with Chang-Cooper (exponentially fitted) edge fluxes.  Zero-flux
 boundaries conserve the trapezoidal mass exactly, and the discrete steady
-state matches the closed-form stationary law to O(h^2).  No linear
-second-order scheme keeps every density nonnegative at every step (Bolley &
-Crouzeix 1978), so a BDF2 step that goes negative is retaken by backward
-Euler, whose I - h L is an M-matrix and keeps the density nonnegative.
+state matches the closed-form stationary law to O(h^2).
+
+In time the scheme is exact: at a constant labour rate the operator L is
+constant, and ``evolve`` writes each snapshot as exp(tL) f0.  The
+Chang-Cooper weights are positive, so every product of opposite
+off-diagonals of the tridiagonal L is positive, and a diagonal similarity
+makes L symmetric: its spectrum is real, and it lies on the negative real
+axis, 0 being the steady state's.  The trapezoidal rule on a parabolic
+contour around that axis then converges geometrically (Trefethen, Weideman
+& Schmelzer 2006, BIT 46:653; Weideman & Trefethen 2007, Math. Comp.
+76:1341), at one complex tridiagonal solve (LAPACK ``zgtsv``) per node.
+LAPACK loads on the first solve, not at import.  The off-diagonals of L
+are positive, so exp(tL) keeps a density nonnegative: a negative entry of
+a snapshot is the error of the rule.
 
 The ``modes`` family, omega_n = 2 pi n, combines confluent hypergeometric
 (Kummer M) functions from scipy's ``hyp1f1``.  Each mode satisfies
@@ -31,8 +33,6 @@ the residual of the spatial operator on it; it projects no initial data.
 
 from __future__ import annotations
 
-import collections
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -289,25 +289,12 @@ class _FluxOperator:
         gp = g * self.b_plus             # weight on the edge's left node
         gm = g * self.b_minus            # weight on the edge's right node
         # (Lf)_i = (J_right - J_left) / width_i with J_j = gm_j f_right - gp_j f_left;
-        # the off-diagonals have the n - 1 entries that dgttrf takes
+        # the off-diagonals have the n - 1 entries that LAPACK's tridiagonal solvers take
         self.lower = gp / widths[1:]
         self.upper = gm / widths[:-1]
         self.diag = -np.append(gp, 0.0) / widths - np.append(0.0, gm) / widths
         if not all(np.isfinite(band).all() for band in (self.lower, self.diag, self.upper)):
             raise NumericalError(f"Fokker-Planck operator is not finite at C={c_value:g}")
-
-    def implicit_factors(self, beta: float) -> functools.partial:
-        """LU factors of the tridiagonal (I - beta L), from LAPACK ``dgttrf``,
-        bound to the ``dgttrs`` solve that uses them.
-
-        ``scipy.linalg`` is imported here, where a matrix is first factored,
-        so that no command but ``evolve`` loads it."""
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        *factors, info = dgttrf(-beta * self.lower, 1.0 - beta * self.diag,
-                                -beta * self.upper)
-        if info > 0:
-            raise NumericalError(f"I - beta L is singular: zero pivot in row {info}")
-        return functools.partial(dgttrs, *factors)
 
     def edge_fluxes(self, f: np.ndarray) -> np.ndarray:
         return self.g * (self.b_minus * f[1:] - self.b_plus * f[:-1])
@@ -320,80 +307,74 @@ class _FluxOperator:
         return f / np.trapezoid(f, grid)
 
 
-def solve_banded(factors: functools.partial, rhs: np.ndarray) -> np.ndarray:
-    """One implicit step: solve (I - beta L) x = rhs from
-    ``_FluxOperator.implicit_factors``.
+def solve_banded(op: _FluxOperator, z: complex, rhs: np.ndarray) -> np.ndarray:
+    """One resolvent solve: (z I - L) x = rhs for the operator L of ``op``,
+    by LAPACK ``zgtsv``, which factors the complex tridiagonal and solves
+    in one call; each node's matrix serves one right-hand side, so no
+    factors are kept.  A zero pivot is a ``NumericalError``.
 
-    ``evolve`` calls it through this module attribute once per step, and
-    once more for a BDF2 step that it retakes by backward Euler.  Only
-    perfbench holds it, to count the calls as steps (``fpsolve.evolve.steps``)
-    until it reads the count from ``evolve``'s report (ROADMAP items 3 and 6).
+    ``scipy.linalg`` is imported here, where a matrix is first factored,
+    so that no command but ``evolve`` loads it.  ``evolve`` calls this
+    module attribute once per contour node and window.  Only perfbench
+    holds it, to count the calls (``fpsolve.evolve.steps``) until it reads
+    the count from ``evolve``'s report (ROADMAP items 3 and 6).
     """
-    return factors(rhs)[0]
+    from scipy.linalg.lapack import zgtsv
+    *_, x, info = zgtsv(-op.lower, z - op.diag, -op.upper, rhs)
+    if info > 0:
+        raise NumericalError(f"z I - L is singular at z={z:g}: zero pivot in row {info}")
+    return x
 
 
-# omega = h / h_prev above this loses zero-stability of variable-step BDF2
-BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
-# a BDF2 step's local error is about this times h^3 f''' (Hairer, Norsett &
-# Wanner, Solving ODEs I, III.2)
-BDF2_ERROR_CONSTANT = 2.0 / 9.0
+# nodes of the contour rule; on the cli_sample run 64 nodes move no
+# snapshot by more than 1.1e-9 in L1
+CONTOUR_NODES = 32
+# the largest ratio of a window's last output time to its first, both
+# measured from the window's start: at 8 the first snapshot lies within
+# 1.4e-4 of the grid's spatial floor of the 64-node result, at 12 within
+# 0.09 floors, at 16 it is off by more than a floor
+WINDOW_RATIO = 8.0
+# a dip below this fraction of the state's peak is refused rather than
+# clipped: accurate runs dip to 3e-8 of the peak, and runs whose contour
+# is swamped by the low-income drift (``evolve``) to 7e-5 or further
+DIP_TOLERANCE = 1e-6
 
 
-def _spatial_floor(op: _FluxOperator, grid: np.ndarray, M: float, C: float) -> float:
-    """L1 distance between the scheme's zero-flux steady state and the
-    closed-form stationary law sampled on the grid, both at unit mass: the
-    error no time step can remove.  0 when the law's mass on the grid is 0
-    or not finite."""
-    law = distlib.ipdf_density(distlib.SteadyStateIPDF(M, C), grid)
-    mass = np.trapezoid(law, grid)
-    if not 0.0 < mass < math.inf:
-        return 0.0
-    return float(np.trapezoid(np.abs(op.steady_state(grid) - law / mass), grid))
-
-
-def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
+def evolve(f0: GridDensity, M: float, C: float, t_end: float,
            snapshot_times: Sequence[float] = (), stats: dict = None) -> list:
     """Evolve a density to t_end; returns one state per distinct output
     time, in time order, the last at the end.  The output times are the
     snapshot times and t_end.
 
-    Variable-step BDF2 on the Chang-Cooper operator L at the constant
-    labour rate C.  Each interval between output times is split into the
-    fewest equal steps of at most its step size (to a relative 1e-9, so
-    that rounding adds no step), and at least one; the steps land on every
-    output time.  With omega = h / h_prev, a step solves
+    Each state is exp(tL) f applied exactly in time, L the Chang-Cooper
+    operator at the constant labour rate C (module docstring).  The output
+    times are taken in windows: a window starts at time s from state f, its
+    first output time is t1, and it covers every later output time t with
+    t - s <= ``WINDOW_RATIO`` (t1 - s); the next window starts from its
+    last state.  The window count is at most the count of distinct output
+    times, whatever t_end is.
 
-        (I - beta L) f+ = ((1 + omega)^2 f - omega^2 f_prev) / (1 + 2 omega),
-        beta = h (1 + omega) / (1 + 2 omega).
+    In a window, f = m f_ss + g, with m the trapezoidal mass of f and f_ss
+    the scheme's steady state, L f_ss = 0, so that exp(tL) f = m f_ss +
+    exp(tL) g and g has no component on the eigenvalue 0.  exp(tL) g is the
+    trapezoidal rule for (1 / 2 pi i) times the integral of
+    exp(zt) (zI - L)^-1 g dz on the parabola z = mu (iu + 1)^2: nodes
+    u_k = k h, k = 0 ... N - 1, with N = ``CONTOUR_NODES``, h = 6 / N and
+    mu = pi N / 24 / tau, tau the window's last time less s.  Node 0 has
+    half weight, and twice the real part of the sum adds the nodes at -u_k,
+    the complex conjugates.  Each node costs one solve of
+    (z_k I - L) x_k = g, one ``solve_banded`` call, and each output time in
+    the window is the sum of the x_k with weights exp(z_k (t - s)).
 
-    The first interval's step size is ``dt``.  After an interval of k >= 3
-    steps of h, its accumulated time error is estimated from the third
-    difference of its last four states, k c L1(f_n - 3 f_n-1 + 3 f_n-2 - f_n-3)
-    with c the BDF2 error constant 2/9, and the next interval's step size
-    is h (tol / estimate)^(1/3), clipped to [dt, 2 h] (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4).  ``tol`` is a tenth of the grid's
-    ``_spatial_floor``, so the time error is kept below the error of the
-    grid itself.  The step size therefore never falls below ``dt`` and at
-    most doubles per output time.
-
-    The first step is backward Euler (I - h L) f+ = f, and so is any step
-    whose omega exceeds 1 + sqrt(2), the zero-stability limit.  A BDF2 step
-    whose density dips below -1e-12 (or is NaN) is retaken by backward
-    Euler, which keeps it nonnegative (module docstring); if that dips too,
-    the result is a ``NumericalError``.  L is built once; I - beta L is
-    factored once per beta, and a two-entry ``functools.lru_cache`` keeps
-    the factors of the last two, so a backward Euler step among BDF2 steps
-    does not evict theirs.  Each solve is one ``solve_banded`` call.
-    Zero-flux boundaries conserve mass to solver roundoff.
-
-    ``dt``, the first interval's step size and the smallest, defaults to
-    0.25 / (M + 2).  A ``dt`` above 0.5 / (M + 2) under-resolves the fastest
-    drift scale and is refused with a suggestion; a step size grown from
-    ``dt`` may pass that bound only as far as the error estimate allows.  If
-    ``stats`` is a dict, it receives the counts ``steps``,
-    ``factorisations`` and ``backward_euler_steps`` (the start step, the
-    restarts after a ratio above the limit, and the retaken steps), and
-    ``interval_steps``, the step count of each output interval.
+    A state whose negative entries are roundoff, down to
+    ``DIP_TOLERANCE`` of its peak, is clipped to 0.  A deeper dip, or a
+    NaN, is a ``NumericalError``.  That is what happens when the first
+    output time of a window falls in a band of early times in which the
+    grid's low-income drift, nearly one-way across many cells, swamps the
+    contour: on the default 2000-cell grid at M = 1.6, first times from
+    about 1e-4 to 3e-3 after the window's start.  If ``stats`` is a dict,
+    it receives ``solves``, N per window, and ``outputs_per_window``, the
+    count of output times in each window.
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
@@ -401,61 +382,47 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float, dt: float = None,
         raise DomainError(f"labour rate must be > 0, got {C}")
     if not f0.time < t_end < math.inf:
         raise DomainError(f"t_end must be finite and exceed the initial time, got {t_end}")
-    dt_max, dt_default = 0.5 / (M + 2.0), 0.25 / (M + 2.0)
-    if dt is None:
-        dt = dt_default
-    if not 0.0 < dt <= dt_max:
-        raise NumericalError(
-            f"dt={dt:g} exceeds the transient-resolution bound {dt_max:g} "
-            f"for M={M:g}; suggested dt={dt_default:g}")
     snap_times = {float(t) for t in snapshot_times}
     if not all(f0.time < t <= t_end for t in snap_times):
         raise DomainError("snapshot times must lie within (time, t_end]")
 
-    op = _FluxOperator(f0.grid, M, C)
-    tol = 0.1 * _spatial_floor(op, f0.grid, M, C)
-    recent = collections.deque([f0.values], maxlen=4)   # the last four states
-    h_prev, h_next, t = 0.0, dt, f0.time
-    states, interval_steps = [], []
-    backward_euler_steps = 0
-    factored = functools.lru_cache(maxsize=2)(op.implicit_factors)
-
-    for target in sorted({*snap_times, float(t_end)}):
-        t0, span = t, target - t
-        n = max(1, math.ceil(span / h_next - 1e-9))
-        h = span / n
-        for k in range(1, n + 1):
-            t = target if k == n else t0 + k * h
-            f = recent[-1]
-            omega = h / h_prev if h_prev else math.inf
-            bdf2 = omega <= BDF2_MAX_RATIO
-            if bdf2:
-                d = 1.0 + 2.0 * omega
-                rhs = (1.0 + omega) ** 2 / d * f
-                rhs -= omega ** 2 / d * recent[-2]
-                f_new = solve_banded(factored(h * (1.0 + omega) / d), rhs)
-                fmin = f_new.min()
-            if not (bdf2 and fmin >= -1e-12):     # a NaN fails this test too
-                backward_euler_steps += 1
-                f_new = solve_banded(factored(h), f)
-                fmin = f_new.min()
-                if not fmin >= -1e-12:
-                    raise NumericalError(f"density minimum {fmin:g} at t={t:g}")
-            if fmin < 0.0:
-                np.maximum(f_new, 0.0, out=f_new)
-            recent.append(f_new)
-            h_prev = h
-        if n >= 3:
-            third = np.abs(np.diff(recent, 3, axis=0)[0])
-            estimate = n * BDF2_ERROR_CONSTANT * np.trapezoid(third, f0.grid)
-            growth = (tol / estimate) ** (1.0 / 3.0) if estimate > 0.0 else 2.0
-            h_next = min(2.0 * h, max(dt, h * growth))
-        interval_steps.append(n)
-        states.append(GridDensity(f0.grid, recent[-1], t))
+    grid = f0.grid
+    op = _FluxOperator(grid, M, C)
+    f_ss = op.steady_state(grid)
+    n, h = CONTOUR_NODES, 6.0 / CONTOUR_NODES
+    u = h * np.arange(n)
+    times = sorted({*snap_times, float(t_end)})
+    f, s, states, outputs_per_window = f0.values, f0.time, [], []
+    while len(states) < len(times):
+        window = [t for t in times[len(states):]
+                  if t - s <= WINDOW_RATIO * (times[len(states)] - s)]
+        taus = np.array(window) - s
+        mass = np.trapezoid(f, grid)
+        g = (f - mass * f_ss).astype(complex)
+        mu = math.pi * n / 24.0 / float(taus[-1])
+        if not mu * (1.0 + float(u[-1]) ** 2) < math.inf:
+            raise NumericalError(f"the contour for an output time {taus[-1]:g} after "
+                                 f"t={s:g} leaves the float range")
+        z = mu * (1j * u + 1.0) ** 2
+        w = h * mu / math.pi * (1j * u + 1.0)
+        w[0] *= 0.5
+        x = np.array([solve_banded(op, zk, g) for zk in z])
+        weights = 2.0 * w * np.exp(np.multiply.outer(taus, z))
+        values = weights.real @ x.real - weights.imag @ x.imag
+        values += mass * f_ss
+        for t, v in zip(window, values):
+            dip, peak = v.min(), v.max()
+            if not dip >= -DIP_TOLERANCE * peak:     # a NaN fails this test too
+                raise NumericalError(
+                    f"density dips to {dip:g} against a peak of {peak:g} at t={t:g}; "
+                    "the contour does not resolve an output time this early on this grid")
+            np.maximum(v, 0.0, out=v)
+            states.append(GridDensity(grid, v, t))
+        f, s = values[-1], window[-1]
+        outputs_per_window.append(len(window))
     if stats is not None:
-        stats.update(steps=sum(interval_steps), interval_steps=interval_steps,
-                     factorisations=factored.cache_info().misses,
-                     backward_euler_steps=backward_euler_steps)
+        stats.update(solves=n * len(outputs_per_window),
+                     outputs_per_window=outputs_per_window)
     return states
 
 

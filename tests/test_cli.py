@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,18 +223,35 @@ class TestSmoke:
         assert report["residual_on_grid"] < 1e-5
 
     def test_evolve_of_a_tiny_span_takes_a_step(self, tmp_path):
-        # every output time is reached by at least one step, however short
-        # the span, and a time requested twice (here as a snapshot and as
-        # the end) is written once
+        # however short the span, its output time takes one window of
+        # resolvent solves, and a time requested twice (here as a snapshot
+        # and as the end) is written once
         out = tmp_path / "ev"
         assert run_cli("evolve", "--t-end", 1e-13, "--cells", 100,
                        "--snapshot-times", 1e-13, "--out-dir", out, "--quiet") == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["steps"] == 1
+        assert report["solves"] == 32 and report["outputs_per_window"] == [1]
         assert report["mass_change"] < 1e-14
         rows = [line.split(",") for line in
                 (out / "convergence.csv").read_text().splitlines()[1:]]
         assert [float(t) for t, _ in rows] == [0.0, 1e-13]
+
+    @pytest.mark.parametrize("t_end", [1e30, 1e300, 1.7e308])
+    def test_evolve_to_a_huge_time_is_bounded(self, tmp_path, t_end):
+        """Whatever t_end, the default snapshots take one window of 32
+        resolvent solves, and far past the slowest relaxation they are the
+        scheme's steady state at the starting mass; no numpy warning."""
+        out = tmp_path / "ev"
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("evolve", "--t-end", t_end, "--cells", 100,
+                           "--out-dir", out, "--quiet") == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads((out / "report.json").read_text())
+        assert report["mass_change"] < 1e-10
+        assert report["solves"] == 32
+        assert [p.name for p in tmp_path.iterdir()] == ["ev"]
 
     def test_synth_then_fit_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sy"
@@ -344,11 +363,11 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_numerical_failure_is_4(self, tmp_path, capsys):
-        rc = run_cli("evolve", "--dt", 5.0, "--cells", 200,
-                     "--out-dir", tmp_path / "o", "--quiet")
+        # on the default 2000-cell grid the low-income drift swamps the
+        # contour at a first output time of 1.25e-3: the dip is refused
+        rc = run_cli("evolve", "--t-end", 0.01, "--out-dir", tmp_path / "o", "--quiet")
         assert rc == 4
-        # the refused step comes with the default 0.25 / (M + 2) as a suggestion
-        assert "suggested dt=0.0694444" in capsys.readouterr().err
+        assert "does not resolve an output time this early" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--span", "abc"],
@@ -404,7 +423,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["fit", "--rounds", _SAMPLE_DIR / "missing.csv"], 3),
         (["simulate", "--agents", 10, "--t-end", 1.0], 3),
-        (["evolve", "--dt", 5.0, "--cells", 200], 4),
+        # a first output time in the band that the contour does not resolve
+        (["evolve", "--t-end", 0.004, "--cells", 1000], 4),
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
         # one two-point step leaves two distinct incomes, so the top 5% has no
@@ -448,6 +468,10 @@ class TestExitCodes:
         (["modes", "--C0", 5e-324], 4),
         # at a subnormal C0 the histogram's bins are so narrow that its density overflows
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 1e-310], 4),
+        # and the stationary density, whose peak is about 1 / C0, overflows
+        (["evolve", "--C0", 1e-310, "--t-end", 0.5, "--cells", 100], 4),
+        # the contour of a subnormal span reaches past the float range
+        (["evolve", "--t-end", 1e-310, "--cells", 100], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
@@ -455,9 +479,9 @@ class TestExitCodes:
         assert [str(w.message) for w in recwarn] == []
 
     def test_nan_density_is_a_numerical_failure(self, tmp_path, monkeypatch):
-        # every solve from the factors of I - beta L gives (x, info) = (NaN, 0)
-        monkeypatch.setattr(fpsolve._FluxOperator, "implicit_factors",
-                            lambda self, beta: lambda f: (np.full_like(f, np.nan), 0))
+        # every resolvent solve gives NaN
+        monkeypatch.setattr(fpsolve, "solve_banded",
+                            lambda op, z, rhs: np.full_like(rhs, np.nan))
         assert run_cli("evolve", "--t-end", 0.5, "--cells", 100,
                        "--out-dir", tmp_path / "o", "--quiet") == 4
         assert list(tmp_path.iterdir()) == []

@@ -338,7 +338,7 @@ class TestEquilibrium:
         pops = simulate.run(n, params, 3.0, 5.0, seed=31, snapshot_times=times)
         grid = fpsolve.log_grid(1.6, 1.6, 1500, span=(1e-3, 3e3))
         f0 = fpsolve.bump_density(grid, 5.0, rel_width=0.01)
-        snaps = fpsolve.evolve(f0, 1.6, 1.6, 3.0, dt=0.005, snapshot_times=times)
+        snaps = fpsolve.evolve(f0, 1.6, 1.6, 3.0, snapshot_times=times)
         assert [p.time for p in pops] == pytest.approx([s.time for s in snaps], abs=1e-12)
         assert [s.time for s in snaps] == [0.5, 1.0, 2.0, 3.0]
         means = [p.incomes.mean() for p in pops]
