@@ -89,7 +89,8 @@ def ipdf_density(dist: SteadyStateIPDF, y):
     arr = _check_positive_income(y)
     m, c0 = dist.shape_M, dist.scale_C0
     log_norm = (m + 1.0) * math.log(c0) - math.lgamma(m + 1.0)
-    log_out = log_norm - c0 / arr - (m + 2.0) * np.log(arr)
+    with np.errstate(over="ignore"):     # c0 / y past the float range: density 0
+        log_out = log_norm - c0 / arr - (m + 2.0) * np.log(arr)
     if np.max(log_out) > _LOG_FLOAT_MAX:
         raise NumericalError(f"the density overflows at C0={c0:g}, M={m:g}")
     out = np.exp(log_out)

@@ -14,10 +14,12 @@ constant, and ``evolve`` writes each snapshot as exp(tL) f0.  The
 Chang-Cooper weights are positive, so every product of opposite
 off-diagonals of the tridiagonal L is positive, and a diagonal similarity
 makes L symmetric: its spectrum is real, and it lies on the negative real
-axis, 0 being the steady state's.  The trapezoidal rule on a parabolic
-contour around that axis then converges geometrically (Trefethen, Weideman
-& Schmelzer 2006, BIT 46:653; Weideman & Trefethen 2007, Math. Comp.
-76:1341), at one complex tridiagonal solve (LAPACK ``zgtsv``) per node.
+axis, 0 being the steady state's.  In terms of the scheme's steady state
+f_ss, L is self-adjoint in the inner product sum(widths x y / f_ss).  The
+trapezoidal rule on a parabolic contour around that axis then converges
+geometrically (Trefethen, Weideman & Schmelzer 2006, BIT 46:653; Weideman
+& Trefethen 2007, Math. Comp. 76:1341), at one complex tridiagonal solve
+(LAPACK ``zgtsv``) per node, and the inner product bounds its L1 error.
 LAPACK loads on the first solve, not at import.  The off-diagonals of L
 are positive, so exp(tL) keeps a density nonnegative: a negative entry of
 a snapshot is the error of the rule.
@@ -273,7 +275,7 @@ class _FluxOperator:
         edges[0] = y[0]
         edges[1:-1] = 0.5 * (y[:-1] + y[1:])
         edges[-1] = y[-1]
-        widths = np.diff(edges)          # cell widths; sum == trapezoid weights
+        widths = self.widths = np.diff(edges)   # cell widths; the trapezoid weights
         h = np.diff(y)                   # node spacing
         e_in = edges[1:-1]               # interior edge positions
         d_edge = e_in ** 2
@@ -313,6 +315,17 @@ def solve_banded(op: _FluxOperator, z: complex, rhs: np.ndarray) -> np.ndarray:
     in one call; each node's matrix serves one right-hand side, so no
     factors are kept.  A zero pivot is a ``NumericalError``.
 
+    The rows are taken from the top of the grid down.  Near the low edge
+    the drift is one-way up: the entry that carries a cell's density to
+    the cell above is up to e^|w| times the one that carries it down.  For
+    z inside the drift's disc, |z - L_ii| < L_(i+1),i, a bottom-up
+    elimination exchanges rows there, adds the small entry to terms e^|w|
+    larger and loses it: the snapshots were 1e15 off in L1 at t = 1.25e-3
+    on the default grid.  Top-down, the entry below each pivot is the
+    small one, partial pivoting keeps the diagonal, and the solves matched
+    an unpivoted LU to roundoff on 60 random grids.  At the top edge the
+    drift is one-way down, but |w| < 2 (M + 2) there on any grid.
+
     ``scipy.linalg`` is imported here, where a matrix is first factored,
     so that no command but ``evolve`` loads it.  ``evolve`` calls this
     module attribute once per contour node and window.  Only perfbench
@@ -320,24 +333,79 @@ def solve_banded(op: _FluxOperator, z: complex, rhs: np.ndarray) -> np.ndarray:
     the count from ``evolve``'s report (ROADMAP items 3 and 6).
     """
     from scipy.linalg.lapack import zgtsv
-    *_, x, info = zgtsv(-op.lower, z - op.diag, -op.upper, rhs)
+    *_, x, info = zgtsv(-op.upper[::-1], z - op.diag[::-1], -op.lower[::-1], rhs[::-1])
     if info > 0:
-        raise NumericalError(f"z I - L is singular at z={z:g}: zero pivot in row {info}")
-    return x
+        raise NumericalError(f"z I - L is singular at z={z:g}: zero pivot in row "
+                             f"{rhs.size + 1 - info}")
+    return x[::-1]
 
 
 # nodes of the contour rule; on the cli_sample run 64 nodes move no
 # snapshot by more than 1.1e-9 in L1
 CONTOUR_NODES = 32
 # the largest ratio of a window's last output time to its first, both
-# measured from the window's start: at 8 the first snapshot lies within
-# 1.4e-4 of the grid's spatial floor of the 64-node result, at 12 within
-# 0.09 floors, at 16 it is off by more than a floor
+# measured from the origin of its contour
 WINDOW_RATIO = 8.0
-# a dip below this fraction of the state's peak is refused rather than
-# clipped: accurate runs dip to 3e-8 of the peak, and runs whose contour
-# is swamped by the low-income drift (``evolve``) to 7e-5 or further
-DIP_TOLERANCE = 1e-6
+# the rule's error on the scalar exp(lambda t): at most 9.37e-10 over
+# lambda <= 0 and t from tau / WINDOW_RATIO to tau, with mu = pi N / 24 / tau
+CONTOUR_ERROR = 1e-9
+# the L1 error, relative to the mass, that evolve's bound must stay within
+CONTOUR_TOLERANCE = 1e-7
+# a truncated Taylor series of this degree has backward error below 2^-53
+# for tau ||L||_1 up to theta (Al-Mohy & Higham 2011, SIAM J. Sci. Comput.
+# 33:488, Table 3.1); a run takes at most TAYLOR_STEPS such steps
+TAYLOR_DEGREE, TAYLOR_THETA, TAYLOR_STEPS = 55, 9.9, 100_000
+
+
+def _contour_part(op: _FluxOperator, f_ss: np.ndarray, g: np.ndarray):
+    """The part of a zero-mass g that the contour takes, and the L1 error
+    bound of the snapshots built from it.
+
+    L is self-adjoint in the inner product sum(widths x y / f_ss), in which
+    f_ss has norm 1, so the rule's error on g is at most ``CONTOUR_ERROR``
+    times the norm of g there, and by Cauchy-Schwarz so is its L1 norm.
+    That norm is large where g is large against f_ss: near the low edge,
+    where f_ss is e^-(C/y) small.  The cells with the largest |g| / f_ss
+    are moved out of g, their mass onto f_ss.  The exact flow does not
+    raise L1 norms, so what they would have become is off by at most twice
+    their L1 mass, and the rule's error on the mass moved adds at most
+    once more.  The cut minimises the sum of the two bounds.
+    """
+    with np.errstate(all="ignore"):      # |g| / f_ss is inf where f_ss underflows
+        ratio = np.where(g == 0.0, 0.0, np.abs(g) / f_ss)
+        order = np.argsort(-ratio)
+        l1 = op.widths[order] * np.abs(g[order])
+        chi2 = np.where(l1 > 0.0, l1 * ratio[order], 0.0)
+        bounds = (CONTOUR_ERROR * np.sqrt(np.append(np.cumsum(chi2[::-1])[::-1], 0.0))
+                  + 3.0 * np.append(0.0, np.cumsum(l1)))
+    cut = int(np.argmin(bounds))
+    part = g.copy()
+    part[order[:cut]] = 0.0
+    part += (op.widths[order[:cut]] @ g[order[:cut]]) * f_ss
+    return part, float(bounds[cut])
+
+
+def _taylor(op: _FluxOperator, norm: float, tau: float, f: np.ndarray):
+    """exp(tau L) f in equal steps, each a Taylor series truncated where
+    two terms in a row fall below 2^-53 of the sum; ``norm`` is ||L||_1.
+    Every product by L rounds each entry relative to itself, so the small
+    entries of L near the low edge keep their meaning.  Returns the state
+    and the step count."""
+    steps = max(1, math.ceil(tau * norm / TAYLOR_THETA))
+    h = tau / steps
+    for _ in range(steps):
+        term, last = f, math.inf
+        for k in range(1, TAYLOR_DEGREE + 1):
+            lterm = op.diag * term
+            lterm[1:] += op.lower * term[:-1]
+            lterm[:-1] += op.upper * term[1:]
+            term = lterm * (h / k)
+            f = f + term
+            size = np.abs(term).max()
+            if last + size <= 2.0 ** -53 * np.abs(f).max():
+                break
+            last = size
+    return f, steps
 
 
 def evolve(f0: GridDensity, M: float, C: float, t_end: float,
@@ -347,34 +415,40 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float,
     snapshot times and t_end.
 
     Each state is exp(tL) f applied exactly in time, L the Chang-Cooper
-    operator at the constant labour rate C (module docstring).  The output
-    times are taken in windows: a window starts at time s from state f, its
-    first output time is t1, and it covers every later output time t with
-    t - s <= ``WINDOW_RATIO`` (t1 - s); the next window starts from its
-    last state.  The window count is at most the count of distinct output
-    times, whatever t_end is.
-
-    In a window, f = m f_ss + g, with m the trapezoidal mass of f and f_ss
-    the scheme's steady state, L f_ss = 0, so that exp(tL) f = m f_ss +
-    exp(tL) g and g has no component on the eigenvalue 0.  exp(tL) g is the
-    trapezoidal rule for (1 / 2 pi i) times the integral of
+    operator at the constant labour rate C (module docstring).  Write
+    f0 = m f_ss + g, with m the trapezoidal mass of f0 and f_ss the
+    scheme's steady state, L f_ss = 0: then exp(tL) f0 = m f_ss +
+    exp(tL) g, and g has no component on the eigenvalue 0.  exp(tL) g is
+    the trapezoidal rule for (1 / 2 pi i) times the integral of
     exp(zt) (zI - L)^-1 g dz on the parabola z = mu (iu + 1)^2: nodes
     u_k = k h, k = 0 ... N - 1, with N = ``CONTOUR_NODES``, h = 6 / N and
-    mu = pi N / 24 / tau, tau the window's last time less s.  Node 0 has
-    half weight, and twice the real part of the sum adds the nodes at -u_k,
-    the complex conjugates.  Each node costs one solve of
-    (z_k I - L) x_k = g, one ``solve_banded`` call, and each output time in
-    the window is the sum of the x_k with weights exp(z_k (t - s)).
+    mu = pi N / 24 / tau.  Node 0 has half weight, and twice the real part
+    of the sum adds the nodes at -u_k, the complex conjugates.  Each node
+    costs one solve of (z_k I - L) x_k = g, one ``solve_banded`` call, and
+    each output time t is the sum of the x_k with weights exp(z_k t).
 
-    A state whose negative entries are roundoff, down to
-    ``DIP_TOLERANCE`` of its peak, is clipped to 0.  A deeper dip, or a
-    NaN, is a ``NumericalError``.  That is what happens when the first
-    output time of a window falls in a band of early times in which the
-    grid's low-income drift, nearly one-way across many cells, swamps the
-    contour: on the default 2000-cell grid at M = 1.6, first times from
-    about 1e-4 to 3e-3 after the window's start.  If ``stats`` is a dict,
-    it receives ``solves``, N per window, and ``outputs_per_window``, the
-    count of output times in each window.
+    The output times are taken in windows, all from one origin (f0, or
+    the end of the Taylor steps below): counted from it, a window whose
+    first output time is t1 covers every later output time t with
+    t <= ``WINDOW_RATIO`` t1, and tau is its last.  So the window count is
+    at most the count of distinct output times, and grows as the log of
+    their range, whatever t_end is.
+
+    The rule's L1 error is at most the bound of ``_contour_part``, which
+    must stay within ``CONTOUR_TOLERANCE`` of m.  A density with mass
+    where f_ss is vanishingly small (a bump near the low edge) is first
+    carried forward by ``_taylor`` steps, over spans that double from 16
+    steps, until the bound is met; an output time on the way is written
+    from them.  More than ``TAYLOR_STEPS`` steps are a ``NumericalError``.
+    A state's negative part, the rule's error or roundoff, is clipped to 0,
+    and the state is scaled back to mass m, which the clip and the roundoff
+    of the solves (2e-12 of it at most in the tests) moved.  A negative
+    part whose mass is past the tolerance, or a value that is not finite,
+    is a ``NumericalError``.
+
+    If ``stats`` is a dict, it receives ``solves``, N per window,
+    ``outputs_per_window``, ``taylor_steps`` and ``error_bound``, the L1
+    bound of the contour's snapshots.
     """
     if not M > 0.0:
         raise DomainError(f"M must be > 0, got {M}")
@@ -389,16 +463,44 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float,
     grid = f0.grid
     op = _FluxOperator(grid, M, C)
     f_ss = op.steady_state(grid)
+    mass = f0.mass()
+    times = sorted({*snap_times, float(t_end)})
+    states, outputs_per_window, taylor_steps = [], [], 0
+
+    def output(t, v):
+        negative = -(op.widths @ np.minimum(v, 0.0))
+        if not (v.max() < math.inf and negative <= CONTOUR_TOLERANCE * mass):
+            raise NumericalError(f"the density at t={t:g} has a negative part of mass "
+                                 f"{negative:g} against {mass:g}, past the error bound")
+        np.maximum(v, 0.0, out=v)
+        total = op.widths @ v
+        if total > 0.0:
+            v *= mass / total
+        states.append(GridDensity(grid, v, t))
+
+    f, s, reach = f0.values, f0.time, 0.0
+    g, bound = _contour_part(op, f_ss, f - mass * f_ss)
+    norm = (np.abs(op.diag) + np.append(op.lower, 0.0) + np.append(0.0, op.upper)).max()
+    while bound > CONTOUR_TOLERANCE * mass and len(states) < len(times):
+        reach = max(2.0 * reach, 16.0 * TAYLOR_THETA / norm)
+        target = min(times[len(states)], s + reach)
+        if taylor_steps + math.ceil((target - s) * norm / TAYLOR_THETA) > TAYLOR_STEPS:
+            raise NumericalError(f"more than {TAYLOR_STEPS} Taylor steps before the "
+                                 "contour's error bound is met")
+        f, steps = _taylor(op, norm, target - s, f)
+        taylor_steps, s = taylor_steps + steps, target
+        if target == times[len(states)]:
+            output(target, f)
+            f = states[-1].values
+        g, bound = _contour_part(op, f_ss, f - mass * f_ss)
+
     n, h = CONTOUR_NODES, 6.0 / CONTOUR_NODES
     u = h * np.arange(n)
-    times = sorted({*snap_times, float(t_end)})
-    f, s, states, outputs_per_window = f0.values, f0.time, [], []
+    g = g.astype(complex)
     while len(states) < len(times):
-        window = [t for t in times[len(states):]
-                  if t - s <= WINDOW_RATIO * (times[len(states)] - s)]
+        first = times[len(states)] - s
+        window = [t for t in times[len(states):] if t - s <= WINDOW_RATIO * first]
         taus = np.array(window) - s
-        mass = np.trapezoid(f, grid)
-        g = (f - mass * f_ss).astype(complex)
         mu = math.pi * n / 24.0 / float(taus[-1])
         if not mu * (1.0 + float(u[-1]) ** 2) < math.inf:
             raise NumericalError(f"the contour for an output time {taus[-1]:g} after "
@@ -406,23 +508,18 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float,
         z = mu * (1j * u + 1.0) ** 2
         w = h * mu / math.pi * (1j * u + 1.0)
         w[0] *= 0.5
-        x = np.array([solve_banded(op, zk, g) for zk in z])
+        x = np.empty((n, grid.size), dtype=complex)
+        for k, zk in enumerate(z):
+            x[k] = solve_banded(op, zk, g)
         weights = 2.0 * w * np.exp(np.multiply.outer(taus, z))
         values = weights.real @ x.real - weights.imag @ x.imag
         values += mass * f_ss
         for t, v in zip(window, values):
-            dip, peak = v.min(), v.max()
-            if not dip >= -DIP_TOLERANCE * peak:     # a NaN fails this test too
-                raise NumericalError(
-                    f"density dips to {dip:g} against a peak of {peak:g} at t={t:g}; "
-                    "the contour does not resolve an output time this early on this grid")
-            np.maximum(v, 0.0, out=v)
-            states.append(GridDensity(grid, v, t))
-        f, s = values[-1], window[-1]
+            output(t, v)
         outputs_per_window.append(len(window))
     if stats is not None:
-        stats.update(solves=n * len(outputs_per_window),
-                     outputs_per_window=outputs_per_window)
+        stats.update(solves=n * len(outputs_per_window), outputs_per_window=outputs_per_window,
+                     taylor_steps=taylor_steps, error_bound=bound)
     return states
 
 

@@ -236,6 +236,21 @@ class TestSmoke:
                 (out / "convergence.csv").read_text().splitlines()[1:]]
         assert [float(t) for t, _ in rows] == [0.0, 1e-13]
 
+    @pytest.mark.parametrize("argv", [
+        ["--t-end", 0.01],
+        ["--t-end", 0.004, "--cells", 1000],
+    ])
+    def test_evolve_of_an_early_first_output_time(self, tmp_path, argv):
+        """A first output time a few thousandths after the start, where the
+        drift across the low-edge cells is one-way, is written like any
+        other: by the contour, within its error bound."""
+        out = tmp_path / "ev"
+        assert run_cli("evolve", *argv, "--out-dir", out, "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["solves"] == 32 and report["taylor_steps"] == 0
+        assert report["error_bound"] < 1e-8
+        assert report["mass_change"] < 1e-12
+
     @pytest.mark.parametrize("t_end", [1e30, 1e300, 1.7e308])
     def test_evolve_to_a_huge_time_is_bounded(self, tmp_path, t_end):
         """Whatever t_end, the default snapshots take one window of 32
@@ -362,12 +377,15 @@ class TestExitCodes:
                     "--quiet")
         assert exc.value.code == 2
 
-    def test_numerical_failure_is_4(self, tmp_path, capsys):
-        # on the default 2000-cell grid the low-income drift swamps the
-        # contour at a first output time of 1.25e-3: the dip is refused
-        rc = run_cli("evolve", "--t-end", 0.01, "--out-dir", tmp_path / "o", "--quiet")
+    def test_numerical_failure_is_4(self, tmp_path, capsys, monkeypatch):
+        # a bump near the low edge takes Taylor steps before the contour's
+        # error bound is met; past the cap on their count the run is refused
+        monkeypatch.setattr(fpsolve, "TAYLOR_STEPS", 100)
+        rc = run_cli("evolve", "--bump-center", 0.01, "--cells", 200, "--t-end", 0.5,
+                     "--out-dir", tmp_path / "o", "--quiet")
         assert rc == 4
-        assert "does not resolve an output time this early" in capsys.readouterr().err
+        assert "more than 100 Taylor steps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--span", "abc"],
@@ -423,8 +441,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["fit", "--rounds", _SAMPLE_DIR / "missing.csv"], 3),
         (["simulate", "--agents", 10, "--t-end", 1.0], 3),
-        # a first output time in the band that the contour does not resolve
-        (["evolve", "--t-end", 0.004, "--cells", 1000], 4),
+        # a grid whose low end is subnormal makes the FP operator overflow
+        (["evolve", "--cells", 200, "--span", "1e-320,1e3"], 4),
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
         # one two-point step leaves two distinct incomes, so the top 5% has no

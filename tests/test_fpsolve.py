@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
 from incomedyn import cli, distlib, fpsolve
 from incomedyn.errors import DataError, DomainError, NumericalError
@@ -216,10 +218,10 @@ class TestEvolve:
         assert abs(final.mass() - bump.mass()) / 8.0 < 1e-10
 
     def test_positivity(self):
-        """Nonnegative snapshots, clipped of roundoff only: the contour sum
-        conserves mass, so clipping a real dip would change the mass.  A
-        narrow bump, and two narrow bumps near the low-income edge of coarse
-        grids, which once drove BDF2 steps below zero."""
+        """Nonnegative snapshots at the starting mass, to 1e-12: a clipped
+        dip is scaled away.  A narrow bump, and two narrow bumps near the
+        low-income edge of coarse grids, which once drove BDF2 steps below
+        zero."""
         for m, c0, cells, center, width, times in [
                 (1.6, 1.6, 600, 6.0, 0.05, [3.0]),
                 (3.955, 1.831, 300, 0.139, 0.1, [0.934, 2.13, 2.612, 3.0]),
@@ -256,13 +258,13 @@ class TestEvolve:
             assert fpsolve.l1_distance(final, steady) < 1e-3, (m, c0)
 
 
-def cli_sample_run(stats=None):
+def cli_sample_run(stats=None, snapshots=8):
     """The evolve arguments of perfbench's cli_sample workload: M = C0 = 1.6,
     a bump at 3 C0/M on 2000 cells, t_end 20 and 8 evenly spaced snapshots."""
     grid = fpsolve.log_grid(1.6, 1.6, 2000)
     f0 = fpsolve.bump_density(grid, 3.0, 0.1)
-    return fpsolve.evolve(f0, 1.6, 1.6, 20.0,
-                          snapshot_times=np.linspace(20.0 / 8.0, 20.0, 8), stats=stats)
+    times = np.linspace(20.0 / snapshots, 20.0, snapshots)
+    return fpsolve.evolve(f0, 1.6, 1.6, 20.0, snapshot_times=times, stats=stats)
 
 
 def random_cases(seed, count):
@@ -482,10 +484,10 @@ class TestEvolveSteps:
         ([0.5, 0.5 + 1e-13, 1.0], [3]),
     ], ids=["geometric-1e4", "decades-1e4", "1e-13-apart"])
     def test_windows_match_the_dense_exponential(self, times, windows):
-        """Snapshots spanning a ratio of 1e4 take several windows, each
-        starting from the last state of the one before; all lie within a
-        hundredth of the spatial floor (8.0e-4 here) of the dense matrix
-        exponential, as do two snapshots 1e-13 apart in one window."""
+        """Snapshots spanning a ratio of 1e4 take several windows, all
+        from the run's start; all lie within a hundredth of the spatial
+        floor (8.0e-4 here) of the dense matrix exponential, as do two
+        snapshots 1e-13 apart in one window."""
         grid = fpsolve.log_grid(1.6, 1.6, 200)
         f0 = fpsolve.bump_density(grid, 3.0)
         stats = {}
@@ -542,9 +544,9 @@ class TestEvolveSteps:
     @pytest.mark.parametrize("value", [math.nan, -1e-6])
     def test_nan_or_negative_density_is_a_numerical_error(self, monkeypatch, value):
         """Every resolvent solve gains value / z, whose contour integral is
-        the constant ``value``: each snapshot of a density of mass 0.1,
-        whose peak is about 0.1, is shifted by ``value``, a NaN or a dip of
-        1e-5 of the peak, past the tolerance of 1e-6."""
+        the constant ``value``: each snapshot of a density of mass 0.1 is
+        shifted by ``value``, a NaN, or a dip whose mass over the grid
+        (about 1e3 wide) is 1e-3, past the error bound's 1e-8."""
         solve = fpsolve.solve_banded
         monkeypatch.setattr(fpsolve, "solve_banded",
                             lambda op, z, rhs: solve(op, z, rhs) + value / z)
@@ -553,6 +555,86 @@ class TestEvolveSteps:
         f0 = fpsolve.GridDensity(grid, 0.1 * bump.values)
         with pytest.raises(NumericalError):
             fpsolve.evolve(f0, 1.6, 1.6, 0.5)
+
+    def test_a_small_dip_is_clipped_and_the_mass_kept(self, monkeypatch):
+        """A shift of -1e-11, 1e-10 of the peak and 1e-8 of the mass over
+        the grid, is within the error bound: it is clipped to 0 and the
+        snapshot scaled back to the starting mass, to 1e-12 of it."""
+        solve = fpsolve.solve_banded
+        monkeypatch.setattr(fpsolve, "solve_banded",
+                            lambda op, z, rhs: solve(op, z, rhs) - 1e-11 / z)
+        grid = fpsolve.log_grid(1.6, 1.6, 100)
+        f0 = fpsolve.GridDensity(grid, 0.1 * fpsolve.bump_density(grid, 2.0).values)
+        for snap in fpsolve.evolve(f0, 1.6, 1.6, 0.5):
+            assert snap.values.min() == 0.0
+            assert abs(snap.mass() - f0.mass()) < 1e-12 * f0.mass()
+
+    @pytest.mark.parametrize("cells, t_end", [(2000, 0.01), (1000, 0.004)])
+    def test_early_first_output_times_against_expm_multiply(self, cells, t_end):
+        """First output times of 1.25e-3 and 5e-4, where the drift across
+        the low-edge cells is one-way: the 8 default snapshots lie within a
+        tenth of the spatial floor of scipy's ``expm_multiply`` (1.4e-10
+        off at the first on 2000 cells, against a floor of 8.0e-6)."""
+        grid = fpsolve.log_grid(1.6, 1.6, cells)
+        f0 = fpsolve.bump_density(grid, 3.0)
+        times = np.linspace(t_end / 8.0, t_end, 8)
+        snaps = fpsolve.evolve(f0, 1.6, 1.6, t_end, snapshot_times=times)
+        op = fpsolve._FluxOperator(grid, 1.6, 1.6)
+        dense = diags([op.lower, op.diag, op.upper], [-1, 0, 1], format="csr")
+        state = np.random.get_state()    # expm_multiply's norm estimates draw from it
+        refs = expm_multiply(dense, f0.values, start=times[0], stop=t_end, num=8)
+        np.random.set_state(state)
+        tol = 0.1 * spatial_floor(grid, 1.6, 1.6)
+        for snap, ref in zip(snaps, refs):
+            assert np.trapezoid(np.abs(snap.values - ref), grid) < tol, snap.time
+
+    @pytest.mark.parametrize("center, width", [(0.01, 0.1), (0.003, 0.1), (1.0, 1.0)],
+                             ids=["near-low-edge", "at-low-edge", "wide"])
+    def test_mass_where_the_steady_state_vanishes(self, center, width):
+        """A bump whose mass lies where f_ss is e^-(C/y) small, near the low
+        edge or in a wide bump's tail, is carried by Taylor steps until the
+        contour's error bound is met; every snapshot lies within a tenth of
+        the spatial floor of the dense exponential, at the starting mass."""
+        grid = fpsolve.log_grid(1.6, 1.6, 300)
+        f0 = fpsolve.bump_density(grid, center, width)
+        times = [1e-3, 1e-2, 0.1, 1.0]
+        stats = {}
+        snaps = fpsolve.evolve(f0, 1.6, 1.6, 1.0, snapshot_times=times, stats=stats)
+        assert stats["taylor_steps"] > 0
+        assert stats["error_bound"] <= fpsolve.CONTOUR_TOLERANCE
+        tol = 0.1 * spatial_floor(grid, 1.6, 1.6)
+        for snap, ref in zip(snaps, dense_exponential(f0, 1.6, 1.6, times)):
+            assert fpsolve.l1_distance(snap, ref) < tol, snap.time
+            assert abs(snap.mass() - 1.0) < 1e-12
+
+    def test_error_bound_holds_over_random_cases(self):
+        """The reported L1 bound of the contour's snapshots is never below
+        their distance to the dense exponential (over 12 random coarse
+        runs, some with mass near the low edge)."""
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            m, c0 = rng.uniform(0.3, 6.0), rng.uniform(0.2, 5.0)
+            grid = fpsolve.log_grid(m, c0, int(rng.integers(30, 301)))
+            f0 = fpsolve.bump_density(grid, rng.uniform(0.01, 5.0) * c0 / m,
+                                      rng.uniform(0.03, 1.0))
+            times = list(np.geomspace(1e-4, 1.0, 5))
+            stats = {}
+            snaps = fpsolve.evolve(f0, m, c0, 1.0, snapshot_times=times, stats=stats)
+            for snap, ref in zip(snaps, dense_exponential(f0, m, c0, times)):
+                assert fpsolve.l1_distance(snap, ref) <= stats["error_bound"] + 1e-13
+
+    def test_taylor_steps_past_the_cap_are_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(fpsolve, "TAYLOR_STEPS", 100)
+        grid = fpsolve.log_grid(1.6, 1.6, 300)
+        with pytest.raises(NumericalError, match="more than 100 Taylor steps"):
+            fpsolve.evolve(fpsolve.bump_density(grid, 0.01), 1.6, 1.6, 1.0)
+
+    def test_evenly_spaced_snapshots_take_few_windows(self):
+        """Windows grow from the run's start by WINDOW_RATIO: 64 evenly
+        spaced snapshots take two, [t1, 8 t1] and the 56 after it."""
+        stats = {}
+        cli_sample_run(stats, snapshots=64)
+        assert stats["outputs_per_window"] == [8, 56] and stats["solves"] == 64
 
     def test_zero_pivot_is_a_numerical_error(self):
         op = fpsolve._FluxOperator(fpsolve.log_grid(1.6, 1.6, 50), 1.6, 1.6)
