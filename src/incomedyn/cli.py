@@ -50,14 +50,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.geomspace(lo, hi, n)``; an end that underflows to 0 or overflows,
-    as at a subnormal or huge ``--C0``, is a NumericalError."""
-    if not (lo > 0.0 and hi < math.inf):
-        raise NumericalError(f"log-spaced grid from {lo:g} to {hi:g} leaves the float range")
-    return np.geomspace(lo, hi, n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -74,19 +66,21 @@ def cmd_simulate(args, out: Path) -> str:
     ks_rows = []
     for pop in snaps:
         y = pop.incomes
-        edges = _geomspace(y.min(), y.max() * (1 + 1e-12), args.histogram_bins + 1)
+        edges = fpsolve.log_spaced(y.min(), y.max() * (1 + 1e-12), args.histogram_bins + 1)
         counts, _ = np.histogram(y, bins=edges)
-        with np.errstate(over="ignore"):    # subnormal bin widths are refused below
+        with np.errstate(over="ignore"):    # bins are normal-wide; n x width may overflow: 0
             dens = counts / (counts.sum() * np.diff(edges))
-        if not np.isfinite(dens).all():
-            raise NumericalError(f"histogram density overflows: bins as narrow as "
-                                 f"{np.diff(edges).min():g} at t={pop.time:g}")
         hist_rows.extend(zip(itertools.repeat(pop.time), edges[:-1], edges[1:],
                              counts.astype(float), dens))
         ks_rows.append((pop.time, simulate.ks_distance(y, lambda v: distlib.ipdf_cdf(dist, v))))
     survey.write_csv(out / "histograms.csv",
                      ["t", "bin_lower", "bin_upper", "count", "density"], hist_rows)
     final = snaps[-1]
+    with np.errstate(over="ignore"):
+        sample_mean = float(final.incomes.mean())
+    if sample_mean == math.inf:
+        raise NumericalError(f"the sample mean of the final incomes overflows at "
+                             f"C0={args.C0:g}, M={args.M:g}")
     hill = simulate.hill_tail_exponent(final.incomes, args.hill_tail_fraction)
     report = {
         "ks_by_time": [{"t": t, "ks": ks} for t, ks in ks_rows],
@@ -97,7 +91,7 @@ def cmd_simulate(args, out: Path) -> str:
             dist, args.hill_tail_fraction),
         "increments": simulate.INCREMENTS,
         "asymptotic_density_exponent": args.M + 2.0,
-        "sample_mean": float(final.incomes.mean()),
+        "sample_mean": sample_mean,
         "model_mean": args.C0 / args.M,
     }
     _write_json(out / "report.json", report)
@@ -114,7 +108,7 @@ def cmd_collapse(args, out: Path) -> str:
                              f"M = {args.M:g}")
     knot_lo = min(min(b.lower for b in r.bands if b.lower > 0.0) for r in collapsed)
     knot_hi = max(max(b.upper for b in r.bands if not b.is_open) for r in collapsed)
-    grid = np.geomspace(0.25 * knot_lo, 4.0 * knot_hi, args.grid_points)
+    grid = fpsolve.log_spaced(0.25 * knot_lo, 4.0 * knot_hi, args.grid_points)
     curves = [survey.empirical_cdf(rnd)(grid) for rnd in collapsed]
     survey.write_curves(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"],
                         [rnd.round_id for rnd in collapsed], grid, curves)
@@ -218,7 +212,7 @@ def cmd_synth(args, out: Path) -> str:
 
 def cmd_modes(args, out: Path) -> str:
     # from C0/600, where the stationary exp(-C0/y) is e^-600 (above its underflow), to 60 C0
-    grid = _geomspace(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
+    grid = fpsolve.log_spaced(args.C0 / 600.0, 60.0 * args.C0, args.grid_points)
     dist = distlib.SteadyStateIPDF(args.M, args.C0)
     params_report = []
     curves = []

@@ -125,12 +125,16 @@ def observed_cdf(dist: SteadyStateIPDF, y):
 
 def observed_quantile(dist: SteadyStateIPDF, q):
     """Observed income at CDF level q in [0, 1]: offset + C0 / Q^-1(M+1, q),
-    the offset at q = 0 and inf at q = 1.  Vectorized over ``q``."""
+    the offset at q = 0 and inf at q = 1.  Vectorized over ``q``; a quantile
+    below q = 1 past the float range is a DomainError."""
     arr = np.asarray(q, dtype=float)
     if not ((arr >= 0.0) & (arr <= 1.0)).all():      # also rejects NaN
         raise DomainError("quantile levels must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = dist.offset_ymin + dist.scale_C0 / gammainccinv(dist.shape_M + 1.0, arr)
+    if (np.isinf(out) & (arr < 1.0)).any():
+        raise DomainError(f"an income quantile overflows at C0={dist.scale_C0:g}, "
+                          f"M={dist.shape_M:g}")
     return float(out) if arr.ndim == 0 else out
 
 
@@ -139,8 +143,11 @@ def observed_band_means(dist: SteadyStateIPDF, edges) -> np.ndarray:
     identity integral(y f dy, l..u) = C0/M [Q(M, C0/u) - Q(M, C0/l)] in model
     income.  A band without mass gets the midpoint of its part above the
     offset (an open one spans lo .. 2 lo + 1 in model income), or of the
-    whole band when it lies wholly below the offset."""
+    whole band when it lies wholly below the offset.  A mean income C0/M
+    past the float range is a DomainError."""
     m, c0, off = dist.shape_M, dist.scale_C0, dist.offset_ymin
+    if c0 / m == math.inf:
+        raise DomainError(f"the mean income C0/M overflows at C0={c0:g}, M={m:g}")
     x = observed_argument(dist, edges)
     probs = np.diff(reg_upper_incomplete_gamma(m + 1.0, x))
     partial = (c0 / m) * np.diff(reg_upper_incomplete_gamma(m, x))

@@ -231,16 +231,23 @@ class GridDensity:
         return GridDensity(self.grid, self.values / m, self.time)
 
 
+def log_spaced(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)``, the package's one log-spaced grid.  An end
+    that underflows to 0 or overflows, or a step below the smallest normal
+    float, as at a subnormal or huge ``C0``, is a ``NumericalError``."""
+    if lo > 0.0 and hi < math.inf:
+        grid = np.geomspace(lo, hi, n)
+        if np.diff(grid).min(initial=math.inf) >= np.finfo(float).tiny:
+            return grid
+    raise NumericalError(f"log-spaced grid of {n} points from {lo:g} to {hi:g}: "
+                         f"an end or a step leaves the normal float range")
+
+
 def log_grid(M: float, C0: float, n_cells: int = 2000,
              span: tuple = (1e-3, 1e3)) -> np.ndarray:
-    """Log-spaced grid spanning ``span`` times the mean income C0/M.  An end
-    that underflows to 0 or overflows is a ``NumericalError``."""
+    """``log_spaced`` grid spanning ``span`` times the mean income C0/M."""
     scale = C0 / M
-    lo, hi = span[0] * scale, span[1] * scale
-    if not (lo > 0.0 and hi < math.inf):
-        raise NumericalError(f"grid ends {lo:g} and {hi:g} leave the float range "
-                             f"at C0={C0:g}, M={M:g}")
-    return np.geomspace(lo, hi, n_cells)
+    return log_spaced(span[0] * scale, span[1] * scale, n_cells)
 
 
 def density_on_grid(dist: distlib.SteadyStateIPDF, grid: np.ndarray) -> GridDensity:

@@ -420,12 +420,15 @@ def synth_round(dist: distlib.SteadyStateIPDF, band_edges, n_population: int,
     if total <= 0.0:
         raise DataError("band edges carry no probability mass")
     means = distlib.observed_band_means(dist, edges)
+    with np.errstate(over="ignore"):
+        cereal = v_sat * means / (k_half + means)
+    if np.isinf(cereal).any():
+        raise DomainError(f"cereal expenditure V y / (K + y) overflows at V={v_sat:g}")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_population, raw / total)
     shares = counts / n_population
     bands = tuple(
         Band(lower=edges[i], upper=edges[i + 1], population_share=shares[i],
-             mean_total_expenditure=means[i],
-             mean_cereal_expenditure=v_sat * means[i] / (k_half + means[i]))
+             mean_total_expenditure=means[i], mean_cereal_expenditure=cereal[i])
         for i in range(len(raw)))
     return BandedDistribution(round_id=round_id, year=year, bands=bands)

@@ -441,7 +441,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["fit", "--rounds", _SAMPLE_DIR / "missing.csv"], 3),
         (["simulate", "--agents", 10, "--t-end", 1.0], 3),
-        # a grid whose low end is subnormal makes the FP operator overflow
+        # a grid whose low end is subnormal has steps below the smallest normal float
         (["evolve", "--cells", 200, "--span", "1e-320,1e3"], 4),
         # band [0, 8] of NSS-15 holds 12% of households and no model mass
         (["fit", "--rounds", SAMPLE_ROUNDS, "--fix-offset", 20], 3),
@@ -484,12 +484,23 @@ class TestExitCodes:
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 5e-324], 4),
         (["evolve", "--t-end", 0.5, "--cells", 100, "--C0", 5e-324], 4),
         (["modes", "--C0", 5e-324], 4),
-        # at a subnormal C0 the histogram's bins are so narrow that its density overflows
+        # at a subnormal C0 the steps of simulate's histogram edges and of
+        # evolve's grid fall below the smallest normal float
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 1e-310], 4),
-        # and the stationary density, whose peak is about 1 / C0, overflows
         (["evolve", "--C0", 1e-310, "--t-end", 0.5, "--cells", 100], 4),
         # the contour of a subnormal span reaches past the float range
         (["evolve", "--t-end", 1e-310, "--cells", 100], 4),
+        # collapse's CDF grid: its upper end overflows, or its steps are subnormal
+        *[(["collapse", "--rounds", SAMPLE_ROUNDS, "--deflators", SAMPLE_DEFLATORS,
+            "--target-mean", target], 4) for target in (1e307, 1e-310)],
+        # synth's mean income C0/M, its quantile edges and its cereal V y
+        # overflow, each refused where it is computed
+        (["synth", "--n", 1000, "--M", 5e-324], 3),
+        (["synth", "--n", 1000, "--M", 1e-310], 3),
+        (["synth", "--n", 1000, "--C0", 1.7e308], 3),
+        (["synth", "--n", 1000, "--V", 1.7e308], 3),
+        # the sum behind the final sample mean overflows
+        (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 1e307], 4),
     ])
     def test_failed_command_leaves_no_output(self, tmp_path, recwarn, argv, code):
         assert run_cli(*argv, "--out-dir", tmp_path / "o", "--quiet") == code
@@ -697,18 +708,39 @@ def test_only_evolve_and_indices_load_scipy_linalg(tmp_path, commands, after):
     assert loaded == [False] * len(commands) + after
 
 
-def numeric_options(command: str) -> list:
-    """Every option of ``command`` whose value argparse converts."""
+def numeric_options(command: str) -> dict:
+    """Every option of ``command`` whose value argparse converts, by name,
+    with its converter."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)).choices[command]
-    return [a.option_strings[-1] for a in sub._actions
-            if a.option_strings and a.type is not None]
+    return {a.option_strings[-1]: a.type for a in sub._actions
+            if a.option_strings and a.type is not None}
+
+
+def takes_one_float(convert) -> bool:
+    """Whether an option's converter takes one float: a count option
+    refuses "0.5", and a list option converts it to a list."""
+    try:
+        return isinstance(convert("0.5"), float)
+    except argparse.ArgumentTypeError:
+        return False
 
 
 CONTRACT_CASES = [(command, option, value)
                   for command in CONTRACT_BASE
                   for option in numeric_options(command)
                   for value in ("nan", "inf", "-inf", "-1", "0")]
+
+# simulate's --t-end and --dt set its step count, which nothing bounds yet,
+# and a count option could ask for a huge array or thousands of threads, so
+# the sweep leaves them out
+UNBOUNDED_WORK = {("simulate", "--t-end"), ("simulate", "--dt")}
+MAGNITUDE_CASES = [(command, option, value)
+                   for command in CONTRACT_BASE
+                   for option, convert in numeric_options(command).items()
+                   if takes_one_float(convert) and (command, option) not in UNBOUNDED_WORK
+                   for value in ("5e-324", "1e-310", "1e-300", "1e-30",
+                                 "1e30", "1e300", "1e307", "1.7e308")]
 
 
 def _refuse_constant(name):
@@ -734,6 +766,21 @@ def test_every_numeric_option_keeps_the_exit_code_contract(
         for line in path.read_text().splitlines():
             assert "nan" not in line.lower().split(","), (path.name, line)
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, option, value", MAGNITUDE_CASES,
+                         ids=[f"{c}{o}={v}" for c, o, v in MAGNITUDE_CASES])
+def test_every_float_option_at_an_extreme_magnitude_keeps_the_contract(
+        tmp_path, command, option, value):
+    """Every option that takes one float, at a subnormal, tiny, huge or
+    nearly largest magnitude, exits 0, 2, 3 or 4 with warnings as errors;
+    a failure leaves neither ``--out-dir`` nor its temporary directory."""
+    rc = exit_code(command, *CONTRACT_BASE[command], f"{option}={value}",
+                   "--out-dir", tmp_path / "o", "--quiet")
+    assert rc in (0, 2, 3, 4)
+    if rc != 0:
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("option, value, code", [

@@ -24,7 +24,7 @@ from scipy import integrate
 from scipy.special import erfc, gammainc, gammaincinv, gammaln, xlogy
 
 from incomedyn import distlib
-from incomedyn.errors import DomainError
+from incomedyn.errors import DomainError, NumericalError
 
 
 def upper_gamma_oracle(a, x):
@@ -123,6 +123,12 @@ class TestDensity:
             distlib.ipdf_density(DIST, -1.0)
         with pytest.raises(DomainError):
             distlib.ipdf_density(DIST, np.array([1.0, -2.0]))
+
+    def test_overflow_is_a_numerical_error_without_a_warning(self, recwarn):
+        # near the mode of a subnormal C0 the density, about 1 / C0, passes the float range
+        with pytest.raises(NumericalError, match="the density overflows"):
+            distlib.ipdf_density(distlib.SteadyStateIPDF(1.6, 1e-310), 1e-310)
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestCDF:
@@ -399,6 +405,15 @@ class TestObservedLaw:
                 fn(d, np.array([0.0, math.nan, 1.0]))
         with pytest.raises(DomainError):
             distlib.observed_quantile(d, math.nan)
+
+    def test_overflow_is_a_domain_error_without_a_warning(self, recwarn):
+        # a quantile below q = 1 past the float range, and a mean income C0/M past it
+        with pytest.raises(DomainError, match="quantile overflows"):
+            distlib.observed_quantile(distlib.SteadyStateIPDF(1.6, 1.7e308), [0.5, 0.99])
+        for m in (5e-324, 1e-310):
+            with pytest.raises(DomainError, match="C0/M overflows"):
+                distlib.observed_band_means(distlib.SteadyStateIPDF(m, 1.6), [0.0, 1.0, math.inf])
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestValidation:

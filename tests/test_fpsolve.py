@@ -171,6 +171,21 @@ class TestEigenmodes:
 
 
 class TestGridDensity:
+    def test_log_spaced_is_geomspace_inside_the_normal_range(self):
+        for lo, hi, n in ((1e-3, 1e3, 2000), (0.4, 0.5, 1), (1e-300, 1e300, 81)):
+            np.testing.assert_array_equal(fpsolve.log_spaced(lo, hi, n), np.geomspace(lo, hi, n))
+        np.testing.assert_array_equal(fpsolve.log_grid(1.6, 0.8, 300),
+                                      fpsolve.log_spaced(5e-4, 5e2, 300))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        # a subnormal end, and a normal one whose first step is subnormal
+        (1e-310, 1e-300), (3e-308, 3.001e-308)])
+    def test_log_spaced_refuses_to_leave_the_normal_range(self, recwarn, lo, hi):
+        with pytest.raises(NumericalError, match="leaves the normal float range"):
+            fpsolve.log_spaced(lo, hi, 100)
+        assert [str(w.message) for w in recwarn] == []
+
     def test_mass_and_validation(self):
         grid = fpsolve.log_grid(1.6, 1.6, 200)
         d = fpsolve.density_on_grid(distlib.SteadyStateIPDF(1.6, 1.6), grid)
