@@ -31,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -297,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default="out")
         p.add_argument("--quiet", action="store_true")
 
-    def survey_input(p, deflators_required=False):
+    def survey_input(p):
         p.add_argument("--rounds", required=True)
-        p.add_argument("--deflators", required=deflators_required)
+        p.add_argument("--deflators")
         p.add_argument("--reference-year", type=_FINITE, default=1974.0)
 
     def round_fit(p):
@@ -333,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hill-tail-fraction", type=_numbers("(0, 1)"), default=0.05)
     p.add_argument("--histogram-bins", type=_COUNT, default=80)
 
-    p = command(cmd_collapse, "deflate, rescale, and overlay rounds")
-    survey_input(p, deflators_required=True)
+    p = command(cmd_collapse, "deflate, rescale, and overlay rounds", survey_input)
     p.add_argument("--target-mean", type=_POSITIVE, default=64.84)
     p.add_argument("--M", type=_POSITIVE, default=1.6)
     p.add_argument("--offset-frac", type=_numbers("[0, 1)"), default=0.15)
@@ -421,5 +421,25 @@ def main(argv=None) -> int:
     return 0
 
 
+def _stop(signum, frame):
+    # ignore a second signal, so that it cannot cut the cleanup short
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
+def entry() -> int:
+    """The process entry, of ``python -m incomedyn`` and the ``incomedyn``
+    script: ``main``, with SIGINT and SIGTERM ending the command as a
+    ``SystemExit`` of 128 + the signal's number (130 and 143), so that the
+    temporary directory is removed and no traceback is printed.  With more
+    than one ``--workers`` thread, ``simulate`` exits when its running
+    chunks reach their next output step.  ``main`` keeps Python's own
+    handlers, for code that runs it in process."""
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, _stop)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

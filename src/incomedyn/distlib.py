@@ -14,7 +14,8 @@ law through that wrapper.
 
 Observed income is the starvation offset plus model income.  The ``ipdf_*``
 functions take model income; the ``observed_*`` functions take observed
-income, and they alone apply the offset.
+income and apply the offset.  The likelihood and the model CD index apply
+it themselves, to band edges and to K, in their own passes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class SteadyStateIPDF:
         if not 0.0 < self.shape_M < math.inf:
             raise DomainError(f"shape_M must be finite and > 0, got {self.shape_M}")
         if not 0.0 < self.scale_C0 < math.inf:
-            raise DomainError(f"scale_C0 must be finite and > 0, got {self.scale_C0}")
+            raise DomainError(f"scale_C0, the labour rate, must be finite and > 0, "
+                              f"got {self.scale_C0}")
         if not 0.0 <= self.offset_ymin < math.inf:
             raise DomainError(f"offset_ymin must be finite and >= 0, got {self.offset_ymin}")
 

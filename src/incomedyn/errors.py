@@ -2,8 +2,6 @@
 
 Exit-code mapping used by the CLI: DataError, DomainError and OSError -> 3;
 any ArithmeticError (a NumericalError, an overflow, a division by zero) -> 4.
-A time step too large for the evolution scheme is a NumericalError whose
-message gives the suggested step.
 """
 
 

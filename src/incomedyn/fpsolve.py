@@ -92,10 +92,7 @@ def eigenmode_params(n: int, M: float, A1: float = 0.0, A2: float = 1.0,
     """Mode skeleton for index n: exponents from (M, omega_n), coefficients as given."""
     if n < 0 or not isinstance(n, (int, np.integer)):
         raise DomainError(f"mode index must be a nonnegative integer, got {n}")
-    if not M > 0.0:
-        raise DomainError(f"M must be > 0, got {M}")
-    if not c > 0.0:
-        raise DomainError(f"scale c must be > 0, got {c}")
+    distlib.SteadyStateIPDF(M, c)      # the law's domain checks
     if not (math.isfinite(A1) and math.isfinite(A2)):
         raise DomainError(f"mode coefficients must be finite, got A1={A1}, A2={A2}")
     omega = 2.0 * math.pi * n
@@ -224,12 +221,6 @@ class GridDensity:
     def mean(self) -> float:
         return float(np.trapezoid(self.grid * self.values, self.grid))
 
-    def normalized(self) -> "GridDensity":
-        m = self.mass()
-        if m <= 0.0:
-            raise DataError("cannot normalize a zero-mass density")
-        return GridDensity(self.grid, self.values / m, self.time)
-
 
 def log_spaced(lo: float, hi: float, n: int) -> np.ndarray:
     """``np.geomspace(lo, hi, n)``, the package's one log-spaced grid.  An end
@@ -250,10 +241,17 @@ def log_grid(M: float, C0: float, n_cells: int = 2000,
     return log_spaced(span[0] * scale, span[1] * scale, n_cells)
 
 
+def _at_unit_mass(grid: np.ndarray, f: np.ndarray) -> GridDensity:
+    mass = np.trapezoid(f, grid)
+    if mass <= 0.0:
+        raise DataError("cannot normalize a zero-mass density")
+    return GridDensity(grid, f / mass)
+
+
 def density_on_grid(dist: distlib.SteadyStateIPDF, grid: np.ndarray) -> GridDensity:
     """Sample the closed-form stationary density onto a grid, at unit mass."""
-    f = distlib.ipdf_density(dist, grid)
-    return GridDensity(np.asarray(grid, dtype=float), f, 0.0).normalized()
+    y = np.asarray(grid, dtype=float)
+    return _at_unit_mass(y, distlib.ipdf_density(dist, y))
 
 
 def bump_density(grid: np.ndarray, center: float, rel_width: float = 0.1) -> GridDensity:
@@ -263,7 +261,7 @@ def bump_density(grid: np.ndarray, center: float, rel_width: float = 0.1) -> Gri
         raise DomainError("bump center must be positive")
     with np.errstate(over="ignore"):     # exp(-inf) = 0 far from a narrow bump
         f = np.exp(-0.5 * ((np.log(y) - math.log(center)) / rel_width) ** 2)
-    return GridDensity(y, f, 0.0).normalized()
+    return _at_unit_mass(y, f)
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
@@ -457,10 +455,7 @@ def evolve(f0: GridDensity, M: float, C: float, t_end: float,
     ``outputs_per_window``, ``taylor_steps`` and ``error_bound``, the L1
     bound of the contour's snapshots.
     """
-    if not M > 0.0:
-        raise DomainError(f"M must be > 0, got {M}")
-    if not C > 0.0:
-        raise DomainError(f"labour rate must be > 0, got {C}")
+    distlib.SteadyStateIPDF(M, C)      # the law's domain checks
     if not f0.time < t_end < math.inf:
         raise DomainError(f"t_end must be finite and exceed the initial time, got {t_end}")
     snap_times = {float(t) for t in snapshot_times}

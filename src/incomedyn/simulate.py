@@ -40,6 +40,8 @@ from .errors import DomainError, NumericalError
 DEFAULT_SIGMA = math.sqrt(2.0)
 CHUNK_SIZE = 32768      # largest chunk
 INCREMENTS = "two_point"    # the law of xi, recorded in reports
+# the most steps ``run`` takes, 2000 times criterion 1's 5e4
+MAX_STEPS = 10 ** 8
 # periodic overflow sweep; incomes stay positive, so overflow is the only failure
 _FINITE_CHECK_EVERY = 256
 
@@ -59,8 +61,7 @@ class LangevinParams:
     noise_scale: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        if not self.M > 0.0:
-            raise DomainError(f"M must be > 0, got {self.M}")
+        distlib.SteadyStateIPDF(self.M, self.labour_rate)     # the law's domain checks
         if not self.dt > 0.0:
             raise DomainError(f"dt must be > 0, got {self.dt}")
         if self.noise_scale < 0.0:
@@ -74,8 +75,6 @@ class LangevinParams:
             raise DomainError(
                 f"dt * sigma^2 = {self.dt * self.noise_scale ** 2:g} >= 0.05; "
                 f"reduce dt below {0.05 / self.noise_scale ** 2:g}")
-        if not self.labour_rate > 0.0:
-            raise DomainError(f"labour rate must be > 0, got {self.labour_rate}")
 
 
 @dataclass(frozen=True)
@@ -235,12 +234,20 @@ def run(n_agents: int, params: LangevinParams, t_end: float, init, seed: int,
     snapshot times and t_end, each rounded up to the next step boundary.
     A snapshot time that is not a multiple of sixteen steps after the
     previous output time changes the later path, though not its law.
+
+    A run of more than ``MAX_STEPS`` = 1e8 steps, t_end / dt, is refused
+    with a ``DomainError`` before any agent is drawn; so is a ratio that
+    overflows.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
     if not all(0.0 < t <= t_end + 1e-9 * params.dt for t in snapshot_times):
         raise DomainError("snapshot times must lie in (0, t_end]")
-    n_steps = max(1, math.ceil(t_end / params.dt - 1e-9))
+    steps = t_end / params.dt       # inf when the ratio overflows
+    if not steps <= MAX_STEPS:
+        raise DomainError(f"t_end / dt = {steps:g} steps, more than {MAX_STEPS:g}; "
+                          "raise dt or lower t_end")
+    n_steps = max(1, math.ceil(steps - 1e-9))
     snap_steps = [min(n_steps, max(1, math.ceil(t / params.dt - 1e-9)))
                   for t in snapshot_times]
     pop0 = init_population(n_agents, init, seed)

@@ -255,23 +255,16 @@ def load_rounds(path) -> list:
     return rounds
 
 
-CSV_BLOCK_ROWS = 2048
-
-
 def write_csv(path, header: list, rows) -> None:
-    """One line per row tuple, each block of ``CSV_BLOCK_ROWS`` rows
-    formatted by one ``%``, so a long file is never held whole.  Each
+    """One line per row tuple, the whole file formatted by one ``%``.  Each
     column's format comes from the first row: a ``str`` cell is written as
     is, any other value as "%.12g"."""
-    rows = iter(rows)
-    first = next(rows, ())
+    rows = list(rows)
+    first = rows[0] if rows else ()
     line = ",".join("%s" if isinstance(cell, str) else "%.12g" for cell in first) + "\n"
-    rows = itertools.chain((first,), rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while cells := tuple(itertools.chain.from_iterable(
-                itertools.islice(rows, CSV_BLOCK_ROWS))):
-            fh.write((line * (len(cells) // len(first))) % cells)
+        fh.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def write_curves(path, header: list, keys, grid, curves) -> None:

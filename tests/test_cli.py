@@ -6,6 +6,7 @@ import filecmp
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -77,6 +78,15 @@ class TestSmoke:
         assert report["max_cdf_spread"] < report["binning_tolerance"]
         assert (out / "collapsed_cdf.csv").exists()
         assert (out / "model_cdf.csv").exists()
+
+    def test_collapse_without_deflators_writes_the_same_curves(self, tmp_path):
+        # rescaling each round to the target mean cancels its deflation
+        base = ["collapse", "--rounds", SAMPLE_ROUNDS, "--quiet", "--out-dir"]
+        assert run_cli(*base, tmp_path / "cpi", "--deflators", SAMPLE_DEFLATORS) == 0
+        assert run_cli(*base, tmp_path / "nominal") == 0
+        for name in ("collapsed_cdf.csv", "model_cdf.csv"):
+            assert ((tmp_path / "cpi" / name).read_bytes()
+                    == (tmp_path / "nominal" / name).read_bytes())
 
     def test_fit_on_sample_files(self, tmp_path):
         out = tmp_path / "fit"
@@ -546,14 +556,42 @@ print(json.dumps({"parsers": cli.build_parser.cache_info().misses, "scipy": [
 """
 
 
-def fresh_process(*argv, check=True) -> subprocess.CompletedProcess:
-    """``python argv`` in a fresh interpreter that imports the package from
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
     this checkout."""
     src = str(Path(incomedyn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+    return env
+
+
+def fresh_process(*argv, check=True) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports the package from
+    this checkout."""
+    return subprocess.run([sys.executable, *map(str, argv)], env=fresh_env(),
                           capture_output=True, text=True, check=check)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_signal_leaves_no_output_and_no_traceback(tmp_path, sig):
+    """``python -m incomedyn`` stopped by a signal while a long ``simulate``
+    runs exits 128 + the signal's number, prints nothing, and leaves
+    neither ``--out-dir`` nor its temporary directory."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "incomedyn", "simulate", "--agents", "4000",
+         "--t-end", "1e5", "--out-dir", str(tmp_path / "o")],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not list(tmp_path.glob(".o-*")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(sig)
+        out, err = proc.communicate(timeout=60.0)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out, err) == (128 + sig, "", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def probe_fresh_process(*argv, runs=1) -> dict:
@@ -626,8 +664,8 @@ def test_csv_cell_formats_follow_the_first_row(tmp_path):
 
 
 def test_csv_blocks_match_a_row_by_row_write(tmp_path):
-    # two whole blocks and a partial one
-    rows = [(f"r{i}", i, 1.0 / (i + 3)) for i in range(2 * survey.CSV_BLOCK_ROWS + 5)]
+    # a file far longer than any the commands write
+    rows = [(f"r{i}", i, 1.0 / (i + 3)) for i in range(2 * 2048 + 5)]
     path = tmp_path / "t.csv"
     survey.write_csv(path, ["id", "n", "x"], iter(rows))
     assert path.read_text() == "id,n,x\n" + "".join("%s,%.12g,%.12g\n" % r for r in rows)
@@ -731,14 +769,13 @@ CONTRACT_CASES = [(command, option, value)
                   for option in numeric_options(command)
                   for value in ("nan", "inf", "-inf", "-1", "0")]
 
-# simulate's --t-end and --dt set its step count, which nothing bounds yet,
-# and a count option could ask for a huge array or thousands of threads, so
-# the sweep leaves them out
-UNBOUNDED_WORK = {("simulate", "--t-end"), ("simulate", "--dt")}
+# a count option could ask for a huge array or thousands of threads, so the
+# sweep leaves it out; simulate's --t-end and --dt are in, as its step count
+# is bounded
 MAGNITUDE_CASES = [(command, option, value)
                    for command in CONTRACT_BASE
                    for option, convert in numeric_options(command).items()
-                   if takes_one_float(convert) and (command, option) not in UNBOUNDED_WORK
+                   if takes_one_float(convert)
                    for value in ("5e-324", "1e-310", "1e-300", "1e-30",
                                  "1e30", "1e300", "1e307", "1.7e308")]
 

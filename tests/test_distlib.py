@@ -23,7 +23,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erfc, gammainc, gammaincinv, gammaln, xlogy
 
-from incomedyn import distlib
+from incomedyn import distlib, fpsolve, simulate
 from incomedyn.errors import DomainError, NumericalError
 
 
@@ -428,6 +428,20 @@ class TestValidation:
         for offset in (-0.1, math.nan, math.inf):
             with pytest.raises(DomainError, match="offset_ymin"):
                 distlib.SteadyStateIPDF(1.0, 1.0, offset)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("build", [
+        lambda m, c: simulate.LangevinParams(M=m, labour_rate=c, dt=1e-3),
+        lambda m, c: fpsolve.evolve(fpsolve.bump_density(fpsolve.log_grid(1.6, 1.6, 100), 2.0),
+                                    m, c, 1.0),
+        lambda m, c: fpsolve.eigenmode_params(1, m, c=c),
+    ], ids=["LangevinParams", "evolve", "eigenmode_params"])
+    @pytest.mark.parametrize("which", ["M", "C"])
+    def test_users_of_the_law_refuse_its_domain(self, build, which, value):
+        """Every M and C that the law refuses, its users refuse as it does."""
+        m, c = (value, 1.6) if which == "M" else (1.6, value)
+        with pytest.raises(DomainError, match="finite and > 0"):
+            build(m, c)
 
     def test_offset_stored_not_applied(self):
         plain = distlib.SteadyStateIPDF(1.6, 1.6)

@@ -133,6 +133,14 @@ class TestFitIPDF:
         with pytest.raises(DomainError):
             estimate.band_log_likelihood(make_round(n=10**4, seed=48), *params)
 
+    def test_a_closed_round_without_mass_has_no_likelihood(self):
+        # at C0 = 1e6 every closed edge lies far below the law's mass, so the
+        # covered range has probability 0: log likelihood -inf, equal shares
+        closed = make_round(n=10**4, seed=48, edges=EDGES20[:-1])
+        ll, p = estimate.band_log_likelihood(closed, 1.6, 1e6, 0.15)
+        assert ll == -math.inf
+        assert p.tolist() == [1.0 / 19] * 19
+
     def test_offset_above_a_populated_band_rejected(self):
         # band [0, 0.25] holds households; an offset of 0.3 gives it no mass
         rnd = make_round(n=10**5, seed=49, offset=0.0)
@@ -484,6 +492,31 @@ class TestFitMonod:
         assert fit.V == pytest.approx(v, rel=1e-11, abs=0.0)
         assert fit.K == pytest.approx(k, rel=1e-11, abs=0.0)
         assert not fit.k_at_boundary
+
+    def test_newton_step_out_of_the_bracket_bisects(self, monkeypatch):
+        # consumption that dips and rises again: from the least-squares start
+        # a Newton step leaves the bracket, and the bisection that replaces
+        # it still reaches Brent's root
+        bands = tuple(survey.Band(float(i), i + 1.0, 0.2, i + 0.5, c)
+                      for i, c in enumerate((0.38, 0.15, 0.25, 0.49, 0.48)))
+        rnd = survey.BandedDistribution(round_id="dip", year=2000.0, bands=bands)
+        profile, calls = estimate._monod_profile, []
+
+        def spy(x, s, k):
+            calls.append((math.log(k), *profile(x, s, k)[2:4]))
+            return profile(x, s, k)
+        monkeypatch.setattr(estimate, "_monod_profile", spy)
+        fit = estimate.fit_monod(rnd)
+        (a, *_), (b, *_) = calls[:2]
+        bisections = 0
+        for (u, slope, _), (u_next, *_) in zip(calls[2:], calls[3:]):
+            a, b = (u, b) if slope < 0.0 else (a, u)
+            bisections += u_next == pytest.approx(0.5 * (a + b), rel=0.0, abs=1e-12)
+        assert bisections >= 1
+        v, k, at_boundary = self.brentq_oracle(rnd)
+        assert not at_boundary and not fit.k_at_boundary
+        assert fit.V == pytest.approx(v, rel=1e-11, abs=0.0)
+        assert fit.K == pytest.approx(k, rel=1e-11, abs=0.0)
 
     def test_fit_does_not_depend_on_the_monetary_frame(self):
         # the search runs on data over its maxima, so frames from 1e-300,

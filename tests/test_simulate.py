@@ -53,6 +53,20 @@ class TestValidation:
         with pytest.raises(DomainError):
             simulate.run(0, make_params(), 1.0, 1.0, seed=1)
 
+    def test_step_count_is_bounded_before_any_agent_is_drawn(self, monkeypatch):
+        # t_end / dt past MAX_STEPS, or past the float range, is refused
+        # before init_population; MAX_STEPS steps themselves run
+        assert simulate.MAX_STEPS >= 2000 * 50_000
+        monkeypatch.setattr(simulate, "MAX_STEPS", 10)
+        assert simulate.run(4, make_params(), 10 * 2e-3, 1.0, seed=1)[-1].step_index == 10
+
+        def no_draw(*args):
+            raise AssertionError("agents drawn before the step count was checked")
+        monkeypatch.setattr(simulate, "init_population", no_draw)
+        for t_end, dt in ((11 * 2e-3, 2e-3), (1.7e308, 5e-324), (50.0, 5e-324)):
+            with pytest.raises(DomainError, match="steps, more than"):
+                simulate.run(4, make_params(dt=dt), t_end, 1.0, seed=1)
+
 
 class TestDeterministicLimit:
     def test_zero_noise_fixed_point(self):

@@ -44,6 +44,17 @@ class TestLoaders:
         assert rnd.has_open_band
         assert rnd.year == 1980.0
 
+    def test_blank_rows_are_skipped_and_still_counted(self, tmp_path):
+        # an empty line and a line of empty cells add no band, and an error
+        # below them names its line in the file
+        rows = [GOOD_ROWS[0], "\n", GOOD_ROWS[1], " , ,,,,,\n", *GOOD_ROWS[2:]]
+        blank = survey.load_rounds(write_rounds_csv(tmp_path / "b.csv", rows))[0]
+        plain = survey.load_rounds(write_rounds_csv(tmp_path / "r.csv", GOOD_ROWS))[0]
+        assert blank.bands == plain.bands
+        rows[4] = "r1,1980,25,60,x,38,8\n"
+        with pytest.raises(DataError, match=r"b\.csv:6: cannot parse"):
+            survey.load_rounds(write_rounds_csv(tmp_path / "b.csv", rows))
+
     def test_overlapping_bands_rejected_naming_rows(self, tmp_path):
         rows = list(GOOD_ROWS)
         rows[1] = "r1,1980,8,25,0.45,16,5\n"     # overlaps band 0
