@@ -107,10 +107,11 @@ def cmd_collapse(args, out: Path) -> str:
     if not math.isfinite(c0):
         raise NumericalError(f"model scale C0 = M (target mean - offset) overflows at "
                              f"M = {args.M:g}")
+    cdfs = [survey.empirical_cdf(rnd) for rnd in collapsed]   # refuses a one-band round
     knot_lo = min(min(b.lower for b in r.bands if b.lower > 0.0) for r in collapsed)
     knot_hi = max(max(b.upper for b in r.bands if not b.is_open) for r in collapsed)
     grid = fpsolve.log_spaced(0.25 * knot_lo, 4.0 * knot_hi, args.grid_points)
-    curves = [survey.empirical_cdf(rnd)(grid) for rnd in collapsed]
+    curves = [cdf(grid) for cdf in cdfs]
     survey.write_curves(out / "collapsed_cdf.csv", ["round_id", "y", "cdf"],
                         [rnd.round_id for rnd in collapsed], grid, curves)
     dist = distlib.SteadyStateIPDF(args.M, c0, offset_abs)
@@ -432,10 +433,8 @@ def entry() -> int:
     """The process entry, of ``python -m incomedyn`` and the ``incomedyn``
     script: ``main``, with SIGINT and SIGTERM ending the command as a
     ``SystemExit`` of 128 + the signal's number (130 and 143), so that the
-    temporary directory is removed and no traceback is printed.  With more
-    than one ``--workers`` thread, ``simulate`` exits when its running
-    chunks reach their next output step.  ``main`` keeps Python's own
-    handlers, for code that runs it in process."""
+    temporary directory is removed and no traceback is printed.  ``main``
+    keeps Python's own handlers, for code that runs it in process."""
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, _stop)
     return main()

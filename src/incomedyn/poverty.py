@@ -205,7 +205,8 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
     unless ``pooled_M`` is given) and offset, with the round's own scale
     C0 = M (mean income - offset), its labour rate in the quasi-static reading
     of a slowly drifting economy.  Rows are in year order, then input order.
-    A scale that overflows is a ``NumericalError``.
+    A fit that did not converge has no M or offset to average, so it is a
+    ``DataError``; a scale that overflows is a ``NumericalError``.
     """
     if not (len(rounds) == len(fits) == len(monods)):
         raise DataError(
@@ -213,6 +214,10 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
             f"{len(monods)} Monod fits")
     if not rounds:
         raise DataError("index series needs at least one round")
+    unfit = [r.round_id for r, f in zip(rounds, fits) if not f.converged]
+    if unfit:
+        raise DataError(f"rounds {', '.join(unfit)}: the income-law fit did not "
+                        "converge, so its M and offset cannot be averaged")
     z = _line_value(line)
     rounds, fits, monods = zip(*sorted(zip(rounds, fits, monods),
                                        key=lambda rfm: rfm[0].year))

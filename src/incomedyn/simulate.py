@@ -15,12 +15,12 @@ continuum).  Under the dt guards the multiplier exceeds
 1 - 0.1 - sqrt(0.05) > 0.67, so incomes stay above C dt with no floor.
 
 Chunk model: ceil(n / CHUNK_SIZE) chunks whose sizes differ by at most one
-agent, each with its own slice of the incomes and seeded SFC64 stream.  A
-chunk runs its steps in blocks of sixteen and one last block of the r < 16
-left, if any: per block, one random 16-bit word per agent, with bit i for
-step i, picks the composed map of the block's r steps, y -> P_r[w] y + S_r[w]
-for the word's low r bits w.  The partition depends only on n, so results
-are bit-identical for any worker count.
+agent, each with its own slice of the incomes and seeded SFC64 stream, run
+in segments of at most 4096 steps.  A segment runs in blocks of sixteen
+steps and one last block of the r < 16 left: per block, one random 16-bit
+word per agent, with bit i for step i, picks the composed map of the block's
+r steps, y -> P_r[w] y + S_r[w] for its low r bits w.  The partition depends
+only on n, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ CHUNK_SIZE = 32768      # largest chunk
 INCREMENTS = "two_point"    # the law of xi, recorded in reports
 # the most steps ``run`` takes, 2000 times criterion 1's 5e4
 MAX_STEPS = 10 ** 8
-# periodic overflow sweep; incomes stay positive, so overflow is the only failure
-_FINITE_CHECK_EVERY = 256
+_FINITE_CHECK_EVERY = 4096     # steps per segment of run_steps, a multiple of 16
 
 
 @dataclass(frozen=True)
@@ -138,17 +137,15 @@ def _step_tables(params: LangevinParams) -> tuple:
     return p, s
 
 
-@np.errstate(over="ignore")     # an overflow is refused by the finite check
-def _advance_chunk(params: LangevinParams, tables: tuple, t0: float, k0: int,
-                   k1: int, y: np.ndarray, rng_state: dict) -> dict:
-    """March one chunk in place from step k0 to step k1 after time t0, from
-    its SFC64 state; returns the RNG state at step k1."""
+@np.errstate(over="ignore")     # an overflow is refused by run_steps' finite check
+def _advance_chunk(tables: tuple, steps: int, y: np.ndarray, rng_state: dict) -> dict:
+    """March one chunk in place ``steps`` steps from its SFC64 state; returns
+    the RNG state after them."""
     bitgen = np.random.SFC64()
     bitgen.state = rng_state
-    (p, s), n = tables, y.size
-    k, buf = k0, np.empty(n)
-    while k < k1:
-        width = min(16, k1 - k)
+    (p, s), n, buf = tables, y.size, np.empty(y.size)
+    for k in range(0, steps, 16):
+        width = min(16, steps - k)
         row = slice(1 << width, 2 << width)
         # word a of the little-endian draw drives agent a, its bit i step k + i;
         # take converts a narrow index on every call, so convert it once
@@ -160,10 +157,6 @@ def _advance_chunk(params: LangevinParams, tables: tuple, t0: float, k0: int,
         y *= buf
         np.take(s[row], w, out=buf, mode="clip")
         y += buf
-        k += width
-        if k // _FINITE_CHECK_EVERY > (k - width) // _FINITE_CHECK_EVERY:
-            _check_finite(y, t0 + k * params.dt)
-    _check_finite(y, t0 + k1 * params.dt)
     return bitgen.state
 
 
@@ -174,12 +167,14 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     snapshot steps, each in [1, n_steps] (else ``DomainError``), and n_steps.
 
     The starting incomes must be finite (else ``NumericalError``) and
-    positive (else ``DomainError``); the scheme keeps them so.  Chunks run
-    whole in min(workers, chunks, CPUs) threads: on a 2-vCPU Xeon two raised
-    perfbench ``ensemble`` ops_per_gauge from 0.550 to 0.710 (10/10 pairs).
-    Up to sixteen steps run per random 16-bit word, and these blocks restart
-    at each output step, so an output step not a multiple of sixteen after
-    the previous one changes the later path, though not its law.
+    positive (else ``DomainError``); the scheme keeps them so.  Chunks march
+    in min(workers, chunks, CPUs) threads (two raised perfbench ``ensemble``
+    ops_per_gauge from 0.550 to 0.710 on a 2-vCPU Xeon, 10/10 pairs), in
+    segments of at most 4096 steps that end at each output step; after each,
+    an overflow, the only failure, is a ``NumericalError``, and a signal
+    waits for one segment at most.  The blocks of sixteen steps restart at
+    each output step, so an output step not a multiple of sixteen after the
+    previous one changes the later path, though not its law.
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
@@ -192,20 +187,22 @@ def run_steps(pop: AgentPopulation, params: LangevinParams, n_steps: int,
     if not all(1 <= s <= n_steps for s in snap_steps):
         raise DomainError(f"snapshot steps must lie in [1, {n_steps}]")
     bounds, tables = _chunk_bounds(pop.n_agents), _step_tables(params)
-    # one income array; each chunk steps its slice in place up to the next snapshot
+    # one income array; each chunk steps its slice in place
     incomes, states, k0 = pop.incomes.copy(), pop.rng_states, 0
     slices = [incomes[lo:hi] for lo, hi, _ in zip(bounds[:-1], bounds[1:], states, strict=True)]
     threads, out = min(workers, len(slices), os.cpu_count() or 1), []
     with ThreadPoolExecutor(threads) as pool:      # starts a thread only when mapped
         chunk_map = pool.map if threads > 1 else map
         for k1 in sorted(snap_steps | {n_steps}):
-            states = tuple(chunk_map(partial(_advance_chunk, params, tables, pop.time, k0, k1),
-                                     slices, states))
+            while k0 < k1:
+                steps = min(_FINITE_CHECK_EVERY, k1 - k0)
+                states = tuple(chunk_map(partial(_advance_chunk, tables, steps), slices, states))
+                k0 += steps
+                _check_finite(incomes, pop.time + k0 * params.dt)
             out.append(AgentPopulation(
                 incomes=incomes if k1 == n_steps else incomes.copy(),
                 time=pop.time + k1 * params.dt, seed=pop.seed,
                 step_index=pop.step_index + k1, rng_states=states))
-            k0 = k1
     return out
 
 

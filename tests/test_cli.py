@@ -131,6 +131,25 @@ class TestSmoke:
                        "--out-dir", out, "--quiet") == 0
         assert json.loads((out / "diagnostics.json").read_text())["pooled_M"] == 1.7
 
+    def test_indices_refuses_a_fit_that_did_not_converge(self, tmp_path, capsys):
+        """A round with all its share in one closed band has no finite
+        maximum: its fit stops unconverged at M near 7500, which would have
+        raised pooled_M from 1.75 to about 1885.  It is a data error that
+        names the round."""
+        sample = Path(SAMPLE_ROUNDS).read_text().splitlines()
+        x1 = []
+        for row in sample[1:12]:    # the first round's closed bands
+            cells = row.split(",")
+            cells[0], cells[4] = "X-1", "1" if cells[2] == "13" else "0"
+            x1.append(",".join(cells))
+        rounds = tmp_path / "rounds.csv"
+        rounds.write_text("\n".join(sample + x1) + "\n")
+        assert run_cli("indices", "--rounds", rounds, "--deflators", SAMPLE_DEFLATORS,
+                       "--line", 40.0, "--fix-offset", 8.0,
+                       "--out-dir", tmp_path / "idx", "--quiet") == 3
+        assert "rounds X-1: the income-law fit did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
     def test_indices_at_a_large_pooled_M(self, tmp_path):
         """At M = 200 each round's model CD index matches the quadrature
         oracle; adaptive quadrature on (0, inf) missed the gamma peak there
@@ -232,7 +251,7 @@ class TestSmoke:
         assert report["mass_change"] < 12 * 1e-10
         assert report["residual_on_grid"] < 1e-5
 
-    def test_evolve_of_a_tiny_span_takes_a_step(self, tmp_path):
+    def test_evolve_of_a_tiny_span_solves_one_window(self, tmp_path):
         # however short the span, its output time takes one window of
         # resolvent solves, and a time requested twice (here as a snapshot
         # and as the end) is written once
@@ -572,25 +591,34 @@ def fresh_process(*argv, check=True) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, check=check)
 
 
+@pytest.mark.parametrize("run", [
+    ["--agents", "4000", "--t-end", "1e5"],
+    # two threads, each marching a 20 000-agent chunk
+    ["--agents", "40000", "--t-end", "1000", "--workers", "2"],
+], ids=["one-worker", "two-workers"])
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
-def test_a_signal_leaves_no_output_and_no_traceback(tmp_path, sig):
+def test_a_signal_leaves_no_output_and_no_traceback(tmp_path, sig, run):
     """``python -m incomedyn`` stopped by a signal while a long ``simulate``
-    runs exits 128 + the signal's number, prints nothing, and leaves
-    neither ``--out-dir`` nor its temporary directory."""
+    runs exits 128 + the signal's number within 2 s, prints nothing, and
+    leaves neither ``--out-dir`` nor its temporary directory.  The running
+    chunks finish their segment of steps first, with any worker count."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "incomedyn", "simulate", "--agents", "4000",
-         "--t-end", "1e5", "--out-dir", str(tmp_path / "o")],
+        [sys.executable, "-m", "incomedyn", "simulate", *run, "--out-dir", str(tmp_path / "o")],
         env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60.0
         while not list(tmp_path.glob(".o-*")):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
+        time.sleep(0.5)     # let the chunks start marching
+        signalled = time.monotonic()
         proc.send_signal(sig)
         out, err = proc.communicate(timeout=60.0)
+        waited = time.monotonic() - signalled
     finally:
         proc.kill()
     assert (proc.returncode, out, err) == (128 + sig, "", "")
+    assert waited < 2.0
     assert list(tmp_path.iterdir()) == []
 
 
@@ -663,7 +691,7 @@ def test_csv_cell_formats_follow_the_first_row(tmp_path):
     assert path.read_text() == "t,y\n"
 
 
-def test_csv_blocks_match_a_row_by_row_write(tmp_path):
+def test_long_csv_matches_a_row_by_row_write(tmp_path):
     # a file far longer than any the commands write
     rows = [(f"r{i}", i, 1.0 / (i + 3)) for i in range(2 * 2048 + 5)]
     path = tmp_path / "t.csv"
@@ -733,7 +761,7 @@ print(json.dumps(loaded))
     (["simulate", "collapse", "fit", "indices", "synth", "modes", "evolve"], [True]),
     (["indices"], [False]),
 ], ids=["evolve-last", "indices"])
-def test_only_evolve_and_indices_load_scipy_linalg(tmp_path, commands, after):
+def test_only_evolve_loads_scipy_linalg(tmp_path, commands, after):
     """Cold start: ``evolve`` imports LAPACK where it factors a matrix, and
     ``indices``, which once loaded scipy.linalg through its quadrature and
     root finder, now loads it no more than any other command.  One fresh
@@ -890,6 +918,9 @@ MALFORMED_DATA = {
     # it reaches the tail, so only collapse meets the tail fit's message
     "one-closed-band": (rounds_file("0,1,0.9,,", "1,inf,0.1,,"), None,
                         "round r: (tail fit needs two closed bands|2 bands under-identify)"),
+    # one closed band from 0: collapse takes its knot range from lower edges above 0
+    "one-band-from-zero": (rounds_file("0,5,1,2.5,1"), None,
+                           "round r: (need at least 2 bands for a CDF|1 bands under-identify)"),
     "zero-share-in-tail-fit": (rounds_file("0,1,0.5,,", "1,2,0.4,,", "2,4,0,,", "4,inf,0.1,,"),
                                None, "round r: tail fit needs positive shares"),
     # the deflator table

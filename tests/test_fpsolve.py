@@ -389,7 +389,7 @@ def second_moment(d):
     return np.trapezoid(d.grid ** 2 * d.values, d.grid)
 
 
-class TestEvolveSteps:
+class TestEvolveSnapshots:
     """Exact oracles for the exact-in-time snapshots: the dense matrix
     exponential, the moment equations and the decaying modes of the
     continuum, and references that converge to exp(tL) f0: twice the
@@ -529,7 +529,7 @@ class TestEvolveSteps:
             decayed = f0.mass() * steady + math.exp(-m * snap.time) * departure
             assert np.trapezoid(np.abs(snap.values - decayed), grid) < 2e-5 * size, snap.time
 
-    def test_one_solve_per_step(self, monkeypatch):
+    def test_one_solve_per_contour_node(self, monkeypatch):
         """One resolvent solve per contour node: 32 for the cli_sample run,
         whose 8 snapshots from t_end / 8 to t_end make one window.  perfbench
         counts each solve as a step (``fpsolve.evolve.steps``)."""

@@ -289,6 +289,12 @@ class TestIndexSeries:
         with pytest.raises(DataError, match="misaligned"):
             poverty.index_series(rounds, fits[:1], monods, 0.45)
 
+    def test_a_fit_that_did_not_converge_is_refused(self):
+        rounds, fits, monods, _ = self._chain([1.0, 1.2, 1.4], [0.5] * 3)
+        fits[1] = dataclasses.replace(fits[1], converged=False)
+        with pytest.raises(DataError, match="^rounds r1: the income-law fit did not converge"):
+            poverty.index_series(rounds, fits, monods, 0.45)
+
     def test_csv_and_diagnostics(self, tmp_path):
         rounds, _, _, _ = self._chain([1.0, 1.2], [0.5, 0.5])
         path, out = tmp_path / "rounds.csv", tmp_path / "out"

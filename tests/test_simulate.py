@@ -10,6 +10,7 @@ default-sigma chain in rescaled time for any other sigma.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ class TestDeterminism:
         assert np.array_equal(via_step.incomes, via_run.incomes)
         assert stream_states(via_step) == stream_states(via_run)
         assert via_step.step_index == 2
+
+    def test_segment_length_leaves_every_path_unchanged(self, monkeypatch):
+        # segments restart at each output step and are whole blocks of
+        # sixteen steps, so their length changes no income and no stream
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        pop0 = simulate.init_population(simulate.CHUNK_SIZE + 5, DIST, seed=8)
+        runs = []
+        for every in (16, 4096):
+            monkeypatch.setattr(simulate, "_FINITE_CHECK_EVERY", every)
+            runs.append(simulate.run_steps(pop0, make_params(), 5003,
+                                           snapshot_steps=[1000, 1001], workers=2))
+        short, long = runs
+        assert [p.step_index for p in long] == [1000, 1001, 5003]
+        for a, b in zip(short, long, strict=True):
+            assert a.incomes.tobytes() == b.incomes.tobytes()
+            assert stream_states(a) == stream_states(b)
 
     def test_two_blocks_equal_one_run(self):
         # sixteen steps, then sixteen more from the returned streams, are one 32-step run
@@ -422,12 +439,13 @@ class TestNanDetection:
             with pytest.raises(NumericalError):
                 simulate.run_steps(two_chunks, make_params(), n_steps, workers=2)
 
-    def test_overflow_is_caught_every_256_steps(self):
-        # a long run stops at the first check after the overflow, at step
-        # 256, not at its end
+    def test_overflow_is_caught_after_one_segment(self):
+        # a run three segments long stops at the first check after the
+        # overflow, at the end of the first segment, not at its end
+        params, every = make_params(), simulate._FINITE_CHECK_EVERY
         big = simulate.AgentPopulation(incomes=np.full(64, 1.79e308), time=0.0, seed=0)
-        with pytest.raises(NumericalError, match=r"t=0\.512 "):
-            simulate.run_steps(big, make_params(), 1000)
+        with pytest.raises(NumericalError, match=re.escape(f"t={every * params.dt:g} ")):
+            simulate.run_steps(big, params, 3 * every)
 
     def test_nonpositive_income_is_a_domain_error(self):
         for value in (0.0, -1.0):
