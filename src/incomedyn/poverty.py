@@ -217,7 +217,7 @@ def index_series(rounds: Sequence[BandedDistribution], fits: Sequence[FitResult]
     unfit = [r.round_id for r, f in zip(rounds, fits) if not f.converged]
     if unfit:
         raise DataError(f"rounds {', '.join(unfit)}: the income-law fit did not "
-                        "converge, so its M and offset cannot be averaged")
+                        "converge, so it has no M or offset to pool")
     z = _line_value(line)
     rounds, fits, monods = zip(*sorted(zip(rounds, fits, monods),
                                        key=lambda rfm: rfm[0].year))
