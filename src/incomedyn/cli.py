@@ -229,13 +229,16 @@ def cmd_modes(args, out: Path) -> str:
             "beta_minus_pole": mode.beta_minus_pole})
         curves.append(fpsolve.eigenmode_eval(mode, grid))
         residuals.append({"n": n, "relative_operator_residual":
-                          fpsolve.eigenmode_operator_residual(mode, args.M, grid, curves[-1])})
+                          fpsolve.eigenmode_operator_residual(mode, args.M)})
     _write_json(out / "mode_params.json", {"modes": params_report})
     survey.write_curves(out / "modes.csv", ["n", "y", "g"], range(len(curves)), grid, curves)
     steady = fpsolve.steady_state_mode(args.M, args.C0)
     g0 = fpsolve.eigenmode_eval(steady, grid)
     ref = distlib.ipdf_density(dist, grid)
-    rel_err = float(np.max(np.abs(g0 - ref) / ref))
+    normal = ref >= np.finfo(float).tiny     # at a huge C0 the low end underflows
+    if not normal.any():
+        raise NumericalError(f"the law's density underflows on the whole grid at C0={args.C0:g}")
+    rel_err = float(np.max(np.abs(g0[normal] - ref[normal]) / ref[normal]))
     _write_json(out / "report.json", {
         "steady_state_max_rel_err": rel_err,
         "operator_residuals": residuals})
@@ -380,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_numbers("[0, inf)", int), default=2)
     p.add_argument("--A1", type=_FINITE, default=0.0)
     p.add_argument("--A2", type=_FINITE, default=1.0)
-    # eigenmode_operator_residual's "residual grid needs at least 16 points"
-    p.add_argument("--grid-points", type=_numbers("[16, inf)", int), default=1500)
+    p.add_argument("--grid-points", type=_COUNT, default=1500)
     return parser
 
 

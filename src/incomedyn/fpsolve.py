@@ -30,7 +30,8 @@ L g = +omega_n g, so under df/dt = L f it grows as exp(2 pi n t), and its
 mass is not zero (3.8e3 at n = 1, M = C0 = 4, A2 = 1): it is not a
 relaxation mode.  The decaying modes are f_ss times a degree-n polynomial,
 with rates lambda_n = n (M + 1 - n).  This module evaluates the family and
-the residual of the spatial operator on it; it projects no initial data.
+checks it against the spatial operator through Kummer's equation, with no
+grid; it projects no initial data.
 """
 
 from __future__ import annotations
@@ -150,38 +151,25 @@ def eigenmode_eval(mode: EigenMode, y):
     return float(out) if scalar else out
 
 
-@np.errstate(all="ignore")  # a non-finite operator value is checked below
-def eigenmode_operator_residual(mode: EigenMode, M: float, grid: np.ndarray,
-                                g: np.ndarray) -> float:
-    """Relative residual of L[g] = omega * g on the grid, L the spatial operator.
+def eigenmode_operator_residual(mode: EigenMode, M: float) -> float:
+    """Relative residual of L g = omega g, exact and grid-free.
 
-    L[g] = d/dy{ [(M+2) y - c] g + y^2 g' } is discretized with
-    ``np.gradient``'s central differences, second order on a non-uniform
-    grid and one-sided at the ends; the returned value is
-    max |L[g] - omega g| over the interior, normalized by the largest of the
-    operator's component magnitudes.  Reported rather than asserted: the mode
-    family satisfies the relation analytically, so this measures the
-    discretization error of the check itself.  An operator value that
-    overflows is a ``NumericalError``.  ``g`` holds the mode's values on the
-    grid, ``eigenmode_eval(mode, grid)``.
+    In x = c/y, L g = (M+2)(g - x g_x) + x^2 (g_x + g_xx).  On a branch
+    g = A x^a w, w = M(a, b, -x), Kummer's equation x w'' + (b + x) w' + a w = 0
+    (DLMF 13.2.1) leaves L g - omega g = A x^a [((a-1)(a-M-2) - omega) w
+    + (2a - b - M - 2) x w'].  The residual is the larger coefficient, each
+    relative to the largest of its terms (for the first, those of
+    a^2 - (M+3) a + M + 2 - omega), over the branches with A != 0.
     """
-    y = np.asarray(grid, dtype=float)
-    if y.size < 16:
-        raise DomainError("residual grid needs at least 16 points")
-    adv = ((M + 2.0) * y - mode.c) * g
-    dif = y ** 2 * np.gradient(g, y)
-    t1 = np.gradient(adv, y)
-    t2 = np.gradient(dif, y)
-    lg = t1 + t2
-    if not np.isfinite(lg).all():
-        raise NumericalError(f"L[g] overflows on the grid for mode n={mode.n}")
-    core = slice(2, -2)
-    resid = np.abs(lg[core] - mode.omega_n * g[core])
-    scale = max(np.abs(t1[core]).max(), np.abs(t2[core]).max(),
-                np.abs(mode.omega_n * g[core]).max())
-    if scale == 0.0:
-        return 0.0
-    return float(resid.max() / scale)
+    worst, omega = 0.0, mode.omega_n
+    for A, a, b in ((mode.A1, mode.alpha_minus, mode.beta_minus),
+                    (mode.A2, mode.alpha_plus, mode.beta_plus)):
+        if A != 0.0:
+            for value, terms in (((a - 1.0) * (a - M - 2.0) - omega,
+                                  (a * a, (M + 3.0) * a, M + 2.0, omega)),
+                                 (2.0 * a - b - M - 2.0, (2.0 * a, b, M + 2.0))):
+                worst = max(worst, abs(value) / max(map(abs, terms)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

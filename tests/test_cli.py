@@ -320,7 +320,17 @@ class TestSmoke:
         assert params[0]["alpha_plus"] == pytest.approx(3.6)
         assert params[0]["beta_plus"] == pytest.approx(3.6)
         for rec in report["operator_residuals"]:
-            assert rec["relative_operator_residual"] < 1e-2
+            assert rec["relative_operator_residual"] < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c0", [1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_modes_at_an_extreme_C0(self, tmp_path, c0):
+        # the law's density underflows at the low end of the grid at a huge
+        # C0; the steady-state check compares where it is a normal float
+        out = tmp_path / "mo"
+        assert run_cli("modes", "--C0", c0, "--out-dir", out, "--quiet") == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["steady_state_max_rel_err"] <= 1e-10
 
 
 # every command at small settings; synth also with its default auto bands
@@ -455,9 +465,8 @@ class TestExitCodes:
         ["simulate", "--agents", 4000, "--t-end", 0.05, "--sigma", 1.0],
         ["simulate", "--agents", 4000, "--t-end", 0.05, "--C", 1.6],
         ["evolve", "--t-end", 0.5, "--cells", 100, "--C", 1.6],
-        # counts below the library's own minimum: the residual grid's 16
-        # points, the evolver grid's 8 nodes and a round's 2 bands
-        ["modes", "--grid-points", 15],
+        # counts below the library's own minimum: the evolver grid's 8 nodes
+        # and a round's 2 bands
         ["evolve", "--cells", 7],
         ["synth", "--n", 1000, "--auto-bands", 1],
     ])
@@ -485,10 +494,9 @@ class TestExitCodes:
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e300], 4),
         (["evolve", "--t-end", 0.5, "--cells", 200, "--C0", 1e-300], 4),
         # overflow is refused without a RuntimeWarning: a bump too narrow for
-        # the grid has no mass, and an eigenmode or its operator residual
-        # that overflows is a numerical failure
+        # the grid has no mass, and an eigenmode that overflows is a
+        # numerical failure
         (["evolve", "--cells", 200, "--bump-width", 1e-300], 3),
-        (["modes", "--C0", 1e300], 4),
         (["modes", "--M", 1e6], 4),
         (["modes", "--C0", 1e-300], 4),
         (["modes", "--A2", 1e300], 4),
@@ -513,6 +521,8 @@ class TestExitCodes:
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 5e-324], 4),
         (["evolve", "--t-end", 0.5, "--cells", 100, "--C0", 5e-324], 4),
         (["modes", "--C0", 5e-324], 4),
+        # a one-point grid at C0 / 600, where the law's density underflows
+        (["modes", "--C0", 1e100, "--grid-points", 1], 4),
         # at a subnormal C0 the steps of simulate's histogram edges and of
         # evolve's grid fall below the smallest normal float
         (["simulate", "--agents", 4000, "--t-end", 0.05, "--dt", 5e-3, "--C0", 1e-310], 4),
@@ -804,8 +814,8 @@ MAGNITUDE_CASES = [(command, option, value)
                    for command in CONTRACT_BASE
                    for option, convert in numeric_options(command).items()
                    if takes_one_float(convert)
-                   for value in ("5e-324", "1e-310", "1e-300", "1e-30",
-                                 "1e30", "1e300", "1e307", "1.7e308")]
+                   for value in ("5e-324", "1e-310", "1e-300", "1e-200", "1e-100", "1e-30",
+                                 "1e30", "1e100", "1e200", "1e300", "1e307", "1.7e308")]
 
 
 def _refuse_constant(name):

@@ -8,11 +8,12 @@ closed-form exponential of the moment equations and the decaying mode
 f_ss (y - C/M); for the Kummer function (scipy's hyp1f1), the exact-rational series sum
 ``kummer_fraction_oracle`` at 120 terms over a random grid, the exponential
 identities M(a, a, z) = exp(z) and, past |z| = 700, M(1, 2, z) = expm1(z)/z;
-and a central-difference discretization of the spatial operator for the
-eigenvalue relation.  Tests count and fault-inject evolve's resolvent
+and, for the eigenvalue relation, the spatial operator applied in y to
+derivatives from Kummer's derivative formula (``operator_oracle``).  Tests count and fault-inject evolve's resolvent
 solves through ``fpsolve.solve_banded``.
 """
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -23,6 +24,7 @@ from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import hyp1f1
 
 from incomedyn import cli, distlib, fpsolve
 from incomedyn.errors import DataError, DomainError, NumericalError
@@ -37,6 +39,34 @@ def kummer_fraction_oracle(a, b, z, terms=120):
         term *= (fa + k) * fz / ((fb + k) * (k + 1))
         total += term
     return float(total)
+
+
+def operator_oracle(mode, M, y):
+    """L g - omega g at incomes y, with L g = (M+2) g + ((M+4) y - c) g_y
+    + y^2 g_yy the operator d/dy{[(M+2) y - c] g + y^2 g_y} expanded in y,
+    and g_y, g_yy from M(a, b, z)'s derivatives (a)_k / (b)_k
+    M(a + k, b + k, z) (DLMF 13.3.15) by the chain rule in x = c/y.
+    Returns the sum, the largest of its terms at each y, and g."""
+    c, x = mode.c, mode.c / y
+    g = gx = gxx = 0.0
+    for A, a, b in ((mode.A1, mode.alpha_minus, mode.beta_minus),
+                    (mode.A2, mode.alpha_plus, mode.beta_plus)):
+        if A != 0.0:
+            w = hyp1f1(a, b, -x)
+            w1 = -a / b * hyp1f1(a + 1.0, b + 1.0, -x)
+            w2 = a * (a + 1.0) / (b * (b + 1.0)) * hyp1f1(a + 2.0, b + 2.0, -x)
+            g = g + A * x ** a * w
+            gx = gx + A * x ** a * (a / x * w + w1)
+            gxx = gxx + A * x ** a * (a * (a - 1.0) / x ** 2 * w + 2.0 * a / x * w1 + w2)
+    gy = -x ** 2 / c * gx
+    gyy = x ** 2 / c ** 2 * (2.0 * x * gx + x ** 2 * gxx)
+    terms = np.array([(M + 2.0) * g, ((M + 4.0) * y - c) * gy, y ** 2 * gyy,
+                      -mode.omega_n * g])
+    return terms.sum(axis=0), np.abs(terms).max(axis=0), g
+
+
+# 50 incomes over the range of x = c/y that ``modes``' grid spans
+ORACLE_X = np.geomspace(1.0 / 60.0, 600.0, 50)
 
 
 class TestKummer:
@@ -129,14 +159,40 @@ class TestEigenmodes:
         assert np.max(np.abs(g - ref) / ref) < 1e-10
 
     def test_operator_residual_small_for_modes(self):
-        # analytic relation L[g_n] = omega_n g_n; central differences leave
-        # only the O(h^2) discretization error
-        grid = np.geomspace(0.08, 20.0, 6000)
+        # the relation L[g_n] = omega_n g_n holds exactly for the exponents
         for n, a1, a2 in [(0, 0.0, 1.0), (1, 0.7, 0.3), (2, 0.4, 0.6)]:
             mode = fpsolve.eigenmode_params(n, 1.6, A1=a1, A2=a2, c=1.6)
-            r = fpsolve.eigenmode_operator_residual(
-                mode, 1.6, grid, fpsolve.eigenmode_eval(mode, grid))
-            assert r < 1e-3, (n, r)
+            r = fpsolve.eigenmode_operator_residual(mode, 1.6)
+            assert r < 1e-12, (n, r)
+
+    @pytest.mark.parametrize("M", [0.8, 1.6, 3.3])
+    def test_operator_oracle_satisfies_the_modes(self, M):
+        # both branches of every mode n <= 4, each on its own
+        for n in range(5):
+            for a1, a2 in ((1.0, 0.0), (0.0, 1.0)):
+                mode = fpsolve.eigenmode_params(n, M, A1=a1, A2=a2, c=1.3)
+                assert fpsolve.eigenmode_operator_residual(mode, M) < 1e-12
+                resid, scale, _ = operator_oracle(mode, M, mode.c / ORACLE_X)
+                assert np.max(np.abs(resid) / scale) < 1e-10, (n, a1)
+
+    @pytest.mark.parametrize("dw", [0.5, 4.0 * math.pi])
+    def test_wrong_omega_residual_is_the_operators(self, dw):
+        # with omega off by dw, L g - omega g = -dw g, and the grid-free
+        # residual is |dw| relative to the first relation's largest term
+        M = 1.6
+        mode = fpsolve.eigenmode_params(1, M, A1=0.7, A2=0.3, c=1.6)
+        bad = dataclasses.replace(mode, omega_n=mode.omega_n + dw)
+        resid, _, g = operator_oracle(bad, M, bad.c / ORACLE_X)
+        np.testing.assert_allclose(np.abs(resid), dw * np.abs(g), rtol=1e-9)
+        expected = max(dw / max(a * a, abs((M + 3.0) * a), M + 2.0, bad.omega_n)
+                       for a in (bad.alpha_minus, bad.alpha_plus))
+        assert fpsolve.eigenmode_operator_residual(bad, M) == pytest.approx(expected, rel=1e-12)
+
+    def test_operator_residual_over_a_wide_sweep(self):
+        worst = max(fpsolve.eigenmode_operator_residual(
+                        fpsolve.eigenmode_params(n, float(M), A1=1.0, A2=1.0), float(M))
+                    for M in np.geomspace(0.01, 1e3, 121) for n in range(30))
+        assert worst <= 1e-11
 
     def test_modes_command_evaluates_each_mode_once(self, tmp_path, monkeypatch):
         calls = []
@@ -148,15 +204,9 @@ class TestEigenmodes:
         assert len(calls) == 4
 
     def test_wrong_omega_residual_large(self):
-        grid = np.geomspace(0.08, 20.0, 4000)
         mode = fpsolve.eigenmode_params(1, 1.6, A1=0.7, A2=0.3, c=1.6)
-        bad = fpsolve.EigenMode(
-            n=1, omega_n=3.0 * mode.omega_n, alpha_plus=mode.alpha_plus,
-            alpha_minus=mode.alpha_minus, beta_plus=mode.beta_plus,
-            beta_minus=mode.beta_minus, A1=0.7, A2=0.3, c=1.6,
-            beta_minus_pole=False)
-        g = fpsolve.eigenmode_eval(bad, grid)
-        assert fpsolve.eigenmode_operator_residual(bad, 1.6, grid, g) > 0.1
+        bad = dataclasses.replace(mode, omega_n=3.0 * mode.omega_n)
+        assert fpsolve.eigenmode_operator_residual(bad, 1.6) > 0.1
 
     def test_beta_minus_pole_flagged(self):
         # n = 0 gives beta_- = -M, an exact pole at integer M
