@@ -10,7 +10,8 @@ is exponentially suppressed at low income and has a power-law tail with
 density exponent M + 2.  The CDF is the regularized upper incomplete gamma
 function Q(M+1, C0/y).  Q is scipy's ``gammaincc``; this module wraps it
 once with the package's domain checks, and every other module evaluates the
-law through that wrapper.
+law through that wrapper, except the likelihood (``estimate._evaluate``),
+whose callers check the law's domain once per fit.
 
 Observed income is the starvation offset plus model income.  The ``ipdf_*``
 functions take model income; the ``observed_*`` functions take observed

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaincc
 
 from . import distlib
 from .errors import DataError, DomainError, NumericalError
@@ -122,9 +123,14 @@ def _evaluate(rnd: BandedDistribution, theta, c0_ref: float) -> tuple:
     conditioning on the covered range is exact.  The log likelihood floors
     p at ``_P_FLOOR`` and is flat below it, so bands with a smaller p add
     nothing to the score or the information.
+
+    theta must lie in the law's domain: M and C0 positive and finite, the
+    offset finite and >= 0.  The callers check that once
+    (``band_log_likelihood``, and ``fit_ipdf`` at its start and in its trial
+    guard), so Q is scipy's ``gammaincc`` on a = M + 1 > 1 and an x that is
+    inf, 0 or C0 / (edge - offset) with edge > offset.
     """
     m, c0, off = theta
-    distlib.SteadyStateIPDF(m, c0, off)          # the law's domain checks
     a = m + 1.0
     h = _SHAPE_STEP * a
     edges = rnd.edges
@@ -135,7 +141,7 @@ def _evaluate(rnd: BandedDistribution, theta, c0_ref: float) -> tuple:
     x[hi:] = 0.0
     xs = x[lo:hi]
     np.divide(c0, edges[lo:hi] - off, out=xs)
-    q = distlib.reg_upper_incomplete_gamma(np.array([[a], [a + h], [a - h]]), x)
+    q = gammaincc(np.array([[a], [a + h], [a - h]]), x)
     cdf = q[0]
     p = cdf[1:] - cdf[:-1]
     total = p.sum()
@@ -169,6 +175,7 @@ def band_log_likelihood(rnd: BandedDistribution, M: float, C0: float,
     sum to one.  Parameters outside the law's domain (M or C0 not positive,
     an offset that is negative or not finite) are a ``DomainError``.
     """
+    distlib.SteadyStateIPDF(M, C0, offset)       # the law's domain checks
     return _evaluate(rnd, (M, C0, offset), C0)[:2]
 
 
@@ -204,8 +211,9 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     offset relative to the start C0 (``_evaluate``), so the fit does not
     depend on the rounds' monetary frame; the one 3 x 3 system, a held
     offset masked, is solved in closed form (``_inverse``).  The step is
-    halved until the log likelihood does not drop and M and C0 stay
-    positive and finite; an offset a step takes below zero is set to zero.
+    halved until the log likelihood does not drop, M and C0 stay positive
+    and finite and the offset stays finite; an offset a step takes below
+    zero is set to zero.
     The offset is held when it is fixed, and when it is fitted and at its
     bound 0 while its score points below zero.  The fit has converged when
     the Newton decrement g^T I^-1 g falls below ``DECREMENT_TOL``.
@@ -243,6 +251,7 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     m, off = 1.6, offset0
     # steps and standard errors are in phi = (M, C0 / c0_ref, offset / c0_ref)
     c0 = c0_ref = 1.6 * max(mean - offset0, 0.05 * mean)
+    distlib.SteadyStateIPDF(m, c0, off)          # the law's domain checks
     ll, p, _, score, info = _evaluate(rnd, (m, c0, off), c0_ref)
     n_eval, iterations, converged = 1, 0, False
     while True:
@@ -266,8 +275,10 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
         while t >= _MIN_STEP:
             tc = t * c0_ref
             trial = (m + t * step[0], c0 + tc * step[1], max(off + tc * step[2], 0.0))
-            # an M or C0 that is not positive and finite is outside the law's domain
-            if 0.0 < trial[0] < math.inf and 0.0 < trial[1] < math.inf:
+            # an M or C0 that is not positive and finite, or an offset that is
+            # not finite, is outside the law's domain
+            if (0.0 < trial[0] < math.inf and 0.0 < trial[1] < math.inf
+                    and trial[2] < math.inf):
                 values = _evaluate(rnd, trial, c0_ref)
                 n_eval += 1
                 if values[0] >= ll:

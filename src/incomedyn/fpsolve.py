@@ -90,7 +90,9 @@ class EigenMode:
 
 def eigenmode_params(n: int, M: float, A1: float = 0.0, A2: float = 1.0,
                      c: float = 1.0) -> EigenMode:
-    """Mode skeleton for index n: exponents from (M, omega_n), coefficients as given."""
+    """Mode skeleton for index n: exponents from (M, omega_n), coefficients as
+    given.  Exponents past the float range (M above about 1.3e154 for
+    n >= 1) are a ``NumericalError``."""
     if n < 0 or not isinstance(n, (int, np.integer)):
         raise DomainError(f"mode index must be a nonnegative integer, got {n}")
     distlib.SteadyStateIPDF(M, c)      # the law's domain checks
@@ -103,7 +105,11 @@ def eigenmode_params(n: int, M: float, A1: float = 0.0, A2: float = 1.0,
         alpha_plus, alpha_minus = M + 2.0, 1.0
         beta_plus, beta_minus = M + 2.0, -M
     else:
-        s = math.sqrt((1.0 + M) ** 2 + 4.0 * omega)
+        try:
+            s = math.sqrt((1.0 + M) ** 2 + 4.0 * omega)
+        except OverflowError:
+            raise NumericalError(
+                f"mode n={n}: the exponents overflow at M={M:g}") from None
         alpha_plus, alpha_minus = (3.0 + M + s) / 2.0, (3.0 + M - s) / 2.0
         beta_plus, beta_minus = 1.0 + s, 1.0 - s
     pole = beta_minus <= 0.0 and float(beta_minus).is_integer()

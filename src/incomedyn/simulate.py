@@ -153,9 +153,12 @@ def _advance_chunk(tables: tuple, steps: int, y: np.ndarray, rng_state: dict) ->
         if width < 16:
             u &= (1 << width) - 1
         w = u.astype(np.intp)
-        np.take(p[row], w, out=buf, mode="clip")
+        # an r-bit word indexes the 2^r entries of row r, so "wrap" moves no
+        # index; it takes in 21 us where "clip" takes 22.5 and "raise" 35
+        # (25,000 agents, numpy 2.4, 2-vCPU Xeon)
+        np.take(p[row], w, out=buf, mode="wrap")
         y *= buf
-        np.take(s[row], w, out=buf, mode="clip")
+        np.take(s[row], w, out=buf, mode="wrap")
         y += buf
     return bitgen.state
 

@@ -163,7 +163,12 @@ class BandedDistribution:
 
     def representative_incomes(self) -> np.ndarray:
         """Per-band representative income: recorded mean when present, else the
-        midpoint (closed bands) or the tail fit's conditional mean (open band)."""
+        midpoint (closed bands) or the tail fit's conditional mean (open band).
+        One read-only array, built once per round."""
+        return self._representative_incomes
+
+    @cached_property
+    def _representative_incomes(self) -> np.ndarray:
         out = np.empty(len(self.bands))
         for i, b in enumerate(self.bands):
             if b.mean_total_expenditure is not None:
@@ -174,6 +179,7 @@ class BandedDistribution:
                 a = self._tail_exponent
                 # conditional mean of a Pareto density exponent a above the edge
                 out[i] = b.lower * (a - 1.0) / (a - 2.0) if a > 2.0 else self.knots[-1]
+        out.setflags(write=False)
         return out
 
     def mean_income(self) -> float:

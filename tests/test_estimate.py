@@ -9,11 +9,13 @@ the spread of fits over replicate rounds for the standard errors.
 
 import itertools
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from incomedyn import distlib, estimate, survey
 from incomedyn.errors import DataError, DomainError
@@ -346,6 +348,96 @@ class TestScoring:
             assert 0.85 <= spread / se[i] <= 1.15, name
         chi2 = n * np.array([f.pearson_chi2 for f in fits])
         assert abs(chi2.mean() - 17.0) <= 3.0 * math.sqrt(2.0 * 17.0 / chi2.size)
+
+
+class TestDomainChecks:
+    """The law's domain is checked once per fit and per likelihood call, not
+    in ``_evaluate``, which calls scipy's ``gammaincc`` directly."""
+
+    # (truth and fitted offset, first edge); the rounds' bands at and below
+    # the offset carry no share
+    CASES = {
+        "offset on an edge": (EDGES20[2], 0.0),
+        "offset below the first edge": (0.15, EDGES20[2]),
+        "offset above zero-share bands": (0.28, 0.0),
+    }
+
+    @pytest.mark.parametrize("top", ["open", "closed"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_q_is_the_checked_wrapper_byte_for_byte(self, monkeypatch, case, top):
+        offset, first = self.CASES[case]
+        edges = EDGES20 if top == "open" else EDGES20[:-1]
+        edges = np.concatenate([[first], edges[edges > first]])
+        rnd = make_round(offset=offset, n=10**5, seed=54, edges=edges)
+        calls = []
+
+        def spy(a, x):
+            q = gammaincc(a, x)
+            calls.append((a, x.copy(), q))
+            return q
+
+        monkeypatch.setattr(estimate, "gammaincc", spy)
+        estimate.band_log_likelihood(rnd, 1.6, 1.6, offset)
+        for fix in (offset, None):
+            estimate.fit_ipdf(rnd, fix_offset=fix)
+        x = calls[0][1]
+        # x is inf at and below the offset, 0 at an open top edge
+        assert np.isinf(x[edges <= offset]).all() and np.isfinite(x[edges > offset]).all()
+        assert (x[-1] == 0.0) == (top == "open")
+        for a, x, q in calls:
+            assert q.tobytes() == distlib.reg_upper_incomplete_gamma(a, x).tobytes()
+
+    def test_evaluate_builds_no_law_and_calls_no_wrapper(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        rnd = make_round(n=10**4, seed=48)
+        expected = estimate._evaluate(rnd, (1.6, 1.6, 0.15), 1.6)
+        monkeypatch.setattr(distlib, "SteadyStateIPDF", refuse)
+        monkeypatch.setattr(distlib, "reg_upper_incomplete_gamma", refuse)
+        got = estimate._evaluate(rnd, (1.6, 1.6, 0.15), 1.6)
+        assert [np.asarray(v).tobytes() for v in got] == [
+            np.asarray(v).tobytes() for v in expected]
+
+    def test_fit_start_outside_the_domain_rejected(self):
+        # band means near the float maximum put the start C0, 1.6 x (mean
+        # income - offset), at inf: the fit checks its start point once
+        rnd = survey.BandedDistribution("huge", 2000.0, tuple(
+            survey.Band(lo, up, 0.25, 1.5e308, None)
+            for lo, up in zip((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0, math.inf))))
+        with pytest.raises(DomainError, match="scale_C0"):
+            estimate.fit_ipdf(rnd)
+
+    def test_trial_offset_that_overflows_halves_the_step(self, monkeypatch):
+        # the first point's offset score is set to 1 and its inverse
+        # information to diag(0, 0, float max), so the full step's offset,
+        # start + c0_ref x float max with c0_ref > 1, overflows; the trial
+        # guard halves the step 40 times, to 2^-40, and every halved offset
+        # is finite and evaluated
+        rnd = make_round(n=10**4, seed=48)
+        evaluate, inverse = estimate._evaluate, estimate._inverse
+        offsets = []
+
+        def spy_evaluate(rnd, theta, c0_ref):
+            offsets.append(theta[2])
+            values = evaluate(rnd, theta, c0_ref)
+            if len(offsets) == 1:
+                assert c0_ref > 1.0
+                values = values[:3] + (np.array([0.0, 0.0, 1.0]),) + values[4:]
+            return values
+
+        def spy_inverse(info, held):
+            if len(offsets) == 1:
+                return [[0.0] * 3, [0.0] * 3, [0.0, 0.0, sys.float_info.max]]
+            return inverse(info, held)
+
+        monkeypatch.setattr(estimate, "_evaluate", spy_evaluate)
+        monkeypatch.setattr(estimate, "_inverse", spy_inverse)
+        fit = estimate.fit_ipdf(rnd, fix_offset=None)
+        assert not fit.converged and fit.iterations == 0
+        assert fit.n_evaluations == len(offsets) == 41
+        assert all(math.isfinite(off) for off in offsets)
+        assert offsets[1] > 1e307
 
 
 class TestFitMonod:

@@ -16,6 +16,7 @@ solves through ``fpsolve.solve_banded``.
 import dataclasses
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,16 @@ class TestEigenmodes:
         # with A1 = 0 the pole branch is never evaluated
         ok = fpsolve.eigenmode_params(0, 2.0, A1=0.0, A2=1.0, c=1.0)
         assert np.isfinite(fpsolve.eigenmode_eval(ok, 1.0))
+
+    @pytest.mark.parametrize("n, M", [(1, 1e200), (3, 1.4e154)])
+    def test_exponents_past_the_float_range_are_a_numerical_error(self, n, M):
+        # (1 + M)^2 overflows a float above about 1.34e154
+        message = f"mode n={n}: the exponents overflow at M={M:g}"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            fpsolve.eigenmode_params(n, M)
+        # just below, the exponents are finite; n = 0 squares nothing
+        assert math.isfinite(fpsolve.eigenmode_params(n, 1.3e154).beta_plus)
+        assert fpsolve.eigenmode_params(0, M).alpha_plus == M + 2.0
 
 
 class TestGridDensity:

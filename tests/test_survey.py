@@ -294,9 +294,12 @@ def test_band_arrays_are_built_once_and_read_only():
     rnd = survey.synth_round(DIST, EDGES, 10**4, seed=10, monod=(0.4, 0.5))
     assert rnd.edges is rnd.edges and rnd.shares is rnd.shares
     assert rnd.knots is rnd.knots and rnd.cereal is rnd.cereal
+    assert rnd.representative_incomes() is rnd.representative_incomes()
     np.testing.assert_array_equal(rnd.edges, EDGES)
     np.testing.assert_array_equal(rnd.cereal, [b.mean_cereal_expenditure for b in rnd.bands])
-    for arr in (rnd.edges, rnd.shares, rnd.knots, rnd.cereal):
+    np.testing.assert_array_equal(rnd.representative_incomes(),
+                                  [b.mean_total_expenditure for b in rnd.bands])
+    for arr in (rnd.edges, rnd.shares, rnd.knots, rnd.cereal, rnd.representative_incomes()):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
