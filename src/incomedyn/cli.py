@@ -222,11 +222,9 @@ def cmd_modes(args, out: Path) -> str:
     for n in range(args.n_max + 1):
         mode = fpsolve.eigenmode_params(n, args.M, A1=args.A1, A2=args.A2,
                                         c=args.C0)
-        params_report.append({
-            "n": n, "omega_n": mode.omega_n,
-            "alpha_plus": mode.alpha_plus, "alpha_minus": mode.alpha_minus,
-            "beta_plus": mode.beta_plus, "beta_minus": mode.beta_minus,
-            "beta_minus_pole": mode.beta_minus_pole})
+        # the manifest records the coefficients A1, A2 and c
+        params_report.append({k: v for k, v in dataclasses.asdict(mode).items()
+                              if k not in ("A1", "A2", "c")})
         curves.append(fpsolve.eigenmode_eval(mode, grid))
         residuals.append({"n": n, "relative_operator_residual":
                           fpsolve.eigenmode_operator_residual(mode, args.M)})
@@ -441,6 +439,3 @@ def entry() -> int:
         signal.signal(sig, _stop)
     return main()
 
-
-if __name__ == "__main__":
-    sys.exit(entry())

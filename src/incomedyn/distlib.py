@@ -103,9 +103,7 @@ def ipdf_density(dist: SteadyStateIPDF, y):
 def ipdf_cdf(dist: SteadyStateIPDF, y):
     """CDF of the stationary law: Q(M+1, C0/y).  Vectorized over ``y``."""
     arr = _check_positive_income(y)
-    x = dist.scale_C0 / arr
-    out = reg_upper_incomplete_gamma(dist.shape_M + 1.0, x)
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+    return reg_upper_incomplete_gamma(dist.shape_M + 1.0, dist.scale_C0 / arr)
 
 
 def observed_argument(dist: SteadyStateIPDF, y) -> np.ndarray:

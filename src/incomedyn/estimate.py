@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from . import distlib
-from .errors import DataError, DomainError, NumericalError
+from .errors import DataError, NumericalError
 from .survey import BandedDistribution
 
 DEFAULT_OFFSET = 0.15          # starvation level in collapsed (mean = 1) units
@@ -226,6 +226,12 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
     the information matrix is singular, or no halved step keeps the
     likelihood from dropping.
 
+    Positive shares in one band or in two adjacent bands leave the
+    likelihood no finite maximum, with a fixed or a fitted offset: as M
+    grows the law narrows toward a point mass, inside the band or on the
+    shared edge, and the likelihood rises toward sum s log s.  The fit then
+    returns its start point, unconverged, after no iteration.
+
     Raises ``DataError`` for fewer than 4 bands or when the fixed offset
     lies at or above the upper edge of a band with a positive share, and
     ``DomainError`` for a negative or non-finite offset.
@@ -236,25 +242,26 @@ def fit_ipdf(rnd: BandedDistribution, fix_offset: Optional[float] = DEFAULT_OFFS
             "need at least 4")
     mean = rnd.mean_income()
     fit_offset = fix_offset is None
+    populated = np.flatnonzero(rnd.shares)
     # an offset at or above this band's upper edge leaves it no model mass
-    first = next(b for b in rnd.bands if b.population_share > 0.0)
+    first = rnd.bands[populated[0]]
     if fit_offset:
         offset0 = 0.15 * mean if 0.15 * mean < first.upper else 0.5 * first.upper
     else:
         offset0 = float(fix_offset)
-    if not (math.isfinite(offset0) and offset0 >= 0.0):
-        raise DomainError(f"offset must be finite and >= 0, got {offset0}")
+    m, off = 1.6, offset0
+    # steps and standard errors are in phi = (M, C0 / c0_ref, offset / c0_ref);
+    # a NaN offset leaves c0 finite, for the law's offset check
+    c0 = c0_ref = 1.6 * max(0.05 * mean, mean - offset0)
+    distlib.SteadyStateIPDF(m, c0, off)          # the law's domain checks
     if offset0 >= first.upper:
         raise DataError(
             f"round {rnd.round_id}: offset {offset0:.6g} leaves the populated band "
             f"[{first.lower:.6g}, {first.upper:.6g}] with no model mass")
-    m, off = 1.6, offset0
-    # steps and standard errors are in phi = (M, C0 / c0_ref, offset / c0_ref)
-    c0 = c0_ref = 1.6 * max(mean - offset0, 0.05 * mean)
-    distlib.SteadyStateIPDF(m, c0, off)          # the law's domain checks
     ll, p, _, score, info = _evaluate(rnd, (m, c0, off), c0_ref)
     n_eval, iterations, converged = 1, 0, False
-    while True:
+    # positive shares in one band or in two adjacent ones: no finite maximum
+    while populated[-1] - populated[0] > 1:
         g = score.tolist()
         # a fixed offset is always held; a fitted one is held at its bound 0
         # while its score points below zero
@@ -351,7 +358,7 @@ def fit_monod(rnd: BandedDistribution) -> MonodFit:
     if len(rnd.bands) < 3:
         raise DataError(f"round {rnd.round_id}: Monod fit needs at least 3 bands")
     s = rnd.cereal
-    x = rnd.representative_incomes()
+    x = rnd.representative_incomes
     s_max, x_max = float(s.max()), float(x.max())
     if not s_max > 0.0:
         raise DataError(f"round {rnd.round_id}: cereal expenditures all zero")

@@ -185,6 +185,7 @@ def eigenmode_operator_residual(mode: EigenMode, M: float) -> float:
 @dataclass
 class GridDensity:
     """Density values on a strictly increasing positive grid at one time.
+    The values are a copy of those given; a negative one is a ``DataError``.
 
     Cell widths are chosen so the conserved cell-sum mass coincides with the
     trapezoidal rule on the nodes.
@@ -196,7 +197,7 @@ class GridDensity:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 8:
             raise DataError("grid must be 1-D with at least 8 nodes")
         if not (self.grid[0] > 0.0 and (np.diff(self.grid) > 0.0).all()):
@@ -205,9 +206,8 @@ class GridDensity:
             raise DataError("values and grid shapes differ")
         if not (np.isfinite(self.grid).all() and np.isfinite(self.values).all()):
             raise DataError("grid and density values must be finite")
-        if (self.values < -1e-12).any():
+        if (self.values < 0.0).any():
             raise DataError("density values must be nonnegative")
-        self.values = np.maximum(self.values, 0.0)
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.grid))

@@ -101,7 +101,7 @@ def cd_index_banded(rnd: BandedDistribution, V: float, K: float) -> float:
     """Model CD index on the band structure: sum_b share_b V K / (K + y_b)."""
     if not (V > 0.0 and K > 0.0):
         raise DomainError("V and K must be positive")
-    y = rnd.representative_incomes()
+    y = rnd.representative_incomes
     return float(np.dot(rnd.shares, V * K / (K + y)))
 
 

@@ -161,14 +161,10 @@ class BandedDistribution:
         m2 = 0.5 * (b2.lower + b2.upper)
         return math.log(d1 / d2) / math.log(m2 / m1)
 
+    @cached_property
     def representative_incomes(self) -> np.ndarray:
         """Per-band representative income: recorded mean when present, else the
-        midpoint (closed bands) or the tail fit's conditional mean (open band).
-        One read-only array, built once per round."""
-        return self._representative_incomes
-
-    @cached_property
-    def _representative_incomes(self) -> np.ndarray:
+        midpoint (closed bands) or the tail fit's conditional mean (open band)."""
         out = np.empty(len(self.bands))
         for i, b in enumerate(self.bands):
             if b.mean_total_expenditure is not None:
@@ -183,7 +179,7 @@ class BandedDistribution:
         return out
 
     def mean_income(self) -> float:
-        return float(np.dot(self.shares, self.representative_incomes()))
+        return float(np.dot(self.shares, self.representative_incomes))
 
 
 # ---------------------------------------------------------------------------

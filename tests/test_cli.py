@@ -131,23 +131,51 @@ class TestSmoke:
                        "--out-dir", out, "--quiet") == 0
         assert json.loads((out / "diagnostics.json").read_text())["pooled_M"] == 1.7
 
-    def test_indices_refuses_a_fit_that_did_not_converge(self, tmp_path, capsys):
-        """A round with all its share in one closed band has no finite
-        maximum: its fit stops unconverged at M near 7500, which would have
-        raised pooled_M from 1.75 to about 1885.  It is a data error that
-        names the round."""
+    @staticmethod
+    def refuses_the_added_round(tmp_path, capsys, round_id, shares):
+        """``indices`` on the sample rounds plus the first round's closed
+        bands as ``round_id``, with ``shares`` keyed by lower edge and no
+        households elsewhere, exits 3, names the round and leaves no output."""
         sample = Path(SAMPLE_ROUNDS).read_text().splitlines()
-        x1 = []
+        added = []
         for row in sample[1:12]:    # the first round's closed bands
             cells = row.split(",")
-            cells[0], cells[4] = "X-1", "1" if cells[2] == "13" else "0"
-            x1.append(",".join(cells))
+            cells[0], cells[4] = round_id, shares.get(cells[2], "0")
+            added.append(",".join(cells))
         rounds = tmp_path / "rounds.csv"
-        rounds.write_text("\n".join(sample + x1) + "\n")
+        rounds.write_text("\n".join(sample + added) + "\n")
         assert run_cli("indices", "--rounds", rounds, "--deflators", SAMPLE_DEFLATORS,
                        "--line", 40.0, "--fix-offset", 8.0,
                        "--out-dir", tmp_path / "idx", "--quiet") == 3
-        assert "rounds X-1: the income-law fit did not converge" in capsys.readouterr().err
+        assert (f"rounds {round_id}: the income-law fit did not converge"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "idx").exists()
+
+    def test_indices_refuses_a_fit_that_did_not_converge(self, tmp_path, capsys):
+        """A round with all its share in one closed band has no finite
+        maximum: its fit stops at its start, unconverged.  It is a data
+        error that names the round."""
+        self.refuses_the_added_round(tmp_path, capsys, "X-1", {"13": "1"})
+
+    def test_indices_refuses_shares_in_two_adjacent_bands(self, tmp_path, capsys):
+        """X-2, shares 0.5 / 0.5 in [13, 15) and [15, 18), has no finite
+        maximum either: the law can narrow to a point mass on their shared
+        edge.  Pooled, its runaway M would move every round's model index."""
+        self.refuses_the_added_round(tmp_path, capsys, "X-2", {"13": "0.5", "15": "0.5"})
+
+    @pytest.mark.parametrize("fix_offset", [["--fix-offset", 0.0], []], ids=["0", "default"])
+    def test_indices_refuses_a_fit_that_walks_to_M_zero(self, tmp_path, capsys, fix_offset):
+        """Four closed bands at 0.25 each: the likelihood's supremum lies at
+        M = 0, outside the law's domain; the fit stops unconverged there."""
+        rounds = tmp_path / "rounds.csv"
+        rounds.write_text(
+            "round_id,year,band_lower,band_upper,population_share,"
+            "mean_total_expenditure,mean_cereal_expenditure\n"
+            + "".join(f"Z,2000,{lo},{up},0.25,,{c}\n"
+                      for lo, up, c in ((0, 5, 1), (5, 10, 2), (10, 20, 3), (20, 40, 4))))
+        assert run_cli("indices", "--rounds", rounds, "--line", 10.0, *fix_offset,
+                       "--out-dir", tmp_path / "idx", "--quiet") == 3
+        assert "rounds Z: the income-law fit did not converge" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
 
     def test_indices_at_a_large_pooled_M(self, tmp_path):

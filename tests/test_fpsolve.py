@@ -255,6 +255,13 @@ class TestGridDensity:
             fpsolve.GridDensity(grid, -np.ones_like(grid))
         with pytest.raises(DataError):
             fpsolve.GridDensity(grid[::-1], np.ones_like(grid))
+        # no allowance below 0, in any units, and the values are a copy
+        values = d.values * 1e-20
+        values[3] = -1e-300
+        with pytest.raises(DataError, match="nonnegative"):
+            fpsolve.GridDensity(grid, values)
+        values[3] = 0.0
+        assert not np.shares_memory(fpsolve.GridDensity(grid, values).values, values)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_and_grid_rejected(self, bad):
@@ -795,3 +802,44 @@ def test_snapshot_csv_roundtrip(tmp_path):
     assert t.tolist() == [0.0] * grid.size + [0.5] * grid.size
     assert np.allclose(y, np.tile(grid, 2), rtol=5e-12, atol=0.0)
     assert np.allclose(f[:grid.size], d.values, rtol=5e-12, atol=0.0)
+
+
+def _grid(n=16, lo=1.0):
+    return fpsolve.log_spaced(lo, 100.0 * lo, n)
+
+
+# refusals that no other test reaches, each with its documented error class;
+# no input warns (the suite makes a RuntimeWarning an error)
+REFUSALS = {
+    "Kummer at NaN": (lambda: fpsolve.kummer_m(1.0, 2.0, math.nan), DomainError,
+                      "must not be NaN"),
+    "negative mode index": (lambda: fpsolve.eigenmode_params(-1, 1.6), DomainError,
+                            "mode index must be a nonnegative integer"),
+    "fractional mode index": (lambda: fpsolve.eigenmode_params(1.5, 1.6), DomainError,
+                              "mode index must be a nonnegative integer"),
+    "infinite A1": (lambda: fpsolve.eigenmode_params(1, 1.6, A1=math.inf), DomainError,
+                    "mode coefficients must be finite"),
+    "mode at income 0": (lambda: fpsolve.eigenmode_eval(fpsolve.eigenmode_params(0, 1.6),
+                                                        [1.0, 0.0]),
+                         DomainError, "must be positive income"),
+    "grid of 7 nodes": (lambda: fpsolve.GridDensity(_grid(7), np.ones(7)), DataError,
+                        "at least 8 nodes"),
+    "2-D grid": (lambda: fpsolve.GridDensity(_grid().reshape(2, 8), np.ones((2, 8))),
+                 DataError, "1-D"),
+    "values off the grid": (lambda: fpsolve.GridDensity(_grid(), np.ones(17)), DataError,
+                            "shapes differ"),
+    "bump centre 0": (lambda: fpsolve.bump_density(_grid(), 0.0), DomainError,
+                      "bump center must be positive"),
+    "L1 across grids": (lambda: fpsolve.l1_distance(fpsolve.bump_density(_grid(), 5.0),
+                                                    fpsolve.bump_density(_grid(lo=2.0), 5.0)),
+                        DataError, "identical grids"),
+    "t_end at the start": (lambda: fpsolve.evolve(fpsolve.bump_density(_grid(), 5.0),
+                                                  1.6, 1.6, 0.0),
+                           DomainError, "t_end must be finite and exceed the initial time"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 from incomedyn import cli, distlib, estimate, poverty, survey
-from incomedyn.errors import DataError, DomainError
+from incomedyn.errors import DataError, DomainError, NumericalError
 
 DIST = distlib.SteadyStateIPDF(1.6, 1.6, 0.15)
 EDGES = np.concatenate([[0.0], np.geomspace(0.3, 6.0, 12), [np.inf]])
@@ -416,3 +416,45 @@ class TestSenAxioms:
         assert transfer["violations"] == len(transfer["witnesses"])
         for res in transfer["witnesses"] + report["hci"]["monotonicity"]["witnesses"]:
             assert not res.passed and res.index_name == "hci"
+
+
+def _series_with_offset(offset):
+    rnd = make_round()
+    fit = dataclasses.replace(estimate.fit_ipdf(rnd), offset=offset)
+    return poverty.index_series([rnd], [fit], [estimate.fit_monod(rnd)], 1.0)
+
+
+# refusals that no other test reaches, each with its documented error class;
+# no input warns (the suite makes a RuntimeWarning an error)
+REFUSALS = {
+    "empty sample": (lambda: poverty.fgt_indices(np.empty(0), 1.0), DataError,
+                     "empty income sample"),
+    "banded CD at V 0": (lambda: poverty.cd_index_banded(make_round(), 0.0, 0.5),
+                         DomainError, "V and K must be positive"),
+    "model CD at K 0": (lambda: poverty.cd_index_model(DIST, 0.4, 0.0), DomainError,
+                        "V and K must be positive"),
+    "model CD scale overflow": (lambda: poverty.cd_index_model(
+        distlib.SteadyStateIPDF(1.6, 1e308), 0.4, 1e-300),
+        NumericalError, r"C0 / \(K \+ offset\) overflows"),
+    "model CD at V inf": (lambda: poverty.cd_index_model(DIST, math.inf, 0.5),
+                          NumericalError, "CD index inf is not finite"),
+    "no rounds": (lambda: poverty.index_series([], [], [], 1.0), DataError,
+                  "at least one round"),
+    "offset above the mean": (lambda: _series_with_offset(1e3), DataError,
+                              "mean income below the offset"),
+    "one agent": (lambda: poverty.sen_axiom_check([0.5], "pg", poverty.Reduce(0, 0.1),
+                                                  line=1.0),
+                  DataError, "at least two agents"),
+    "unknown perturbation": (lambda: poverty.sen_axiom_check([0.5, 2.0], "pg", "reduce",
+                                                             line=1.0),
+                             DomainError, "unknown perturbation"),
+    "poorer recipient": (lambda: poverty.sen_axiom_check(
+        [0.5, 0.4], "pg", poverty.Transfer(0, 1, 0.1), line=1.0),
+        DomainError, "recipient 1 is not richer than donor 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -500,3 +500,37 @@ class TestKS:
         ks = simulate.ks_distance(x, lambda v: v)
         assert ks < 0.02
         assert simulate.ks_distance(np.array([10.0]), lambda v: np.clip(v, 0, 1)) == 1.0
+
+
+# refusals that no other test reaches, each with its documented error class;
+# no input warns (the suite makes a RuntimeWarning an error)
+REFUSALS = {
+    "dt not positive": (lambda: make_params(dt=0.0), DomainError, "dt must be > 0"),
+    "negative noise": (lambda: make_params(noise_scale=-1.0), DomainError,
+                       "noise_scale must be >= 0"),
+    "dt sigma^2 too large": (lambda: make_params(dt=0.01, noise_scale=3.0), DomainError,
+                             r"dt \* sigma\^2 = 0.09 >= 0.05"),
+    "no steps": (lambda: simulate.run_steps(simulate.init_population(10, 1.0, 0),
+                                            make_params(), 0),
+                 DomainError, "n_steps must be >= 1"),
+    "empty population": (lambda: simulate.run_steps(
+        simulate.AgentPopulation(np.empty(0), 0.0, 0), make_params(), 1),
+        DomainError, "cannot step an empty population"),
+    "constant start at 0": (lambda: simulate.init_population(10, 0.0, 0), DomainError,
+                            "constant initial income must be > 0"),
+    "infinite t_end": (lambda: simulate.run(10, make_params(), math.inf, 1.0, 0),
+                       DomainError, "t_end must be finite and > 0"),
+    "empty KS sample": (lambda: simulate.ks_distance(np.empty(0), lambda v: v),
+                        DomainError, "nonempty sample"),
+    "tail fraction 1": (lambda: simulate.hill_tail_size(10**4, 1.0), DomainError,
+                        r"tail_fraction must be in \(0, 1\)"),
+    "Hill on a zero income": (lambda: simulate.hill_tail_exponent(
+        np.append(np.arange(1.0, 4000.0), 0.0), 0.05),
+        DomainError, "incomes must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

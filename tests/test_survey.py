@@ -274,32 +274,32 @@ class TestRepresentativeIncomes:
 
     def test_closed_band_midpoints_and_recorded_mean(self):
         rnd = self._round([0.25, 0.5, 0.2, 0.05], first_mean=0.6)
-        np.testing.assert_array_equal(rnd.representative_incomes()[:3], [0.6, 1.5, 3.0])
+        np.testing.assert_array_equal(rnd.representative_incomes[:3], [0.6, 1.5, 3.0])
 
     def test_open_band_at_the_pareto_conditional_mean(self):
         rnd = self._round([0.25, 0.5, 0.2, 0.05])
         # densities 0.5 and 0.1 at midpoints 1.5 and 3
         a = math.log(0.5 / 0.1) / math.log(3.0 / 1.5)
         assert a > 2.0
-        assert rnd.representative_incomes()[-1] == pytest.approx(
+        assert rnd.representative_incomes[-1] == pytest.approx(
             4.0 * (a - 1.0) / (a - 2.0), rel=1e-14)
 
     def test_open_band_with_no_finite_mean_at_its_top_knot(self):
         rnd = self._round([0.4, 0.3, 0.2, 0.1])
         assert math.log(0.3 / 0.1) / math.log(2.0) <= 2.0
-        assert rnd.representative_incomes()[-1] == rnd.knots[-1]
+        assert rnd.representative_incomes[-1] == rnd.knots[-1]
 
 
 def test_band_arrays_are_built_once_and_read_only():
     rnd = survey.synth_round(DIST, EDGES, 10**4, seed=10, monod=(0.4, 0.5))
     assert rnd.edges is rnd.edges and rnd.shares is rnd.shares
     assert rnd.knots is rnd.knots and rnd.cereal is rnd.cereal
-    assert rnd.representative_incomes() is rnd.representative_incomes()
+    assert rnd.representative_incomes is rnd.representative_incomes
     np.testing.assert_array_equal(rnd.edges, EDGES)
     np.testing.assert_array_equal(rnd.cereal, [b.mean_cereal_expenditure for b in rnd.bands])
-    np.testing.assert_array_equal(rnd.representative_incomes(),
+    np.testing.assert_array_equal(rnd.representative_incomes,
                                   [b.mean_total_expenditure for b in rnd.bands])
-    for arr in (rnd.edges, rnd.shares, rnd.knots, rnd.cereal, rnd.representative_incomes()):
+    for arr in (rnd.edges, rnd.shares, rnd.knots, rnd.cereal, rnd.representative_incomes):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -382,3 +382,39 @@ def test_deflation_cancels_under_a_collapse(target):
         deflated = survey.collapse_rescale(survey.deflate(rnd, table), target)
         direct = survey.collapse_rescale(rnd, target)
         np.testing.assert_allclose(deflated.edges, direct.edges, rtol=1e-15, atol=0.0)
+
+
+def _round(*bands):
+    return survey.BandedDistribution("r", 2000.0, tuple(
+        survey.Band(lo, up, share, None, None) for lo, up, share in bands))
+
+
+# refusals that no other test reaches, each with its documented error class;
+# no input warns (the suite makes a RuntimeWarning an error)
+REFUSALS = {
+    "no bands": (lambda: _round(), DataError, "no bands"),
+    "shares sum to 0.9": (lambda: _round((0.0, 1.0, 0.5), (1.0, 2.0, 0.4)), DataError,
+                          "population shares sum to 0.9, not 1"),
+    "CPI column short": (lambda: survey.DeflatorTable(np.array([2000.0, 2001.0]),
+                                                      np.array([1.0]), 2000.0),
+                         DataError, "matching year/cpi columns"),
+    "CPI not finite": (lambda: survey.DeflatorTable(np.array([2000.0, 2001.0]),
+                                                    np.array([1.0, math.nan]), 2000.0),
+                       DataError, "must be finite"),
+    "target mean 0": (lambda: survey.collapse_rescale(_round((0.0, 1.0, 1.0)), 0.0),
+                      DomainError, "target mean must be positive"),
+    # the band's midpoint, half the smallest subnormal, rounds to 0
+    "mean income 0": (lambda: survey.collapse_rescale(_round((0.0, 5e-324, 1.0)), 1.0),
+                      DataError, "estimated mean income is zero"),
+    "Monod V 0": (lambda: survey.synth_round(DIST, EDGES, 100, 0, monod=(0.0, 0.5)),
+                  DomainError, "Monod parameters must be positive"),
+    "edges below the offset": (lambda: survey.synth_round(DIST, [0.0, 0.05, 0.1], 100, 0,
+                                                          monod=(0.4, 0.5)),
+                               DataError, "carry no probability mass"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
